@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -423,10 +424,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_lattice_value(argv):
+    """Rewrite ``--lattice -15:60:1`` as ``--lattice=-15:60:1``.
+
+    argparse takes a token that starts with '-' and is not a plain number
+    for an option, so a window with a negative ``m_min`` would otherwise
+    parse only in the ``=`` form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lattice" and re.match(r"-\d", tok):
+            out[-1] = "--lattice=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_lattice_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -20,12 +20,22 @@ to ``+a q^{m_min}``; consecutive same-sign points have ratio exactly ``q``
 walking toward zero.  This makes second-difference operators on the odd
 sublattice tridiagonal.
 
+Neighbor map.  Every difference stencil here reads same-branch
+neighbors through one map: the neighbor ``k`` steps toward zero of the
+point at index ``j`` sits at index ``j - sign * k`` (``k < 0`` walks away
+from zero), because the order makes a same-branch step one index step.  On
+the full lattice one step is one exponent, on the odd sublattice two.  Past
+the inner end that index lands on the mirror point ``-x`` of the other
+branch; past the outer end it leaves the array.
+
 Boundary policy for difference operators: a neighbor past the outer end
 (``m < m_min``) is treated as 0 (decay at infinity); a neighbor past the
 inner end (``m > m_max``) is filled by linear continuation toward the
 origin, anchored at ``value_at_zero`` when the datum is available (function
 application) and at the two innermost same-branch samples otherwise
-(matrix application).  The two rules coincide on linear functions.
+(matrix application).  The two rules coincide on linear functions.  The
+Hamiltonian closes its inner end across the origin through the mirror
+point instead (see :mod:`basicq.qschrodinger`).
 """
 
 from __future__ import annotations
@@ -54,11 +64,8 @@ __all__ = [
     "position_matrix",
     "derivative_matrix",
     "momentum_matrix",
-    "restrict_to_odd",
     "decaying_test_function",
     "hermiticity_residual",
-    "symmetrize",
-    "unsymmetrize",
     "to_csv",
     "from_csv",
     "to_json",
@@ -146,6 +153,22 @@ class QLattice:
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _neighbor(sign, m, k, lattice: QLattice, stride: int = 1):
+    """Same-branch neighbor ``k`` points toward zero, at exponent ``m + stride k``.
+
+    ``sign`` and ``m`` list the points in lattice order, ``stride`` exponents
+    apart on each branch (1 on the full lattice, 2 on the odd sublattice);
+    ``k < 0`` walks away from zero.  Returns the neighbor indices
+    ``j - sign k`` and the mask of points whose neighbor lies inside
+    ``[m_min, m_max]``.  Where the mask is False the index is past the
+    branch end: the mirror point at the inner end, off the array at the
+    outer end.
+    """
+    target = m + stride * k
+    inside = (target >= lattice.m_min) & (target <= lattice.m_max)
+    return np.arange(len(m)) - sign * k, inside
 
 
 def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
@@ -309,19 +332,12 @@ def apply_momentum(psi: LatticeFunction, hbar: float = 1.0) -> LatticeFunction:
     lat = psi.lattice
     qc = lat.q
     vals = psi.values
-    out = np.empty(lat.size, dtype=complex)
-    denom = (qc - 1.0 / qc) * lat.x
-    for i in range(lat.size):
-        s, m = int(lat.sign[i]), int(lat.m[i])
-        if m + 1 <= lat.m_max:
-            up = vals[lat.index_of(s, m + 1)]
-        else:
-            up = qc * vals[i] + (1.0 - qc) * psi.value_at_zero
-        if m - 1 >= lat.m_min:
-            down = vals[lat.index_of(s, m - 1)]
-        else:
-            down = 0j
-        out[i] = (up - down) / denom[i]
+    iup, has_up = _neighbor(lat.sign, lat.m, 1, lat)
+    idown, has_down = _neighbor(lat.sign, lat.m, -1, lat)
+    up = np.where(has_up, vals[iup], qc * vals + (1.0 - qc) * psi.value_at_zero)
+    down = np.zeros(lat.size, dtype=complex)
+    down[has_down] = vals[idown[has_down]]
+    out = (up - down) / ((qc - 1.0 / qc) * lat.x)
     return LatticeFunction(lat, -1j * hbar * out, 0j)
 
 
@@ -331,14 +347,12 @@ class OperatorMatrix:
 
     ``support`` is ``"all"`` (full lattice) or ``"odd"`` (odd-exponent
     sublattice, the q-inner product's carrier, in coordinate-ascending
-    order).  ``symmetrized`` marks matrices already conjugated by the
-    square-root weight; those act on weighted coordinates, not raw samples.
+    order).
     """
 
     lattice: QLattice
     matrix: np.ndarray
     support: str = "all"
-    symmetrized: bool = False
 
     def __post_init__(self):
         if self.support not in ("all", "odd"):
@@ -353,10 +367,6 @@ class OperatorMatrix:
         """Apply to a lattice function; odd-support operators leave even samples 0."""
         if psi.lattice is not self.lattice and not psi.lattice.compatible(self.lattice):
             raise ValueError("lattice mismatch")
-        if self.symmetrized:
-            raise ValueError(
-                "symmetrized operators act on weighted coordinates; "
-                "unsymmetrize first to apply to lattice functions")
         if self.support == "all":
             return LatticeFunction(psi.lattice, self.matrix @ psi.values, 0j)
         idx = self.lattice.odd_indices
@@ -382,17 +392,18 @@ def derivative_matrix(lattice: QLattice) -> OperatorMatrix:
     """
     qc = lattice.q
     n = lattice.size
+    rows = np.arange(n)
+    iup, has_up = _neighbor(lattice.sign, lattice.m, 1, lattice)
+    idown, has_down = _neighbor(lattice.sign, lattice.m, -1, lattice)
+    inner = ~has_up
+    c = 1.0 / ((qc - 1.0 / qc) * lattice.x)
     mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s, m = int(lattice.sign[i]), int(lattice.m[i])
-        c = 1.0 / ((qc - 1.0 / qc) * lattice.x[i])
-        if m + 1 <= lattice.m_max:
-            mat[i, lattice.index_of(s, m + 1)] += c
-        else:
-            mat[i, i] += c * (1.0 + qc)
-            mat[i, lattice.index_of(s, m - 1)] += -c * qc
-        if m - 1 >= lattice.m_min:
-            mat[i, lattice.index_of(s, m - 1)] += -c
+    # Each entry accumulates in stencil order (up neighbor or inner-end
+    # fill, then down neighbor), so a shared entry rounds one way.
+    mat[rows[has_up], iup[has_up]] += c[has_up]
+    mat[rows[inner], rows[inner]] += c[inner] * (1.0 + qc)
+    mat[rows[inner], idown[inner]] += -c[inner] * qc
+    mat[rows[has_down], idown[has_down]] += -c[has_down]
     return OperatorMatrix(lattice, mat, "all")
 
 
@@ -400,19 +411,6 @@ def momentum_matrix(lattice: QLattice, hbar: float = 1.0) -> OperatorMatrix:
     """Momentum ``-i hbar D`` as a full-lattice matrix."""
     d = derivative_matrix(lattice)
     return OperatorMatrix(lattice, -1j * hbar * d.matrix, "all")
-
-
-def restrict_to_odd(A: OperatorMatrix) -> OperatorMatrix:
-    """Restrict a full-lattice operator to the odd sublattice by index selection.
-
-    Exact for operators that genuinely map odd samples to odd samples
-    (parity-even stencils such as a squared derivative); boundary rows whose
-    closure leaks onto even columns lose that leakage.
-    """
-    if A.support != "all":
-        raise ValueError("restrict_to_odd expects a full-lattice operator")
-    idx = A.lattice.odd_indices
-    return OperatorMatrix(A.lattice, A.matrix[np.ix_(idx, idx)], "odd", A.symmetrized)
 
 
 def decaying_test_function(lattice: QLattice, rng,
@@ -482,34 +480,6 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
             continue
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst
-
-
-def symmetrize(A: OperatorMatrix) -> OperatorMatrix:
-    """Weight conjugation ``W^{1/2} A W^{-1/2}`` on the odd sublattice.
-
-    Turns basic-Hermiticity into ordinary matrix symmetry, so standard
-    symmetric eigensolvers apply.  Requires odd support: even-exponent
-    points have weight 0 and cannot be conjugated.
-    """
-    if A.support != "odd":
-        raise ValueError(
-            "symmetrize requires odd-sublattice support (even points carry zero weight)")
-    if A.symmetrized:
-        raise ValueError("operator is already symmetrized")
-    w = A.lattice.w[A.lattice.odd_indices]
-    root = np.sqrt(w)
-    mat = (root[:, None] * A.matrix) / root[None, :]
-    return OperatorMatrix(A.lattice, mat, "odd", True)
-
-
-def unsymmetrize(A: OperatorMatrix) -> OperatorMatrix:
-    """Inverse of :func:`symmetrize`."""
-    if A.support != "odd" or not A.symmetrized:
-        raise ValueError("unsymmetrize expects a symmetrized odd-sublattice operator")
-    w = A.lattice.w[A.lattice.odd_indices]
-    root = np.sqrt(w)
-    mat = (A.matrix / root[:, None]) * root[None, :]
-    return OperatorMatrix(A.lattice, mat, "odd", False)
 
 
 def to_csv(psi: LatticeFunction) -> str:

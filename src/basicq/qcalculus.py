@@ -19,9 +19,10 @@ check needs it, at 0.  Decay fast enough for the improper sums to converge
 is the caller's responsibility; non-convergence raises
 :class:`~basicq.errors.ConvergenceError`.
 
-Truncation rule shared by every series here: stop once 3 consecutive terms
-fall below ``tol`` times the running partial sum (default ``tol = 1e-14``),
-with a hard cap of 10^6 terms.
+Truncation rule shared by every series in the package (these q-integrals and
+the E/S/C series of :mod:`basicq.qfunctions`, all summed by one kernel): stop
+once 3 consecutive terms fall below ``tol`` times the running partial sum
+(default ``tol = 1e-14``), with a hard cap of 10^6 terms.
 """
 
 from __future__ import annotations
@@ -211,32 +212,50 @@ def _real_if_real(v):
     return v
 
 
-def _sum_with_truncation(term_fn, tol, max_terms, what):
-    """Sum term_fn(0), term_fn(1), ... under the 3-consecutive-terms rule."""
+def _sum_series(first, step, tol, max_terms, what):
+    """Sum ``t_0 + t_1 + ...`` under the 3-consecutive-terms rule.
+
+    ``first()`` returns ``t_0`` and ``step(n, t_n)`` returns ``t_{n+1}``, both
+    as complex: the q-integrals compute each term afresh and ignore ``t_n``,
+    the E/S/C series multiply it by their term ratio.  Returns
+    ``(sum, terms_used)``, counting the trailing negligible terms.  A term
+    that overflows or is not finite raises ConvergenceError, and so does a
+    series that has not converged after ``max_terms`` terms.
+    """
     total = 0.0 + 0.0j
     streak = 0
-    for n in range(max_terms):
-        try:
-            t = complex(term_fn(n))
-        except OverflowError:
-            raise ConvergenceError(
-                f"{what}: term overflow at index {n} (divergent tail?)"
-            ) from None
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-            raise ConvergenceError(
-                f"{what}: non-finite term at index {n} (divergent tail?)"
-            )
-        total += t
-        if abs(t) <= tol * abs(total):
-            streak += 1
-            if streak >= _STREAK:
-                return total
-        else:
-            streak = 0
+    n = 0
+    try:
+        t = first()
+        for n in range(max_terms):
+            if n:
+                t = step(n - 1, t)
+            if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+                raise ConvergenceError(
+                    f"{what}: non-finite term at index {n} (divergent tail?)")
+            total += t
+            if abs(t) <= tol * abs(total):
+                streak += 1
+                if streak >= _STREAK:
+                    return total, n + 1
+            else:
+                streak = 0
+    except OverflowError:
+        raise ConvergenceError(
+            f"{what}: term overflow at index {n} (divergent tail?)") from None
     raise ConvergenceError(
         f"{what}: no convergence after {max_terms} terms "
         f"(last |term| = {abs(t):.3e}, |sum| = {abs(total):.3e})"
     )
+
+
+def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
+    """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum."""
+    def step(n, _):
+        p = qc ** (sgn * (2 * n + 3))
+        return complex(p * f(p * a))
+
+    return _sum_series(lambda: step(-1, None), step, tol, max_terms, what)[0]
 
 
 def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
@@ -265,10 +284,7 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
         raise ValueError("q_integral_finite requires q != 1 (geometric lattice collapses)")
     qc = qp.canonical
     pref = a * (1.0 / qc - qc)
-    total = _sum_with_truncation(
-        lambda n: qc ** (2 * n + 1) * f(qc ** (2 * n + 1) * a),
-        tol, max_terms, "q_integral_finite",
-    )
+    total = _lattice_sum(f, qc, a, 1, tol, max_terms, "q_integral_finite")
     return _real_if_real(pref * total)
 
 
@@ -284,14 +300,9 @@ def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TER
         raise ValueError("q_integral_halfline requires q != 1 (geometric lattice collapses)")
     qc = qp.canonical
     pref = 1.0 / qc - qc
-    inner = _sum_with_truncation(
-        lambda n: qc ** (2 * n + 1) * f(qc ** (2 * n + 1)),
-        tol, max_terms, "q_integral_halfline (x->0 tail)",
-    )
-    outer = _sum_with_truncation(
-        lambda n: qc ** (-2 * n - 1) * f(qc ** (-2 * n - 1)),
-        tol, max_terms, "q_integral_halfline (x->inf tail)",
-    )
+    inner = _lattice_sum(f, qc, 1.0, 1, tol, max_terms, "q_integral_halfline (x->0 tail)")
+    outer = _lattice_sum(f, qc, 1.0, -1, tol, max_terms,
+                         "q_integral_halfline (x->inf tail)")
     return _real_if_real(pref * (inner + outer))
 
 

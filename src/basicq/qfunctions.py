@@ -27,11 +27,9 @@ Deformed trig identities verified here as residual diagnostics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError
-from .qcalculus import DEFAULT_TOL, MAX_TERMS
+from .qcalculus import DEFAULT_TOL, MAX_TERMS, _sum_series
 from .qnum import as_qparam, basic_number
 
 __all__ = [
@@ -43,9 +41,6 @@ __all__ = [
     "trig_derivative_residual",
     "wave_equation_residual",
 ]
-
-_STREAK = 3
-
 
 @dataclass(frozen=True)
 class QSpecialValue:
@@ -65,25 +60,6 @@ class QSpecialValue:
     value: complex
     terms_used: int
     representation: str
-
-
-def _sum_series(first_term, ratio_fn, tol, max_terms, what):
-    """Sum t_0 + t_1 + ... with t_{n+1} = t_n * ratio_fn(n); return (sum, count)."""
-    t = complex(first_term)
-    total = 0.0 + 0.0j
-    streak = 0
-    for n in range(max_terms):
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-            raise ConvergenceError(f"{what}: non-finite term at index {n}")
-        total += t
-        if abs(t) <= tol * abs(total):
-            streak += 1
-            if streak >= _STREAK:
-                return total, n + 1
-        else:
-            streak = 0
-        t = t * ratio_fn(n)
-    raise ConvergenceError(f"{what}: no convergence after {max_terms} terms")
 
 
 def _check_representation(rep, qp, what):
@@ -122,12 +98,13 @@ def q_exp(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     z = complex(z)
     if representation == "physics":
         value, n = _sum_series(
-            1.0, lambda k: z / basic_number(k + 1, qp), tol, MAX_TERMS, "q_exp")
+            lambda: 1.0 + 0j, lambda k, t: t * (z / basic_number(k + 1, qp)),
+            tol, MAX_TERMS, "q_exp")
         return QSpecialValue(value, n, "physics-series")
     qc = qp.canonical
     q2 = qc * qc
     value, n = _sum_series(
-        1.0, lambda k: z * (1.0 - q2) * qc**k / (1.0 - q2 ** (k + 1)),
+        lambda: 1.0 + 0j, lambda k, t: t * (z * (1.0 - q2) * qc**k / (1.0 - q2 ** (k + 1))),
         tol, MAX_TERMS, "q_exp")
     return QSpecialValue(value, n, "shifted-factorial-series")
 
@@ -143,16 +120,16 @@ def q_sin(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     z2 = z * z
     if representation == "physics":
         value, n = _sum_series(
-            z,
-            lambda k: -z2 / (basic_number(2 * k + 2, qp) * basic_number(2 * k + 3, qp)),
+            lambda: z,
+            lambda k, t: t * (-z2 / (basic_number(2 * k + 2, qp) * basic_number(2 * k + 3, qp))),
             tol, MAX_TERMS, "q_sin")
         return QSpecialValue(value, n, "physics-series")
     qc = qp.canonical
     q2 = qc * qc
     value, n = _sum_series(
-        z,
-        lambda k: -z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 3)
-        / ((1.0 - qc ** (4 * k + 4)) * (1.0 - qc ** (4 * k + 6))),
+        lambda: z,
+        lambda k, t: t * (-z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 3)
+                          / ((1.0 - qc ** (4 * k + 4)) * (1.0 - qc ** (4 * k + 6)))),
         tol, MAX_TERMS, "q_sin")
     return QSpecialValue(value, n, "shifted-factorial-series")
 
@@ -165,16 +142,16 @@ def q_cos(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     z2 = z * z
     if representation == "physics":
         value, n = _sum_series(
-            1.0,
-            lambda k: -z2 / (basic_number(2 * k + 1, qp) * basic_number(2 * k + 2, qp)),
+            lambda: 1.0 + 0j,
+            lambda k, t: t * (-z2 / (basic_number(2 * k + 1, qp) * basic_number(2 * k + 2, qp))),
             tol, MAX_TERMS, "q_cos")
         return QSpecialValue(value, n, "physics-series")
     qc = qp.canonical
     q2 = qc * qc
     value, n = _sum_series(
-        1.0,
-        lambda k: -z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 1)
-        / ((1.0 - qc ** (4 * k + 2)) * (1.0 - qc ** (4 * k + 4))),
+        lambda: 1.0 + 0j,
+        lambda k, t: t * (-z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 1)
+                          / ((1.0 - qc ** (4 * k + 2)) * (1.0 - qc ** (4 * k + 4)))),
         tol, MAX_TERMS, "q_cos")
     return QSpecialValue(value, n, "shifted-factorial-series")
 

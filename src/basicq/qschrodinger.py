@@ -18,13 +18,14 @@ the two innermost odd points ``+-x0``:
 
 This closure is the one choice that is simultaneously (i) exact for
 constant and linear functions, (ii) symmetric under the integration
-weights, so the symmetrized matrix stays exactly tridiagonal-symmetric and
-the spectrum exactly real, and (iii) coupling the two branches at the
-origin, so the classical limit recovers both parity sectors instead of a
-doubled even spectrum.
+weights, so the spectrum is exactly real, and (iii) coupling the two
+branches at the origin, so the classical limit recovers both parity sectors
+instead of a doubled even spectrum.  In the lattice order the mirror point
+``-x0`` sits where the toward-zero neighbor would, at ``j - sign``.
 
-Weight conjugation W^{1/2} H W^{-1/2} turns q-Hermiticity into real
-symmetric tridiagonal form; eigenvectors mapped back through W^{-1/2} are
+The solver conjugates the bands by the square-root weights itself,
+W^{1/2} H W^{-1/2}, which turns q-Hermiticity into real symmetric
+tridiagonal form; eigenvectors mapped back through W^{-1/2} are
 automatically q-orthonormal.  Time evolution is purely spectral, hence
 exactly unitary in the q-metric.
 """
@@ -42,6 +43,7 @@ from .l2q import (
     LatticeFunction,
     OperatorMatrix,
     QLattice,
+    _neighbor,
     inner_product,
     q_norm,
     sample,
@@ -86,21 +88,19 @@ class Hamiltonian:
     """Tridiagonal realization of -(hbar^2/2m) D^2 + V on the odd sublattice.
 
     ``lo``/``di``/``up`` are the raw tridiagonal bands in coordinate-
-    ascending odd ordering; ``sym_d``/``sym_e`` the weight-conjugated
-    symmetric bands fed to the eigensolver.  The dense ``matrix`` view and
-    the full spectrum are built on first use (the bands alone serve large
-    classical-limit lattices).
+    ascending odd ordering; ``sym_e`` is the off-diagonal of the
+    weight-conjugated symmetric form fed to the eigensolver, whose diagonal
+    is ``di``.  The dense ``matrix`` view and the full spectrum are built on
+    first use (the bands alone serve large classical-limit lattices).
     """
 
     lattice: QLattice
     potential: object
     mass: float
     hbar: float
-    q: float
     lo: np.ndarray = field(repr=False)
     di: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
-    sym_d: np.ndarray = field(repr=False)
     sym_e: np.ndarray = field(repr=False)
     potential_text: str | None = None
     _matrix: OperatorMatrix | None = field(default=None, repr=False)
@@ -183,43 +183,40 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
         v[j] = val.real
 
     kin = -hbar * hbar / (2.0 * mass)
+    j = np.arange(n)
+    toward, has_toward = _neighbor(sgn, ms, 1, lattice, stride=2)
+    away, has_away = _neighbor(sgn, ms, -1, lattice, stride=2)
+    inner = ~has_toward  # innermost odd point of each branch
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        K = 1.0 / ((qc - 1.0 / qc) ** 2 * x * x)
+        di = kin * (-(qc + 1.0 / qc)) * K + v
+        di[inner] += kin * K[inner] / qc * (1.0 + qc * qc) / 2.0
+        # Toward zero (m + 2) the coefficient couples to the neighbor, or at
+        # the inner end to the mirror point, both at index j - s; away from
+        # zero (m - 2) past the outer end there is nothing (zero fill).
+        c_toward = np.where(has_toward, kin * K / qc,
+                            kin * K / qc * (1.0 - qc * qc) / 2.0)
+        c_away = kin * K * qc
     lo = np.zeros(n - 1)
     up = np.zeros(n - 1)
-    di = np.zeros(n)
-    # Walking j in odd ordering: same-branch neighbor two exponents outward
-    # is j-1 on the negative branch/j+1 mirrored, handled uniformly below.
-    for j in range(n):
-        s, m = int(sgn[j]), int(ms[j])
-        K = 1.0 / ((qc - 1.0 / qc) ** 2 * x[j] * x[j])
-        di[j] += kin * (-(qc + 1.0 / qc)) * K + v[j]
-        # Neighbor toward zero (m + 2), or the inner closure.
-        if m + 2 <= lattice.m_max:
-            jn = j + 1 if s < 0 else j - 1
-            _add_band(lo, up, j, jn, kin * K / qc)
-        else:
-            di[j] += kin * K / qc * (1.0 + qc * qc) / 2.0
-            jm = j + 1 if s < 0 else j - 1  # mirror point across the origin
-            _add_band(lo, up, j, jm, kin * K / qc * (1.0 - qc * qc) / 2.0)
-        # Neighbor away from zero (m - 2), or outer zero-fill.
-        if m - 2 >= lattice.m_min:
-            jn = j - 1 if s < 0 else j + 1
-            _add_band(lo, up, j, jn, kin * K * qc)
+    for row, col, coeff in ((j, toward, c_toward),
+                            (j[has_away], away[has_away], c_away[has_away])):
+        # Column j + 1 is the upper band at row j, column j - 1 the lower
+        # band at row j - 1.
+        right = col > row
+        up[row[right]] += coeff[right]
+        lo[col[~right]] += coeff[~right]
+    if not all(np.all(np.isfinite(band)) for band in (lo, di, up)):
+        raise ValueError(
+            "Hamiltonian bands are not finite at the innermost |x| = %.3g: "
+            "m_max = %d is too large for q = %r"
+            % (float(np.min(np.abs(x))), lattice.m_max, qc))
 
     root = np.sqrt(w)
-    sym_d = di.copy()
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
     return Hamiltonian(lattice=lattice, potential=V, mass=mass, hbar=hbar,
-                       q=qc, lo=lo, di=di, up=up, sym_d=sym_d, sym_e=sym_e,
+                       lo=lo, di=di, up=up, sym_e=sym_e,
                        potential_text=potential_text)
-
-
-def _add_band(lo, up, j, jn, coeff):
-    if jn == j + 1:
-        up[j] += coeff
-    elif jn == j - 1:
-        lo[j - 1] += coeff
-    else:
-        raise AssertionError("stencil neighbor not adjacent in odd ordering")
 
 
 def _first_significant_positive(vec: np.ndarray) -> np.ndarray:
@@ -231,10 +228,12 @@ def _first_significant_positive(vec: np.ndarray) -> np.ndarray:
 
 
 def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs of the symmetrized tridiagonal problem.
+    """Lowest ``k`` eigenpairs of ``H``.
 
-    Eigenvalues come out exactly real (real symmetric solver); eigenvectors
-    are mapped back through the inverse weight conjugation, which makes
+    The solver conjugates the bands by the square-root weights into real
+    symmetric tridiagonal form (diagonal ``H.di``, off-diagonal
+    ``H.sym_e``), so eigenvalues come out exactly real; eigenvectors are
+    mapped back through the inverse weight conjugation, which makes
     them q-orthonormal with no extra normalization.  Within near-degenerate
     clusters (gap below 1e-10) the block is re-orthogonalized explicitly.
     Each eigenfunction's first significant component is normalized positive.
@@ -248,15 +247,15 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
         return SpectrumResult(np.empty(0), [])
     try:
         if k == n:
-            evals, evecs = eigh_tridiagonal(H.sym_d, H.sym_e)
+            evals, evecs = eigh_tridiagonal(H.di, H.sym_e)
         else:
             evals, evecs = eigh_tridiagonal(
-                H.sym_d, H.sym_e, select="i", select_range=(0, k - 1))
+                H.di, H.sym_e, select="i", select_range=(0, k - 1))
     except Exception as exc:
         raise ConvergenceError(
             "tridiagonal eigensolver failed: %s (n=%d, diag in [%.3e, %.3e], "
             "max |offdiag| = %.3e)" % (
-                exc, n, float(np.min(H.sym_d)), float(np.max(H.sym_d)),
+                exc, n, float(np.min(H.di)), float(np.max(H.di)),
                 float(np.max(np.abs(H.sym_e))))) from exc
 
     # Safety net for clustered eigenvalues: re-orthogonalize inside blocks.

@@ -246,7 +246,6 @@ def test_solve_deterministic_bytes(capsys, tmp_path):
 
 
 def test_solve_respects_lattice_flag(capsys, tmp_path):
-    # leading dash needs the '=' form or argparse reads it as a flag
     code, _, _ = run(capsys, "solve", "--potential", "x^2", "--k", "1",
                      "--lattice=-5:30:1.0", "--q", "0.8",
                      "--output", str(tmp_path))
@@ -254,6 +253,28 @@ def test_solve_respects_lattice_flag(capsys, tmp_path):
     doc = json.loads((tmp_path / "spectrum.json").read_text())
     assert doc["lattice"] == {"m_min": -5, "m_max": 30, "a": 1.0}
     assert doc["q"] == 0.8
+
+
+def test_lattice_space_and_equals_forms_agree(capsys, tmp_path):
+    outputs = []
+    for form in (["--lattice", "-5:30:1.0"], ["--lattice=-5:30:1.0"]):
+        d = tmp_path / str(len(outputs))
+        code, out, err = run(capsys, "solve", "--potential", "x^2", "--k", "2",
+                             "--q", "0.8", *form, "--output", str(d))
+        assert code == 0, err
+        files = {name: (d / name).read_bytes()
+                 for name in ("spectrum.json", "eigfunc_000.csv", "eigfunc_001.csv")}
+        outputs.append((out.replace(str(d), ""), files))
+    assert outputs[0] == outputs[1]
+
+
+def test_solve_non_finite_hamiltonian_is_configuration_failure(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--potential", "x^2", "--q", "0.5",
+                         "--lattice=-15:600:1", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("basicq: invalid configuration: Hamiltonian bands are not finite")
+    assert "m_max = 600" in err
 
 
 def test_solve_bad_lattice_string(capsys, tmp_path):

@@ -28,11 +28,8 @@ from basicq.l2q import (
     decaying_test_function,
     from_csv,
     from_json,
-    restrict_to_odd,
-    symmetrize,
     to_csv,
     to_json,
-    unsymmetrize,
 )
 from basicq.verify import lattice_for_q
 
@@ -261,36 +258,6 @@ class TestOperators:
         d = apply_momentum(psi)
         i = lat.index_of(1, 4)  # innermost positive point
         assert d.values[i] == pytest.approx(-1j * 2.0, rel=1e-12)
-
-    def test_restrict_to_odd_square_block(self):
-        lat = default_lattice()
-        p = momentum_matrix(lat)
-        podd = restrict_to_odd(p)
-        assert podd.support == "odd"
-        assert podd.matrix.shape == (76, 76)
-
-    def test_symmetrize_roundtrip(self):
-        lat = default_lattice()
-        a = restrict_to_odd(momentum_matrix(lat))
-        s = symmetrize(a)
-        assert s.symmetrized
-        back = unsymmetrize(s)
-        assert np.allclose(back.matrix, a.matrix, rtol=1e-13)
-        with pytest.raises(ValueError):
-            symmetrize(s)
-        with pytest.raises(ValueError):
-            unsymmetrize(a)
-
-    def test_symmetrize_requires_odd_support(self):
-        lat = default_lattice()
-        with pytest.raises(ValueError):
-            symmetrize(momentum_matrix(lat))
-
-    def test_symmetrized_apply_refused(self):
-        lat = default_lattice()
-        s = symmetrize(restrict_to_odd(momentum_matrix(lat)))
-        with pytest.raises(ValueError):
-            s.apply(sample(gauss2, lat))
 
     def test_operator_matrix_validation(self):
         lat = build_lattice(0.9, -2, 4, 1.0)

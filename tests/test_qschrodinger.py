@@ -24,7 +24,12 @@ from basicq import (
     stationary_states,
     synthesize,
 )
-from basicq.l2q import decaying_test_function, momentum_matrix, position_matrix
+from basicq.l2q import (
+    decaying_test_function,
+    derivative_matrix,
+    momentum_matrix,
+    position_matrix,
+)
 from basicq.qschrodinger import fluctuation
 
 
@@ -80,6 +85,40 @@ class TestAssembly:
             build_hamiltonian(lambda x: 1j * x, 1.0, 1.0, lat)  # complex potential
         with pytest.raises(ValueError):
             build_hamiltonian(lambda x: math.nan, 1.0, 1.0, lat)
+
+    def test_non_finite_bands_rejected(self):
+        # x*x underflows to 0 at the innermost points, so the kinetic
+        # coefficient 1/x^2 is infinite
+        lat = build_lattice(0.5, -15, 600)
+        with pytest.raises(ValueError, match="m_max = 600 is too large") as exc:
+            build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
+        assert "|x| = 4.82e-181" in str(exc.value)
+
+    @pytest.mark.parametrize("q, m_min, m_max, hbar, mass, excluded", [
+        (0.9, -15, 60, 1.0, 1.0, [0, 37, 38, 75]),
+        (0.8, -4, 21, 0.7, 2.5, [12, 13]),
+    ])
+    def test_kinetic_band_is_product_of_derivatives(self, q, m_min, m_max, hbar,
+                                                    mass, excluded):
+        # -(hbar^2/2m) D_(o<-e) D_(e<-o) from the full-lattice derivative
+        # matrix, row by row, away from the closure rows: the innermost odd
+        # point of each branch, and the outermost one when m_min is odd
+        # (its even neighbor m_min - 1 is off the lattice)
+        lat = build_lattice(q, m_min, m_max)
+        H = build_hamiltonian(lambda x: 0.0, mass, hbar, lat)
+        D = derivative_matrix(lat).matrix
+        odd = lat.odd_indices
+        even = np.nonzero(lat.m % 2 == 0)[0]
+        prod = -(hbar * hbar / (2.0 * mass)) * (D[np.ix_(odd, even)] @ D[np.ix_(even, odd)])
+        kin = H.matrix.matrix
+        ms = lat.m[odd]
+        closure = ms == ms.max()
+        if m_min % 2 != 0:
+            closure |= ms == ms.min()
+        assert np.flatnonzero(closure).tolist() == excluded
+        for r in np.flatnonzero(~closure):
+            gap = np.max(np.abs(kin[r] - prod[r]))
+            assert gap <= 1e-13 * np.max(np.abs(kin[r])), (r, gap)
 
 
 # -- free particle -----------------------------------------------------------
