@@ -424,17 +424,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _join_lattice_value(argv):
-    """Rewrite ``--lattice -15:60:1`` as ``--lattice=-15:60:1``.
+# Options taking one string that may begin with '-': a window or range with
+# a negative start, or an expression with a leading minus.
+_DASH_VALUE_OPTIONS = ("--lattice", "--range", "--expr", "--potential", "--psi0")
+
+
+def _join_dash_values(argv):
+    """Rewrite ``--range -10:10:0.5`` as ``--range=-10:10:0.5``.
 
     argparse takes a token that starts with '-' and is not a plain number
-    for an option, so a window with a negative ``m_min`` would otherwise
-    parse only in the ``=`` form.
+    for an option, so such a value of an option in ``_DASH_VALUE_OPTIONS``
+    would otherwise parse only in the ``=`` form.  A token starting with
+    '--' stays an option, so a missing value is still a usage error.
     """
     out = []
     for tok in argv:
-        if out and out[-1] == "--lattice" and re.match(r"-\d", tok):
-            out[-1] = "--lattice=" + tok
+        if out and out[-1] in _DASH_VALUE_OPTIONS and re.match(r"-[^-]", tok):
+            out[-1] = out[-1] + "=" + tok
         else:
             out.append(tok)
     return out
@@ -443,7 +449,7 @@ def _join_lattice_value(argv):
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_lattice_value(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

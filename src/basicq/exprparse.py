@@ -4,12 +4,12 @@ Grammar (whitespace insignificant, identifiers case-sensitive):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' factor)?          -- '^' right-associative
-    unary   := '-'? primary
+    factor  := '-' power | power
+    power   := primary ('^' factor)?        -- '^' right-associative
     primary := number | 'x' | 'q' | ident '(' expr (',' expr)* ')' | '(' expr ')'
 
-Note one consequence of the production order: the exponent binds the
-already-negated unary, so ``-x^2`` parses as ``(-x)^2``.
+Note: unary minus binds looser than ``^``, so ``-x^2`` parses as
+``-(x^2)``; an exponent may itself be negated, so ``2^-x`` is ``2^(-x)``.
 
 Known functions: exp, sin, cos, sqrt, abs, gauss (= exp(-t^2)), the
 deformed family Eq, Sq, Cq (evaluated with the ambient deformation
@@ -184,18 +184,18 @@ def _parse_term(toks: _Tokens) -> Expression:
 
 
 def _parse_factor(toks: _Tokens) -> Expression:
-    node = _parse_unary(toks)
+    if toks.peek()[0] == "-":
+        _, _, off = toks.next()
+        return Unary(off, _parse_power(toks))
+    return _parse_power(toks)
+
+
+def _parse_power(toks: _Tokens) -> Expression:
+    node = _parse_primary(toks)
     if toks.peek()[0] == "^":
         _, _, off = toks.next()
         node = Binary(off, "^", node, _parse_factor(toks))
     return node
-
-
-def _parse_unary(toks: _Tokens) -> Expression:
-    if toks.peek()[0] == "-":
-        _, _, off = toks.next()
-        return Unary(off, _parse_primary(toks))
-    return _parse_primary(toks)
 
 
 def _parse_primary(toks: _Tokens) -> Expression:
@@ -253,7 +253,9 @@ def evaluate(e: Expression, x, q) -> complex:
         if isinstance(node, Param):
             return complex(qp.q)
         if isinstance(node, Unary):
-            return -ev(node.operand)
+            # 0 - v, not -v: negating a real v would give it a -0.0
+            # imaginary part, which puts sqrt(-1) on the -i side of the cut.
+            return 0.0 - ev(node.operand)
         if isinstance(node, Binary):
             lhs = ev(node.left)
             rhs = ev(node.right)

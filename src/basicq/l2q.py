@@ -255,6 +255,17 @@ class LatticeFunction:
     __rmul__ = __mul__
 
 
+def _from_odd(lattice: QLattice, values) -> LatticeFunction:
+    """Lattice function holding ``values`` at the odd points, in lattice order.
+
+    Even-exponent samples and the origin datum are 0: the form in which
+    odd-support operators and the solver's eigenbasis return states.
+    """
+    vals = np.zeros(lattice.size, dtype=complex)
+    vals[lattice.odd_indices] = values
+    return LatticeFunction(lattice, vals, 0j)
+
+
 def _check_same_lattice(phi: LatticeFunction, psi: LatticeFunction):
     if phi.lattice is not psi.lattice and not phi.lattice.compatible(psi.lattice):
         raise ValueError("lattice mismatch")
@@ -369,10 +380,7 @@ class OperatorMatrix:
             raise ValueError("lattice mismatch")
         if self.support == "all":
             return LatticeFunction(psi.lattice, self.matrix @ psi.values, 0j)
-        idx = self.lattice.odd_indices
-        out = np.zeros(psi.lattice.size, dtype=complex)
-        out[idx] = self.matrix @ psi.values[idx]
-        return LatticeFunction(psi.lattice, out, 0j)
+        return _from_odd(psi.lattice, self.matrix @ psi.values[self.lattice.odd_indices])
 
 
 def position_matrix(lattice: QLattice) -> OperatorMatrix:

@@ -28,7 +28,7 @@ once 3 consecutive terms fall below ``tol`` times the running partial sum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,7 @@ from .qnum import as_qparam, basic_number
 __all__ = [
     "DEFAULT_TOL",
     "MAX_TERMS",
-    "Evaluable",
     "PowerSeries",
-    "dilatation",
     "jackson_derivative",
     "jackson_derivative_series",
     "q_leibniz_residual",
@@ -56,38 +54,6 @@ DEFAULT_TOL = 1e-14
 MAX_TERMS = 1_000_000
 # Consecutive negligible terms required before a series is declared converged.
 _STREAK = 3
-
-
-@dataclass(frozen=True)
-class Evaluable:
-    """Callable wrapper carrying the caller's promises about ``fn``.
-
-    Every operation in this module accepts a bare callable; this wrapper
-    exists to record metadata (decay at infinity, q-regularity at the
-    origin) next to the function when a pipeline wants to pass both around
-    together.  The promises are not enforced here: the improper integrals
-    monitor their own tails and :func:`q_regularity_check` tests
-    regularity empirically.
-    """
-
-    fn: object
-    decay_hint: str = "none"  # "none" | "rapid-at-infinity"
-    regular_at_zero: bool = True
-
-    def __post_init__(self):
-        if not callable(self.fn):
-            raise TypeError("Evaluable.fn must be callable")
-        if self.decay_hint not in ("none", "rapid-at-infinity"):
-            raise ValueError(f"unknown decay_hint {self.decay_hint!r}")
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def dilatation(f, x, q):
-    """Scaling operator: return ``f(q x)`` (canonical q)."""
-    qp = as_qparam(q)
-    return f(qp.canonical * x)
 
 
 def jackson_derivative(f, x, q):
@@ -129,10 +95,6 @@ class PowerSeries:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def truncation_order(self) -> int:
-        return self.degree
 
     def __call__(self, x):
         # Horner evaluation.

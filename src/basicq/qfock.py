@@ -70,7 +70,7 @@ def build_ladder(dim: int, q) -> LadderTriple:
     Examples
     --------
     >>> t = build_ladder(3, 1.0)
-    >>> t.a[0, 1], t.a[1, 2]
+    >>> float(t.a[0, 1]), float(t.a[1, 2])
     (1.0, 1.4142135623730951)
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:

@@ -101,7 +101,7 @@ def basic_number(x: float, q) -> float:
     Examples
     --------
     >>> basic_number(2, 0.9)        # q + 1/q
-    2.01111111111111
+    2.011111111111111
     >>> basic_number(3, 1.0)
     3.0
     """

@@ -26,8 +26,10 @@ instead of a doubled even spectrum.  In the lattice order the mirror point
 The solver conjugates the bands by the square-root weights itself,
 W^{1/2} H W^{-1/2}, which turns q-Hermiticity into real symmetric
 tridiagonal form; eigenvectors mapped back through W^{-1/2} are
-automatically q-orthonormal.  Time evolution is purely spectral, hence
-exactly unitary in the q-metric.
+automatically q-orthonormal.  They are kept as the columns of one real
+matrix, ``SpectrumResult.vectors``, so expanding a state in the eigenbasis
+and summing it back are each one matrix product.  Time evolution is purely
+spectral, hence exactly unitary in the q-metric.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .l2q import (
     LatticeFunction,
     OperatorMatrix,
     QLattice,
+    _from_odd,
     _neighbor,
     inner_product,
     q_norm,
@@ -69,10 +72,20 @@ DEGENERACY_GAP = 1e-10
 
 @dataclass(eq=False)
 class SpectrumResult:
-    """Ascending real eigenvalues and q-orthonormal eigenfunctions."""
+    """Ascending real eigenvalues and q-orthonormal eigenfunctions.
+
+    ``vectors`` is a real ``(n_odd, k)`` array: column n holds eigenfunction
+    n at the odd points of ``lattice``, in coordinate-ascending order.
+    """
 
     eigenvalues: np.ndarray
-    eigenfunctions: list
+    vectors: np.ndarray
+    lattice: QLattice
+
+    @property
+    def eigenfunctions(self) -> list:
+        """The columns of ``vectors`` as lattice functions, built on each access."""
+        return [_from_odd(self.lattice, v) for v in self.vectors.T]
 
 
 @dataclass(eq=False)
@@ -131,14 +144,11 @@ class Hamiltonian:
         """Apply H through the bands; even-exponent output samples are 0."""
         if psi.lattice is not self.lattice and not psi.lattice.compatible(self.lattice):
             raise ValueError("lattice mismatch")
-        idx = self.lattice.odd_indices
-        v = psi.values[idx]
-        out_odd = self.di * v
-        out_odd[:-1] += self.up * v[1:]
-        out_odd[1:] += self.lo * v[:-1]
-        out = np.zeros(psi.lattice.size, dtype=complex)
-        out[idx] = out_odd
-        return LatticeFunction(psi.lattice, out, 0j)
+        v = psi.values[self.lattice.odd_indices]
+        out = self.di * v
+        out[:-1] += self.up * v[1:]
+        out[1:] += self.lo * v[:-1]
+        return _from_odd(psi.lattice, out)
 
     def full_spectrum(self) -> SpectrumResult:
         """All eigenpairs, computed once and cached."""
@@ -219,14 +229,6 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
                        potential_text=potential_text)
 
 
-def _first_significant_positive(vec: np.ndarray) -> np.ndarray:
-    thresh = 1e-8 * np.max(np.abs(vec))
-    for comp in vec:
-        if abs(comp) > thresh:
-            return vec if comp.real > 0 else -vec
-    return vec
-
-
 def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     """Lowest ``k`` eigenpairs of ``H``.
 
@@ -236,7 +238,9 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     mapped back through the inverse weight conjugation, which makes
     them q-orthonormal with no extra normalization.  Within near-degenerate
     clusters (gap below 1e-10) the block is re-orthogonalized explicitly.
-    Each eigenfunction's first significant component is normalized positive.
+    Each eigenfunction's first significant component (the first above
+    ``1e-8`` times its largest magnitude) is made positive.  They are
+    returned as the columns of the real ``(n_odd, k)`` array ``vectors``.
     """
     n = H.n_odd
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -244,7 +248,7 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     if k > n:
         raise ValueError(f"k={k} exceeds odd-sublattice size {n}")
     if k == 0:
-        return SpectrumResult(np.empty(0), [])
+        return SpectrumResult(np.empty(0), np.empty((n, 0)), H.lattice)
     try:
         if k == n:
             evals, evecs = eigh_tridiagonal(H.di, H.sym_e)
@@ -267,28 +271,35 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
                 evecs[:, start:i] = block
             start = i
 
-    idx = H.lattice.odd_indices
-    root = np.sqrt(H.lattice.w[idx])
-    funcs = []
-    for j in range(len(evals)):
-        vec = _first_significant_positive(evecs[:, j] / root)
-        vals = np.zeros(H.lattice.size, dtype=complex)
-        vals[idx] = vec
-        funcs.append(LatticeFunction(H.lattice, vals, 0j))
-    return SpectrumResult(np.asarray(evals, dtype=float), funcs)
+    evecs /= np.sqrt(H.lattice.w[H.lattice.odd_indices])[:, None]
+    mag = np.abs(evecs)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    evecs *= np.where(evecs[first, np.arange(len(evals))] < 0, -1.0, 1.0)
+    return SpectrumResult(np.asarray(evals, dtype=float), evecs, H.lattice)
+
+
+def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
+    """``M @ z`` for a real matrix and a complex vector, as one real product.
+
+    ``z`` enters as its (re, im) pairs, so ``M`` stays real; numpy would
+    otherwise multiply through a complex copy of ``M``, twice its size.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    return (M @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
-    """Coefficients ``c_n = <psi_n, psi>`` in the computed eigenbasis."""
-    return np.array([inner_product(f, psi) for f in spectrum.eigenfunctions])
+    """Coefficients ``c_n = <psi_n, psi>``; even samples of ``psi`` carry no weight."""
+    lat = spectrum.lattice
+    if psi.lattice is not lat and not psi.lattice.compatible(lat):
+        raise ValueError("lattice mismatch")
+    idx = lat.odd_indices
+    return _real_times_complex(spectrum.vectors.T, lat.w[idx] * psi.values[idx])
 
 
 def synthesize(coeffs, spectrum: SpectrumResult, lattice: QLattice) -> LatticeFunction:
-    """Resum ``sum_n c_n psi_n`` as a lattice function."""
-    vals = np.zeros(lattice.size, dtype=complex)
-    for c, f in zip(coeffs, spectrum.eigenfunctions):
-        vals += c * f.values
-    return LatticeFunction(lattice, vals, 0j)
+    """Resum ``sum_n c_n psi_n`` as a lattice function (even samples 0)."""
+    return _from_odd(lattice, _real_times_complex(spectrum.vectors, coeffs))
 
 
 def evolve(state: WaveState, H: Hamiltonian, dt: float, steps: int) -> WaveState:

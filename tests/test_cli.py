@@ -268,6 +268,18 @@ def test_lattice_space_and_equals_forms_agree(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (("eval", "--fn", "Cq"), "--range", "-10:10:0.5"),
+    (("qint", "--upper", "1"), "--expr", "-x"),
+])
+def test_dash_value_space_and_equals_forms_agree(capsys, argv, option, value):
+    spaced = run(capsys, *argv, option, value)
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == joined
+    assert run(capsys, *argv, option)[0] == 2  # a missing value is still a usage error
+
+
 def test_solve_non_finite_hamiltonian_is_configuration_failure(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--potential", "x^2", "--q", "0.5",
                          "--lattice=-15:600:1", "--output", str(tmp_path))

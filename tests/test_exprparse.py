@@ -58,10 +58,18 @@ def test_precedence_and_associativity():
 
 
 def test_unary_minus_binds_before_power():
-    # documented quirk of the grammar: -x^2 is (-x)^2
-    assert val("-x^2", x=3.0) == 9.0
+    # unary minus binds looser than '^': -x^2 is -(x^2), as the README says
+    assert val("-x^2", x=3.0) == -9.0
     assert val("-(x^2)", x=3.0) == -9.0
     assert val("0-x^2", x=3.0) == -9.0
+    assert val("(-x)^2", x=3.0) == 9.0
+    assert val("2^-x", x=1.0) == 0.5
+
+
+def test_sqrt_of_negative_is_on_upper_side_of_cut():
+    # negation must not leave a -0.0 imaginary part for cmath.sqrt to see
+    assert val("sqrt(-1)") == 1j
+    assert val("sqrt(-4)") == 2j
 
 
 def test_whitespace_insignificant():
@@ -159,10 +167,11 @@ def test_ast_shape():
     e = parse("-x^2 + sin(3*x)")
     assert isinstance(e, Binary) and e.op == "+"
     left = e.left
-    assert isinstance(left, Binary) and left.op == "^"
-    assert isinstance(left.left, Unary)
-    assert isinstance(left.left.operand, Var)
-    assert isinstance(left.right, Num) and left.right.value == 2.0
+    assert isinstance(left, Unary)
+    power = left.operand
+    assert isinstance(power, Binary) and power.op == "^"
+    assert isinstance(power.left, Var)
+    assert isinstance(power.right, Num) and power.right.value == 2.0
     call = e.right
     assert isinstance(call, Call) and call.name == "sin" and len(call.args) == 1
 

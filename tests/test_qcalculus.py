@@ -16,10 +16,8 @@ from basicq import (
     q_integral_halfline,
 )
 from basicq.qcalculus import (
-    Evaluable,
     PowerSeries,
     chain_scaling_residual,
-    dilatation,
     integration_by_parts_residual,
     jackson_derivative_series,
     q_leibniz_residual,
@@ -78,12 +76,6 @@ def test_derivative_complex_valued_function():
     assert got == pytest.approx((1 + 2j) * basic_number(2, q) * 1.5, rel=1e-13)
 
 
-def test_dilatation_scales_argument():
-    assert dilatation(lambda t: t + 1.0, 2.0, 0.9) == pytest.approx(2.8, rel=1e-15)
-    # canonicalization: q and 1/q dilate the same way
-    assert dilatation(lambda t: t, 1.0, 1 / 0.9) == pytest.approx(0.9, rel=1e-15)
-
-
 # -- termwise series derivative ----------------------------------------------
 
 def test_series_derivative_shifts_and_weights():
@@ -112,15 +104,6 @@ def test_series_derivative_matches_pointwise():
 def test_power_series_rejects_matrix_coefficients():
     with pytest.raises(ValueError):
         PowerSeries(np.ones((2, 2)))
-
-
-def test_evaluable_wrapper():
-    e = Evaluable(lambda t: t * t, decay_hint="rapid-at-infinity")
-    assert e(3.0) == 9.0
-    with pytest.raises(TypeError):
-        Evaluable(42)
-    with pytest.raises(ValueError):
-        Evaluable(lambda t: t, decay_hint="sideways")
 
 
 # -- product and chain rules -------------------------------------------------

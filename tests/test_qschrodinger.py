@@ -243,6 +243,36 @@ class TestExpansion:
         assert e_spec == pytest.approx(e_direct.real, abs=1e-9)
 
 
+    def test_eigenvectors_are_one_real_odd_sublattice_array(self):
+        lat = default_lattice()
+        spec = stationary_states(oscillator(lat), 5)
+        assert spec.vectors.dtype == np.float64
+        assert spec.vectors.shape == (len(lat.odd_indices), 5)
+        for n, f in enumerate(spec.eigenfunctions):
+            assert np.array_equal(f.values[lat.odd_indices], spec.vectors[:, n])
+            assert not np.any(np.delete(f.values, lat.odd_indices))
+
+    def test_expand_is_inner_product_and_ignores_even_samples(self):
+        lat = default_lattice()
+        spec = stationary_states(oscillator(lat), 8)
+        # mixed parity, nonzero at the even points too
+        psi = decaying_test_function(lat, np.random.default_rng(3))
+        assert np.all(np.delete(psi.values, lat.odd_indices) != 0)
+        want = np.array([inner_product(f, psi) for f in spec.eigenfunctions])
+        got = expand(psi, spec)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_synthesize_is_sum_of_eigenfunctions(self):
+        lat = default_lattice()
+        spec = stationary_states(oscillator(lat), 8)
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        want = sum(cn * f.values for cn, f in zip(c, spec.eigenfunctions))
+        got = synthesize(c, spec, lat)
+        assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got.value_at_zero == 0
+
+
 # -- evolution ---------------------------------------------------------------
 
 class TestEvolution:
