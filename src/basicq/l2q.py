@@ -28,22 +28,25 @@ the full lattice one step is one exponent, on the odd sublattice two.  Past
 the inner end that index lands on the mirror point ``-x`` of the other
 branch; past the outer end it leaves the array.
 
+Band storage.  Since a stencil only reaches the neighbors one step either
+side, every operator built from it is tridiagonal in its support's
+coordinate order.  :class:`OperatorMatrix` stores just its three bands and
+applies them directly; a dense matrix exists only as a view built on
+request.
+
 Boundary policy for difference operators: a neighbor past the outer end
 (``m < m_min``) is treated as 0 (decay at infinity); a neighbor past the
 inner end (``m > m_max``) is filled by linear continuation toward the
-origin, anchored at ``value_at_zero`` when the datum is available (function
-application) and at the two innermost same-branch samples otherwise
-(matrix application).  The two rules coincide on linear functions.  The
-Hamiltonian closes its inner end across the origin through the mirror
-point instead (see :mod:`basicq.qschrodinger`).
+origin through the two innermost same-branch samples.  The Hamiltonian
+closes its inner end across the origin through the mirror point instead
+(see :mod:`basicq.qschrodinger`).
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,24 +62,18 @@ __all__ = [
     "inner_product",
     "q_norm",
     "basis_function",
-    "apply_position",
-    "apply_momentum",
     "position_matrix",
     "derivative_matrix",
     "momentum_matrix",
     "decaying_test_function",
     "hermiticity_residual",
     "to_csv",
-    "from_csv",
-    "to_json",
-    "from_json",
 ]
 
 DEFAULT_Q = 0.9
 DEFAULT_M_MIN = -15
 DEFAULT_M_MAX = 60
 CSV_SCHEMA_VERSION = 1
-JSON_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +212,10 @@ def default_lattice() -> QLattice:
 
 @dataclass(frozen=True, eq=False)
 class LatticeFunction:
-    """Complex samples on a QLattice plus the limit datum at the origin.
-
-    ``value_at_zero`` is the q-regular limit ``f(x q^n) -> f(0)``; it enters
-    difference operators at the inner lattice end but carries no integration
-    weight.
-    """
+    """Complex samples on a QLattice, one per point in lattice order."""
 
     lattice: QLattice
     values: np.ndarray
-    value_at_zero: complex = 0j
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -234,23 +225,20 @@ class LatticeFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite sample rejected")
         object.__setattr__(self, "values", _freeze(vals))
-        object.__setattr__(self, "value_at_zero", complex(self.value_at_zero))
 
     def norm(self) -> float:
         return q_norm(self)
 
     def __add__(self, other):
         _check_same_lattice(self, other)
-        return LatticeFunction(self.lattice, self.values + other.values,
-                               self.value_at_zero + other.value_at_zero)
+        return LatticeFunction(self.lattice, self.values + other.values)
 
     def __sub__(self, other):
         _check_same_lattice(self, other)
-        return LatticeFunction(self.lattice, self.values - other.values,
-                               self.value_at_zero - other.value_at_zero)
+        return LatticeFunction(self.lattice, self.values - other.values)
 
     def __mul__(self, c):
-        return LatticeFunction(self.lattice, self.values * c, self.value_at_zero * c)
+        return LatticeFunction(self.lattice, self.values * c)
 
     __rmul__ = __mul__
 
@@ -258,12 +246,12 @@ class LatticeFunction:
 def _from_odd(lattice: QLattice, values) -> LatticeFunction:
     """Lattice function holding ``values`` at the odd points, in lattice order.
 
-    Even-exponent samples and the origin datum are 0: the form in which
-    odd-support operators and the solver's eigenbasis return states.
+    Even-exponent samples are 0: the form in which odd-support operators
+    and the solver's eigenbasis return states.
     """
     vals = np.zeros(lattice.size, dtype=complex)
     vals[lattice.odd_indices] = values
-    return LatticeFunction(lattice, vals, 0j)
+    return LatticeFunction(lattice, vals)
 
 
 def _check_same_lattice(phi: LatticeFunction, psi: LatticeFunction):
@@ -272,12 +260,12 @@ def _check_same_lattice(phi: LatticeFunction, psi: LatticeFunction):
 
 
 def sample(f, lattice: QLattice) -> LatticeFunction:
-    """Evaluate ``f`` at every lattice point and at 0.
+    """Evaluate ``f`` at every lattice point (0 is not one).
 
     Non-finite samples are rejected (the function must belong to the space).
     """
     vals = np.array([complex(f(xi)) for xi in lattice.x])
-    return LatticeFunction(lattice, vals, complex(f(0.0)))
+    return LatticeFunction(lattice, vals)
 
 
 def inner_product(phi: LatticeFunction, psi: LatticeFunction,
@@ -323,102 +311,111 @@ def basis_function(n: int, lattice: QLattice, sign: str = "+") -> LatticeFunctio
     idx = lattice.index_of(s, expo)
     vals = np.zeros(lattice.size, dtype=complex)
     vals[idx] = 1.0 / math.sqrt(lattice.w[idx])
-    return LatticeFunction(lattice, vals, 0j)
-
-
-def apply_position(psi: LatticeFunction) -> LatticeFunction:
-    """Multiply by the coordinate: ``(x psi)(x_m) = x_m psi_m``."""
-    return LatticeFunction(psi.lattice, psi.lattice.x * psi.values, 0j)
-
-
-def apply_momentum(psi: LatticeFunction, hbar: float = 1.0) -> LatticeFunction:
-    """Momentum ``-i hbar D`` with D the two-sided Jackson derivative.
-
-    At each point the stencil needs the same-branch neighbors one exponent
-    up and down.  Past the outer end the neighbor is 0; past the inner end
-    it is the linear continuation toward the origin anchored at
-    ``value_at_zero``:  ``psi(q x) ~ q psi(x) + (1 - q) psi(0)``.
-    The output's own origin datum is set to 0 (no derivative datum exists).
-    """
-    lat = psi.lattice
-    qc = lat.q
-    vals = psi.values
-    iup, has_up = _neighbor(lat.sign, lat.m, 1, lat)
-    idown, has_down = _neighbor(lat.sign, lat.m, -1, lat)
-    up = np.where(has_up, vals[iup], qc * vals + (1.0 - qc) * psi.value_at_zero)
-    down = np.zeros(lat.size, dtype=complex)
-    down[has_down] = vals[idown[has_down]]
-    out = (up - down) / ((qc - 1.0 / qc) * lat.x)
-    return LatticeFunction(lat, -1j * hbar * out, 0j)
+    return LatticeFunction(lattice, vals)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense matrix acting on lattice sample vectors.
+    """Tridiagonal operator on lattice sample vectors, stored as its bands.
 
     ``support`` is ``"all"`` (full lattice) or ``"odd"`` (odd-exponent
-    sublattice, the q-inner product's carrier, in coordinate-ascending
-    order).
+    sublattice, the q-inner product's carrier); in either case the points
+    are taken in coordinate-ascending order.  ``di`` is the diagonal,
+    ``up`` the superdiagonal (row j, column j + 1) and ``lo`` the
+    subdiagonal (row j + 1, column j).  The bands are read-only.
     """
 
     lattice: QLattice
-    matrix: np.ndarray
+    lo: np.ndarray = field(repr=False)
+    di: np.ndarray = field(repr=False)
+    up: np.ndarray = field(repr=False)
     support: str = "all"
 
     def __post_init__(self):
         if self.support not in ("all", "odd"):
             raise ValueError(f"support must be 'all' or 'odd', got {self.support!r}")
         n = self.lattice.size if self.support == "all" else len(self.lattice.odd_indices)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape}, expected ({n}, {n})")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        for name, size in (("lo", n - 1), ("di", n), ("up", n - 1)):
+            band = np.asarray(getattr(self, name))
+            if band.shape != (size,):
+                raise ValueError(f"band {name} has shape {band.shape}, expected ({size},)")
+            object.__setattr__(self, name, _freeze(band))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense complex view of the operator, built on each access."""
+        n = len(self.di)
+        i = np.arange(n)
+        mat = np.zeros((n, n), dtype=complex)
+        mat[i, i] = self.di
+        mat[i[:-1], i[1:]] = self.up
+        mat[i[1:], i[:-1]] = self.lo
+        return _freeze(mat)
 
     def apply(self, psi: LatticeFunction) -> LatticeFunction:
         """Apply to a lattice function; odd-support operators leave even samples 0."""
         if psi.lattice is not self.lattice and not psi.lattice.compatible(self.lattice):
             raise ValueError("lattice mismatch")
-        if self.support == "all":
-            return LatticeFunction(psi.lattice, self.matrix @ psi.values, 0j)
-        return _from_odd(psi.lattice, self.matrix @ psi.values[self.lattice.odd_indices])
+        odd = self.support == "odd"
+        v = psi.values[self.lattice.odd_indices] if odd else psi.values
+        out = self.di * v
+        out[:-1] += self.up * v[1:]
+        out[1:] += self.lo * v[:-1]
+        return _from_odd(psi.lattice, out) if odd else LatticeFunction(psi.lattice, out)
+
+
+def _off_diagonals(n: int, *entries):
+    """Sub- and superdiagonal of an ``n``-point operator from its entries.
+
+    Each entry is ``(row, col, coeff)`` arrays with ``|col - row| = 1``;
+    column ``row + 1`` is the upper band at ``row``, column ``row - 1`` the
+    lower band at ``row - 1``.  Entries are added in the order given, so a
+    slot that several entries share rounds one way.
+    """
+    lo = np.zeros(n - 1)
+    up = np.zeros(n - 1)
+    for row, col, coeff in entries:
+        right = col > row
+        up[row[right]] += coeff[right]
+        lo[col[~right]] += coeff[~right]
+    return lo, up
 
 
 def position_matrix(lattice: QLattice) -> OperatorMatrix:
     """Diagonal coordinate-multiplication operator on the full lattice."""
-    return OperatorMatrix(lattice, np.diag(lattice.x.astype(complex)), "all")
+    off = np.zeros(lattice.size - 1)
+    return OperatorMatrix(lattice, off, lattice.x, off, "all")
 
 
 def derivative_matrix(lattice: QLattice) -> OperatorMatrix:
-    """The Jackson derivative as a full-lattice matrix.
+    """The Jackson derivative on the full lattice.
 
-    Same stencil and boundary policy as :func:`apply_momentum`, except the
-    inner-end fill is the linear continuation through the two innermost
-    same-branch samples, ``psi(q x) ~ (1 + q) psi(x) - q psi(x / q)``
-    (a matrix has no origin datum to anchor to; the two rules agree on
-    linear functions).  This operator is basic-anti-Hermitian; multiply by
-    ``-i hbar`` for the momentum.
+    The stencil reads the same-branch neighbors one exponent either side,
+    with the module's boundary policy; at the inner end
+    ``psi(q x) ~ (1 + q) psi(x) - q psi(x / q)``.  This operator is
+    basic-anti-Hermitian; multiply by ``-i hbar`` for the momentum.
     """
     qc = lattice.q
-    n = lattice.size
-    rows = np.arange(n)
+    rows = np.arange(lattice.size)
     iup, has_up = _neighbor(lattice.sign, lattice.m, 1, lattice)
     idown, has_down = _neighbor(lattice.sign, lattice.m, -1, lattice)
     inner = ~has_up
     c = 1.0 / ((qc - 1.0 / qc) * lattice.x)
-    mat = np.zeros((n, n), dtype=complex)
-    # Each entry accumulates in stencil order (up neighbor or inner-end
-    # fill, then down neighbor), so a shared entry rounds one way.
-    mat[rows[has_up], iup[has_up]] += c[has_up]
-    mat[rows[inner], rows[inner]] += c[inner] * (1.0 + qc)
-    mat[rows[inner], idown[inner]] += -c[inner] * qc
-    mat[rows[has_down], idown[has_down]] += -c[has_down]
-    return OperatorMatrix(lattice, mat, "all")
+    di = np.where(inner, c * (1.0 + qc), 0.0)
+    # Stencil order: up neighbor, inner-end fill, down neighbor.
+    lo, up = _off_diagonals(
+        lattice.size,
+        (rows[has_up], iup[has_up], c[has_up]),
+        (rows[inner], idown[inner], -c[inner] * qc),
+        (rows[has_down], idown[has_down], -c[has_down]))
+    return OperatorMatrix(lattice, lo, di, up, "all")
 
 
 def momentum_matrix(lattice: QLattice, hbar: float = 1.0) -> OperatorMatrix:
-    """Momentum ``-i hbar D`` as a full-lattice matrix."""
+    """Momentum ``-i hbar D`` on the full lattice."""
     d = derivative_matrix(lattice)
-    return OperatorMatrix(lattice, -1j * hbar * d.matrix, "all")
+    s = -1j * hbar
+    return OperatorMatrix(lattice, s * d.lo, s * d.di, s * d.up, "all")
 
 
 def decaying_test_function(lattice: QLattice, rng,
@@ -444,7 +441,7 @@ def decaying_test_function(lattice: QLattice, rng,
     x = lattice.x
     poly = ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
     vals = x * x * poly * np.exp(-(x * x))
-    return LatticeFunction(lattice, vals, 0j)
+    return LatticeFunction(lattice, vals)
 
 
 def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
@@ -493,8 +490,7 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
 def to_csv(psi: LatticeFunction) -> str:
     """Serialize samples as CSV: schema comment, header, one row per point.
 
-    Floats are written with 17 significant digits.  The origin datum is not
-    a lattice point and is carried by the JSON form only.
+    Floats are written with 17 significant digits.
     """
     buf = io.StringIO()
     buf.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
@@ -506,60 +502,3 @@ def to_csv(psi: LatticeFunction) -> str:
             lat.sign[i], lat.m[i], lat.x[i], lat.w[i],
             re + 0.0, im + 0.0))
     return buf.getvalue()
-
-
-def from_csv(text: str, lattice: QLattice, value_at_zero: complex = 0j) -> LatticeFunction:
-    """Rebuild a LatticeFunction from :func:`to_csv` output on a known lattice."""
-    vals = np.zeros(lattice.size, dtype=complex)
-    seen = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("sign,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"malformed CSV row: {line!r}")
-        s, m = int(parts[0]), int(parts[1])
-        vals[lattice.index_of(s, m)] = float(parts[4]) + 1j * float(parts[5])
-        seen += 1
-    if seen != lattice.size:
-        raise ValueError(f"CSV holds {seen} points, lattice has {lattice.size}")
-    return LatticeFunction(lattice, vals, value_at_zero)
-
-
-def to_json(psi: LatticeFunction) -> str:
-    """Serialize the function, lattice parameters included, as JSON text."""
-    lat = psi.lattice
-    doc = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "q": lat.q,
-        "m_min": lat.m_min,
-        "m_max": lat.m_max,
-        "a": lat.a,
-        "value_at_zero": [psi.value_at_zero.real + 0.0, psi.value_at_zero.imag + 0.0],
-        "points": [
-            {
-                "sign": int(lat.sign[i]),
-                "m": int(lat.m[i]),
-                "x": lat.x[i],
-                "weight": lat.w[i],
-                "re": psi.values[i].real + 0.0,
-                "im": psi.values[i].imag + 0.0,
-            }
-            for i in range(lat.size)
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def from_json(text: str) -> LatticeFunction:
-    """Rebuild a LatticeFunction (lattice included) from :func:`to_json` output."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != JSON_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    lattice = build_lattice(doc["q"], doc["m_min"], doc["m_max"], doc["a"])
-    vals = np.zeros(lattice.size, dtype=complex)
-    for p in doc["points"]:
-        vals[lattice.index_of(int(p["sign"]), int(p["m"]))] = p["re"] + 1j * p["im"]
-    v0 = doc["value_at_zero"]
-    return LatticeFunction(lattice, vals, v0[0] + 1j * v0[1])

@@ -14,10 +14,9 @@ inverses are the Jackson q-integrals over the geometric lattice
 and the full-line integral is the sum of the two mirrored half-lines.
 
 Function arguments (``f``, ``g``) are plain callables ``f(x) -> complex``
-defined on the relevant lattice points and, where an integral or regularity
-check needs it, at 0.  Decay fast enough for the improper sums to converge
-is the caller's responsibility; non-convergence raises
-:class:`~basicq.errors.ConvergenceError`.
+defined on the relevant lattice points and, where a boundary term needs it,
+at 0.  Decay fast enough for the improper sums to converge is the caller's
+responsibility; non-convergence raises :class:`~basicq.errors.ConvergenceError`.
 
 Truncation rule shared by every series in the package (these q-integrals and
 the E/S/C series of :mod:`basicq.qfunctions`, all summed by one kernel): stop
@@ -47,7 +46,6 @@ __all__ = [
     "q_integral_halfline",
     "q_integral_fullline",
     "integration_by_parts_residual",
-    "q_regularity_check",
 ]
 
 DEFAULT_TOL = 1e-14
@@ -309,37 +307,3 @@ def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q",
     rhs_int = q_integral_finite(
         lambda x: jackson_derivative(shifted, x, qp) * gshift(x), a, qp, tol=tol)
     return abs(lhs - (boundary - rhs_int))
-
-
-def q_regularity_check(f, x, q, n_max: int = 200, tol: float = 1e-8) -> bool:
-    """Check q-regularity of ``f`` at the origin along the ray through ``x``.
-
-    Samples ``d_n = |f(x q^n) - f(0)]`` for ``n = 0..n_max`` and returns True
-    iff the sequence shrinks essentially monotonically (small relative jitter
-    allowed) and ends below ``tol * (1 + |f(0)|)``.  This is the hypothesis
-    under which the fundamental theorem of q-calculus holds.
-    """
-    if x == 0:
-        raise ValueError("q_regularity_check requires x != 0")
-    qp = as_qparam(q)
-    qc = qp.canonical
-    if qp.classical:
-        return True
-    # A function that cannot even be evaluated at/near 0 is not q-regular.
-    try:
-        f0 = f(0.0)
-        deltas = []
-        for n in range(n_max + 1):
-            v = f(x * qc**n)
-            d = abs(v - f0)
-            if not math.isfinite(d):
-                return False
-            deltas.append(d)
-    except (ArithmeticError, ValueError):
-        return False
-    scale = 1.0 + abs(f0)
-    # Essentially monotone: each delta may exceed the previous only by jitter.
-    for prev, cur in zip(deltas, deltas[1:]):
-        if cur > prev * (1.0 + 1e-9) + 1e-13 * scale:
-            return False
-    return deltas[-1] <= tol * scale

@@ -47,6 +47,7 @@ from .l2q import (
     QLattice,
     _from_odd,
     _neighbor,
+    _off_diagonals,
     inner_product,
     q_norm,
     sample,
@@ -96,64 +97,33 @@ class WaveState:
     t: float = 0.0
 
 
-@dataclass(eq=False)
-class Hamiltonian:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Hamiltonian(OperatorMatrix):
     """Tridiagonal realization of -(hbar^2/2m) D^2 + V on the odd sublattice.
 
-    ``lo``/``di``/``up`` are the raw tridiagonal bands in coordinate-
-    ascending odd ordering; ``sym_e`` is the off-diagonal of the
-    weight-conjugated symmetric form fed to the eigensolver, whose diagonal
-    is ``di``.  The dense ``matrix`` view and the full spectrum are built on
-    first use (the bands alone serve large classical-limit lattices).
+    An odd-support :class:`~basicq.l2q.OperatorMatrix`: ``lo``/``di``/``up``
+    are its real bands in coordinate-ascending odd ordering.  ``sym_e`` is
+    the off-diagonal of the weight-conjugated symmetric form fed to the
+    eigensolver, whose diagonal is ``di``.  The full spectrum is computed
+    on first use and cached.
     """
 
-    lattice: QLattice
+    support: str = field(default="odd", init=False)
     potential: object
     mass: float
     hbar: float
-    lo: np.ndarray = field(repr=False)
-    di: np.ndarray = field(repr=False)
-    up: np.ndarray = field(repr=False)
     sym_e: np.ndarray = field(repr=False)
     potential_text: str | None = None
-    _matrix: OperatorMatrix | None = field(default=None, repr=False)
-    _spectrum: SpectrumResult | None = field(default=None, repr=False)
+    _spectrum: SpectrumResult | None = field(default=None, init=False, repr=False)
 
     @property
     def n_odd(self) -> int:
         return len(self.di)
 
-    @property
-    def support(self) -> str:
-        """``"odd"``: H acts on the odd sublattice, like an odd-support OperatorMatrix."""
-        return "odd"
-
-    @property
-    def matrix(self) -> OperatorMatrix:
-        """Dense odd-sublattice OperatorMatrix (materialized lazily)."""
-        if self._matrix is None:
-            n = self.n_odd
-            mat = np.zeros((n, n), dtype=complex)
-            mat[np.arange(n), np.arange(n)] = self.di
-            mat[np.arange(n - 1), np.arange(1, n)] = self.up
-            mat[np.arange(1, n), np.arange(n - 1)] = self.lo
-            self._matrix = OperatorMatrix(self.lattice, mat, "odd")
-        return self._matrix
-
-    def apply(self, psi: LatticeFunction) -> LatticeFunction:
-        """Apply H through the bands; even-exponent output samples are 0."""
-        if psi.lattice is not self.lattice and not psi.lattice.compatible(self.lattice):
-            raise ValueError("lattice mismatch")
-        v = psi.values[self.lattice.odd_indices]
-        out = self.di * v
-        out[:-1] += self.up * v[1:]
-        out[1:] += self.lo * v[:-1]
-        return _from_odd(psi.lattice, out)
-
     def full_spectrum(self) -> SpectrumResult:
         """All eigenpairs, computed once and cached."""
         if self._spectrum is None:
-            self._spectrum = stationary_states(self, self.n_odd)
+            object.__setattr__(self, "_spectrum", stationary_states(self, self.n_odd))
         return self._spectrum
 
 
@@ -207,15 +177,8 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
         c_toward = np.where(has_toward, kin * K / qc,
                             kin * K / qc * (1.0 - qc * qc) / 2.0)
         c_away = kin * K * qc
-    lo = np.zeros(n - 1)
-    up = np.zeros(n - 1)
-    for row, col, coeff in ((j, toward, c_toward),
-                            (j[has_away], away[has_away], c_away[has_away])):
-        # Column j + 1 is the upper band at row j, column j - 1 the lower
-        # band at row j - 1.
-        right = col > row
-        up[row[right]] += coeff[right]
-        lo[col[~right]] += coeff[~right]
+    lo, up = _off_diagonals(n, (j, toward, c_toward),
+                            (j[has_away], away[has_away], c_away[has_away]))
     if not all(np.all(np.isfinite(band)) for band in (lo, di, up)):
         raise ValueError(
             "Hamiltonian bands are not finite at the innermost |x| = %.3g: "
@@ -224,8 +187,8 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
 
     root = np.sqrt(w)
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
-    return Hamiltonian(lattice=lattice, potential=V, mass=mass, hbar=hbar,
-                       lo=lo, di=di, up=up, sym_e=sym_e,
+    return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, potential=V,
+                       mass=mass, hbar=hbar, sym_e=sym_e,
                        potential_text=potential_text)
 
 
@@ -330,16 +293,16 @@ def _require_normalized(psi: LatticeFunction):
         raise ValueError(f"state not q-normalized: ||psi||_q = {nrm!r}")
 
 
-def _mean(A, psi: LatticeFunction, a_psi: LatticeFunction) -> complex:
+def _mean(A: OperatorMatrix, psi: LatticeFunction, a_psi: LatticeFunction) -> complex:
     """``<psi, a_psi> / <psi, psi>`` in the q-inner product on ``A.support``."""
     return inner_product(psi, a_psi, A.support) / q_norm(psi, A.support) ** 2
 
 
-def expectation(A, psi: LatticeFunction) -> complex:
+def expectation(A: OperatorMatrix, psi: LatticeFunction) -> complex:
     """Mean value ``<psi, A psi>_q / <psi, psi>_q`` for a q-normalized state.
 
-    ``A`` may be an OperatorMatrix or a Hamiltonian.  The pairing is taken
-    in the q-inner product on ``A.support``, the measure in which
+    ``A`` is an OperatorMatrix.  The pairing is taken in the q-inner
+    product on ``A.support``, the measure in which
     :func:`~basicq.l2q.hermiticity_residual` checks ``A``, so the result is
     real to 1e-9 whenever ``A`` meets the Hermiticity contract.  On states
     whose even samples vanish (eigenstates, evolved states) both measures
@@ -349,7 +312,7 @@ def expectation(A, psi: LatticeFunction) -> complex:
     return _mean(A, psi, A.apply(psi))
 
 
-def fluctuation(A, psi: LatticeFunction) -> float:
+def fluctuation(A: OperatorMatrix, psi: LatticeFunction) -> float:
     """Variance ``<psi, (A - <A>)^2 psi>_q``; vanishes on eigenstates of A."""
     mean = expectation(A, psi)
     dev = A.apply(psi) - mean * psi

@@ -330,6 +330,18 @@ def test_evolve_default_grid_final_snapshot_only(capsys, tmp_path):
     assert snaps == ["snapshot_0000.csv", "snapshot_0001.csv"]
 
 
+def test_evolve_initial_state_need_not_be_defined_at_origin(capsys, tmp_path):
+    # 0 is not a lattice point, so x/abs(x) is sampled only where defined
+    code, _, err = run(capsys, "evolve", "--potential", "0",
+                       "--psi0", "x/abs(x)*gauss(x)", "--t", "1",
+                       "--output", str(tmp_path))
+    assert code == 0, err
+    rows = (tmp_path / "norms.csv").read_text().strip().splitlines()[2:]
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(float(row.split(",")[1]) - 1.0) <= 1e-12
+
+
 def test_evolve_zero_initial_state_is_computation_failure(capsys, tmp_path):
     code, _, err = run(capsys, "evolve", "--potential", "x^2",
                        "--psi0", "0", "--output", str(tmp_path))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,16 +23,8 @@ from basicq import (
     q_norm,
     sample,
 )
-from basicq.l2q import (
-    apply_momentum,
-    apply_position,
-    basis_function,
-    decaying_test_function,
-    from_csv,
-    from_json,
-    to_csv,
-    to_json,
-)
+from basicq.l2q import basis_function, decaying_test_function, to_csv
+from basicq.qschrodinger import build_hamiltonian
 from basicq.verify import lattice_for_q
 
 
@@ -151,7 +145,7 @@ class TestInnerProduct:
         for i in range(lat.size):
             if int(lat.m[i]) % 2 == 0:
                 bumped[i] += 17.0
-        psi = LatticeFunction(lat, bumped, 0j)
+        psi = LatticeFunction(lat, bumped)
         assert inner_product(phi, psi) == pytest.approx(
             inner_product(phi, phi), rel=1e-14)
 
@@ -208,29 +202,17 @@ class TestOperators:
     def test_position_is_pointwise_coordinate(self):
         lat = default_lattice()
         psi = sample(gauss2, lat)
-        direct = apply_position(psi)
-        assert np.allclose(direct.values, lat.x * psi.values, rtol=1e-15)
-        via_matrix = position_matrix(lat).apply(psi)
-        assert np.allclose(via_matrix.values, direct.values, rtol=1e-15)
-
-    def test_momentum_matrix_matches_function_path_interior(self):
-        # the inner-end fills differ (origin datum vs linear continuation),
-        # so agreement is asserted away from the innermost exponent rows
-        lat = default_lattice()
-        psi = sample(gauss2, lat)
-        via_fn = apply_momentum(psi)
-        via_mat = momentum_matrix(lat).apply(psi)
-        interior = lat.m < lat.m_max
-        assert np.allclose(via_mat.values[interior], via_fn.values[interior],
-                           rtol=0, atol=1e-13)
+        got = position_matrix(lat).apply(psi)
+        assert np.allclose(got.values, lat.x * psi.values, rtol=1e-15)
 
     def test_momentum_paths_agree_on_linear_functions_everywhere(self):
-        # both inner closures reproduce linear continuation exactly
+        # the inner-end linear continuation is exact on linear functions;
+        # only the outermost rows (m = m_min) lose their zero-filled neighbor
         lat = default_lattice()
         psi = sample(lambda x: 3.0 + 2.0 * x, lat)
-        via_fn = apply_momentum(psi)
-        via_mat = momentum_matrix(lat).apply(psi)
-        assert np.allclose(via_mat.values, via_fn.values, rtol=0, atol=1e-10)
+        got = momentum_matrix(lat).apply(psi)
+        rows = lat.m > lat.m_min
+        assert np.allclose(got.values[rows], -2j, rtol=0, atol=1e-10)
 
     def test_momentum_is_minus_i_hbar_derivative(self):
         lat = default_lattice()
@@ -252,19 +234,61 @@ class TestOperators:
 
     def test_inner_end_linear_continuation(self):
         # past the smallest |x| the stencil continues toward the origin
-        # anchored at the stored limit value
+        # through the two innermost same-branch samples
         lat = build_lattice(0.9, -2, 4, 1.0)
         psi = sample(lambda x: 3.0 + 2.0 * x, lat)
-        d = apply_momentum(psi)
+        d = momentum_matrix(lat).apply(psi)
         i = lat.index_of(1, 4)  # innermost positive point
         assert d.values[i] == pytest.approx(-1j * 2.0, rel=1e-12)
 
     def test_operator_matrix_validation(self):
         lat = build_lattice(0.9, -2, 4, 1.0)
+        n = lat.size
         with pytest.raises(ValueError):
-            OperatorMatrix(lat, np.eye(3), "all")
+            OperatorMatrix(lat, np.zeros(2), np.zeros(3), np.zeros(2), "all")
         with pytest.raises(ValueError):
-            OperatorMatrix(lat, np.eye(lat.size), "diagonal")
+            OperatorMatrix(lat, np.zeros(n), np.zeros(n), np.zeros(n - 1), "all")
+        with pytest.raises(ValueError):
+            OperatorMatrix(lat, np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), "diagonal")
+        odd = len(lat.odd_indices)
+        with pytest.raises(ValueError):
+            OperatorMatrix(lat, np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), "odd")
+        A = OperatorMatrix(lat, np.zeros(odd - 1), np.ones(odd), np.zeros(odd - 1), "odd")
+        assert A.matrix.shape == (odd, odd)
+
+    def test_bands_are_read_only(self):
+        p = momentum_matrix(default_lattice())
+        for band in (p.lo, p.di, p.up, p.matrix):
+            with pytest.raises(ValueError):
+                band[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["x", "D", "p", "H"])
+    def test_band_apply_matches_dense_view(self, name):
+        lat = build_lattice(0.8, -4, 21)
+        A = {
+            "x": lambda: position_matrix(lat),
+            "D": lambda: derivative_matrix(lat),
+            "p": lambda: momentum_matrix(lat, hbar=0.7),
+            "H": lambda: build_hamiltonian(lambda x: x * x, 2.5, 0.7, lat),
+        }[name]()
+        rng = np.random.default_rng(6)
+        psi = LatticeFunction(lat, rng.standard_normal(lat.size)
+                              + 1j * rng.standard_normal(lat.size))
+        rows = lat.odd_indices if A.support == "odd" else np.arange(lat.size)
+        want = A.matrix @ psi.values[rows]
+        got = A.apply(psi).values
+        assert np.max(np.abs(got[rows] - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(np.delete(got, rows) == 0)
+
+    def test_band_operators_allocate_no_dense_matrix(self):
+        # a 1700-point dense complex matrix would take 46 MB
+        tracemalloc.start()
+        try:
+            hermiticity_residual(momentum_matrix(lattice_for_q(0.99)), trials=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # -- Hermiticity structure ---------------------------------------------------
@@ -356,9 +380,11 @@ class TestSerialization:
     def test_csv_roundtrip(self):
         lat = default_lattice()
         psi = sample(lambda x: (1 + 2j) * x * math.exp(-x * x), lat)
-        text = to_csv(psi)
-        back = from_csv(text, lat, value_at_zero=psi.value_at_zero)
-        assert np.allclose(back.values, psi.values, rtol=1e-15)
+        cols = np.loadtxt(io.StringIO(to_csv(psi)), delimiter=",", skiprows=2)
+        assert cols.shape == (lat.size, 6)
+        for col, want in zip(cols.T, (lat.sign, lat.m, lat.x, lat.w)):
+            assert np.array_equal(col, want)
+        assert np.array_equal(cols[:, 4] + 1j * cols[:, 5], psi.values)
 
     def test_csv_deterministic(self):
         psi = sample(gauss2, default_lattice())
@@ -366,25 +392,9 @@ class TestSerialization:
 
     def test_csv_no_negative_zero_cells(self):
         lat = build_lattice(0.9, -2, 4, 1.0)
-        psi = LatticeFunction(lat, np.full(lat.size, -0.0 + 0.0j), 0j)
+        psi = LatticeFunction(lat, np.full(lat.size, -0.0 + 0.0j))
         for line in to_csv(psi).splitlines():
             if line.startswith("#") or line.startswith("sign"):
                 continue
             re_cell, im_cell = line.split(",")[-2:]
             assert re_cell == "0" and im_cell == "0"
-
-    def test_json_roundtrip_carries_lattice(self):
-        lat = build_lattice(0.8, -3, 7, 1.5)
-        psi = sample(lambda x: x * math.exp(-abs(x)), lat)
-        back = from_json(to_json(psi))
-        assert back.lattice.compatible(lat)
-        assert np.allclose(back.values, psi.values, rtol=1e-15)
-        assert back.value_at_zero == psi.value_at_zero
-
-    def test_from_csv_validates_length(self):
-        lat = build_lattice(0.9, -2, 4, 1.0)
-        psi = sample(gauss2, lat)
-        text = to_csv(psi)
-        truncated = "\n".join(text.splitlines()[:-2]) + "\n"
-        with pytest.raises(ValueError):
-            from_csv(truncated, lat)

@@ -21,7 +21,6 @@ from basicq.qcalculus import (
     integration_by_parts_residual,
     jackson_derivative_series,
     q_leibniz_residual,
-    q_regularity_check,
 )
 
 QS = [0.5, 0.8, 0.9, 0.95, 0.99]
@@ -254,15 +253,3 @@ def test_integration_by_parts(q, variant):
 def test_integration_by_parts_rejects_unknown_variant():
     with pytest.raises(ValueError):
         integration_by_parts_residual(lambda t: t, lambda t: t, 1.0, 0.9, variant="left")
-
-
-# -- regularity probe --------------------------------------------------------
-
-def test_regularity_accepts_smooth_and_rejects_singular():
-    assert q_regularity_check(lambda x: math.exp(-x), 1.0, 0.9)
-    assert not q_regularity_check(lambda x: 1.0 / (x + 1e-300), 1.0, 0.9)
-
-
-def test_regularity_requires_nonzero_ray():
-    with pytest.raises(ValueError):
-        q_regularity_check(lambda x: x, 0.0, 0.9)
