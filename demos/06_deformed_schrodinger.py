@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from basicq import (
-    WaveState,
     build_hamiltonian,
     build_lattice,
     default_lattice,
@@ -43,18 +42,17 @@ for n, e in enumerate(stationary_states(H999, 3).eigenvalues):
 print("\na gaussian packet, expanded in the computed eigenbasis")
 psi = sample(lambda x: np.exp(-((x - 0.4) ** 2)), lat)
 psi = psi * (1.0 / q_norm(psi))
-full = H.full_spectrum()
+full = stationary_states(H, H.n_odd)
 c = expand(psi, full)
 print(f"  completeness: sum |c_n|^2 = {np.sum(np.abs(c) ** 2):.12f}")
 print(f"  energy two ways: sum |c|^2 E = {np.sum(np.abs(c)**2 * full.eigenvalues):.12f}, "
       f"<H> = {expectation(H, psi).real:.12f}")
 
-print("\nevolving the packet for t=5 (500 steps)")
-state = WaveState(psi, 0.0)
+print("\nevolving the packet to t=1..5, each from the one t=0 expansion")
+times = [1.0, 2.0, 3.0, 4.0, 5.0]
 xop = position_matrix(lat)
-for chunk in range(5):
-    state = evolve(state, H, 0.01, 100)
-    x_mean = expectation(xop, state.psi).real
-    print(f"  t={state.t:.1f}  norm={q_norm(state.psi):.12f}  "
-          f"<x>={x_mean:+.6f}  <H>={expectation(H, state.psi).real:.12f}")
+for t, psi_t in zip(times, evolve(psi, H, times)):
+    x_mean = expectation(xop, psi_t).real
+    print(f"  t={t:.1f}  norm={q_norm(psi_t):.12f}  "
+          f"<x>={x_mean:+.6f}  <H>={expectation(H, psi_t).real:.12f}")
 print("  norm and energy hold to rounding; <x> swings as the packet oscillates")

@@ -52,7 +52,6 @@ from .l2q import (
 from .qschrodinger import (
     Hamiltonian,
     SpectrumResult,
-    WaveState,
     build_hamiltonian,
     evolve,
     expand,
@@ -106,7 +105,6 @@ __all__ = [
     "sample",
     "Hamiltonian",
     "SpectrumResult",
-    "WaveState",
     "build_hamiltonian",
     "evolve",
     "expand",

@@ -3,7 +3,8 @@
 Subcommands: eval (special-function tables), qderiv (Jackson derivative of
 an expression), qint (q-integrals), verify (identity suite report), solve
 (stationary states to files), evolve (time evolution snapshots).  Every
-command takes --q --tol --hbar --mass --lattice; environment variables
+command takes --q --tol --hbar --mass --lattice, and the table commands
+(eval, qderiv, qint, verify) also --format; environment variables
 BASICQ_Q, BASICQ_TOL, BASICQ_HBAR, BASICQ_MASS, BASICQ_LATTICE and
 BASICQ_FORMAT override the built-in defaults, explicit flags override both.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from . import exprparse, l2q, qcalculus, qfunctions, verify as verify_mod
 from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
-from .qschrodinger import WaveState, build_hamiltonian, evolve, stationary_states
+from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
 __all__ = ["main"]
 
@@ -132,8 +133,8 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit_table(columns, rows, cfg: RunConfig):
-    if cfg.fmt == "csv":
+def _emit_table(columns, rows, fmt: str, path: str | None):
+    if fmt == "csv":
         lines = ["# schema_version=%d" % SCHEMA_VERSION, ",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt_cell(v) for v in row))
@@ -142,7 +143,7 @@ def _emit_table(columns, rows, cfg: RunConfig):
         doc = {"schema_version": SCHEMA_VERSION, "columns": list(columns),
                "rows": [[_canon(v) for v in r] for r in rows]}
         text = json.dumps(doc) + "\n"
-    _write_out(text, cfg.output)
+    _write_out(text, path)
 
 
 def _write_out(text: str, path: str | None):
@@ -194,7 +195,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         r = fn(x, cfg.q, tol=cfg.tol)
         val = complex(r.value)
         rows.append((x, val.real, val.imag, r.terms_used))
-    _emit_table(("x", "re", "im", "terms_used"), rows, cfg)
+    _emit_table(("x", "re", "im", "terms_used"), rows, cfg.fmt, cfg.output)
     return 0
 
 
@@ -204,7 +205,7 @@ def cmd_qderiv(args, cfg: RunConfig) -> int:
     for x in args.points:
         val = complex(qcalculus.jackson_derivative(f, float(x), cfg.q))
         rows.append((float(x), val.real, val.imag))
-    _emit_table(("x", "re", "im"), rows, cfg)
+    _emit_table(("x", "re", "im"), rows, cfg.fmt, cfg.output)
     return 0
 
 
@@ -222,7 +223,7 @@ def cmd_qint(args, cfg: RunConfig) -> int:
         upper = args.upper if args.upper is not None else 1.0
         val = qcalculus.q_integral_finite(f, upper, cfg.q, tol=cfg.tol)
     val = complex(val)
-    _emit_table(("re", "im"), [(val.real, val.imag)], cfg)
+    _emit_table(("re", "im"), [(val.real, val.imag)], cfg.fmt, cfg.output)
     return 0
 
 
@@ -276,19 +277,16 @@ def _out_dir(cfg: RunConfig) -> str:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     lat = l2q.build_lattice(cfg.q, cfg.m_min, cfg.m_max, cfg.a)
-    V = _expr_fn(args.potential, cfg.q)
-    H = build_hamiltonian(V, cfg.mass, cfg.hbar, lat, potential_text=args.potential)
+    H = build_hamiltonian(_expr_fn(args.potential, cfg.q), cfg.mass, cfg.hbar, lat)
     spec = stationary_states(H, args.k)
     outdir = _out_dir(cfg)
     spath = os.path.join(outdir, "spectrum.json")
     doc = _spectrum_doc(lat, spec.eigenvalues, cfg, args.potential)
-    with open(spath, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _write_out(json.dumps(doc) + "\n", spath)
     written = [spath]
     for n, f in enumerate(spec.eigenfunctions):
         fpath = os.path.join(outdir, "eigfunc_%03d.csv" % n)
-        with open(fpath, "w", encoding="utf-8", newline="") as fh:
-            fh.write(l2q.to_csv(f))
+        _write_out(l2q.to_csv(f), fpath)
         written.append(fpath)
     for p in written:
         print(p)
@@ -297,10 +295,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 def cmd_evolve(args, cfg: RunConfig) -> int:
     lat = l2q.build_lattice(cfg.q, cfg.m_min, cfg.m_max, cfg.a)
-    V = _expr_fn(args.potential, cfg.q)
-    H = build_hamiltonian(V, cfg.mass, cfg.hbar, lat, potential_text=args.potential)
-    psi0fn = _expr_fn(args.psi0, cfg.q)
-    psi = l2q.sample(psi0fn, lat)
+    H = build_hamiltonian(_expr_fn(args.potential, cfg.q), cfg.mass, cfg.hbar, lat)
+    psi = l2q.sample(_expr_fn(args.psi0, cfg.q), lat)
     nrm = l2q.q_norm(psi)
     if not (math.isfinite(nrm) and nrm > 0):
         print(f"basicq: error: initial state has q-norm {nrm!r}, cannot normalize",
@@ -324,41 +320,34 @@ def cmd_evolve(args, cfg: RunConfig) -> int:
     if snap_every < 1:
         raise UsageError(f"--snap-every must be >= 1, got {snap_every}")
 
+    # Snapshot times accumulate one chunk of steps at a time; the last chunk
+    # may be short.
+    times, t = [], 0.0
+    for done in range(0, steps, snap_every):
+        t = t + dt * min(snap_every, steps - done)
+        times.append(t)
+
     outdir = _out_dir(cfg)
-    written = []
-    state = WaveState(psi, 0.0)
-    norm_rows = [(0.0, l2q.q_norm(state.psi))]
+    written, norm_rows = [], []
 
-    def snap(i, st):
-        path = os.path.join(outdir, "snapshot_%04d.csv" % i)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(l2q.to_csv(st.psi))
+    def snap(t, psi_t):
+        path = os.path.join(outdir, "snapshot_%04d.csv" % len(norm_rows))
+        _write_out(l2q.to_csv(psi_t), path)
         written.append(path)
+        norm_rows.append((t, l2q.q_norm(psi_t)))
 
-    snap(0, state)
-    done = 0
-    i = 0
-    while done < steps:
-        chunk = min(snap_every, steps - done)
-        state = evolve(state, H, dt, chunk)
-        done += chunk
-        i += 1
-        snap(i, state)
-        norm_rows.append((state.t, l2q.q_norm(state.psi)))
-
+    snap(0.0, psi)
+    for t, psi_t in zip(times, evolve(psi, H, times)):
+        snap(t, psi_t)
     npath = os.path.join(outdir, "norms.csv")
-    lines = ["# schema_version=%d" % SCHEMA_VERSION, "t,norm"]
-    for t, nv in norm_rows:
-        lines.append("%s,%s" % (_fmt_cell(float(t)), _fmt_cell(float(nv))))
-    with open(npath, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _emit_table(("t", "norm"), norm_rows, "csv", npath)
     written.append(npath)
     for p in written:
         print(p)
     return 0
 
 
-def _add_common(sp):
+def _add_common(sp, table: bool):
     sp.add_argument("--q", type=float, default=None,
                     help="deformation parameter (default %(default)s -> 0.9)")
     sp.add_argument("--tol", type=float, default=None,
@@ -367,7 +356,8 @@ def _add_common(sp):
     sp.add_argument("--mass", type=float, default=None)
     sp.add_argument("--lattice", type=str, default=None, metavar="M_MIN:M_MAX:A",
                     help="lattice exponent window and scale")
-    sp.add_argument("--format", type=str, default=None, choices=("csv", "json"))
+    if table:
+        sp.add_argument("--format", type=str, default=None, choices=("csv", "json"))
     sp.add_argument("--output", type=str, default=None,
                     help="output file (tables) or directory (solve/evolve)")
 
@@ -381,13 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", required=True, choices=("Eq", "Sq", "Cq"))
     sp.add_argument("--points", type=float, nargs="+", default=None)
     sp.add_argument("--range", type=str, default=None, metavar="START:STOP:STEP")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.set_defaults(handler=cmd_eval)
 
     sp = sub.add_parser("qderiv", help="Jackson derivative of an expression")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--points", type=float, nargs="+", required=True)
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.set_defaults(handler=cmd_qderiv)
 
     sp = sub.add_parser("qint", help="q-integral of an expression")
@@ -396,19 +386,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="finite upper limit (default 1 when no mode is chosen)")
     sp.add_argument("--halfline", action="store_true")
     sp.add_argument("--fullline", action="store_true")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.set_defaults(handler=cmd_qint)
 
     sp = sub.add_parser("verify", help="run the identity suite and report")
     sp.add_argument("--force-tolerance", type=float, default=None,
                     help="override every identity tolerance (report-format demo)")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("solve", help="stationary states of a potential")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--k", type=int, default=4, help="number of lowest eigenpairs")
-    _add_common(sp)
+    _add_common(sp, table=False)
     sp.set_defaults(handler=cmd_solve)
 
     sp = sub.add_parser("evolve", help="evolve an initial state in time")
@@ -419,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None, help="number of steps")
     sp.add_argument("--snap-every", type=int, default=None,
                     help="steps between snapshots (default: final state only)")
-    _add_common(sp)
+    _add_common(sp, table=False)
     sp.set_defaults(handler=cmd_evolve)
     return p
 

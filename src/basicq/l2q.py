@@ -230,11 +230,11 @@ class LatticeFunction:
         return q_norm(self)
 
     def __add__(self, other):
-        _check_same_lattice(self, other)
+        _check_same_lattice(self.lattice, other.lattice)
         return LatticeFunction(self.lattice, self.values + other.values)
 
     def __sub__(self, other):
-        _check_same_lattice(self, other)
+        _check_same_lattice(self.lattice, other.lattice)
         return LatticeFunction(self.lattice, self.values - other.values)
 
     def __mul__(self, c):
@@ -254,8 +254,8 @@ def _from_odd(lattice: QLattice, values) -> LatticeFunction:
     return LatticeFunction(lattice, vals)
 
 
-def _check_same_lattice(phi: LatticeFunction, psi: LatticeFunction):
-    if phi.lattice is not psi.lattice and not phi.lattice.compatible(psi.lattice):
+def _check_same_lattice(a: QLattice, b: QLattice):
+    if a is not b and not a.compatible(b):
         raise ValueError("lattice mismatch")
 
 
@@ -280,7 +280,7 @@ def inner_product(phi: LatticeFunction, psi: LatticeFunction,
     operator's adjoint is taken, since the Jackson derivative is
     anti-adjoint from one sublattice's measure to the other's.
     """
-    _check_same_lattice(phi, psi)
+    _check_same_lattice(phi.lattice, psi.lattice)
     w = phi.lattice.weights(support)
     return complex(np.sum(w * np.conj(phi.values) * psi.values))
 
@@ -354,8 +354,7 @@ class OperatorMatrix:
 
     def apply(self, psi: LatticeFunction) -> LatticeFunction:
         """Apply to a lattice function; odd-support operators leave even samples 0."""
-        if psi.lattice is not self.lattice and not psi.lattice.compatible(self.lattice):
-            raise ValueError("lattice mismatch")
+        _check_same_lattice(psi.lattice, self.lattice)
         odd = self.support == "odd"
         v = psi.values[self.lattice.odd_indices] if odd else psi.values
         out = self.di * v

@@ -29,7 +29,10 @@ tridiagonal form; eigenvectors mapped back through W^{-1/2} are
 automatically q-orthonormal.  They are kept as the columns of one real
 matrix, ``SpectrumResult.vectors``, so expanding a state in the eigenbasis
 and summing it back are each one matrix product.  Time evolution is purely
-spectral, hence exactly unitary in the q-metric.
+spectral, hence exactly unitary in the q-metric: :func:`evolve` solves
+once, expands the initial state once, and synthesizes every requested
+time from those coefficients times the phases ``exp(-i E_n t / hbar)``,
+so no rounding carries from one time to the next.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .l2q import (
     LatticeFunction,
     OperatorMatrix,
     QLattice,
+    _check_same_lattice,
     _from_odd,
     _neighbor,
     _off_diagonals,
@@ -57,7 +61,6 @@ from .qfunctions import q_exp
 __all__ = [
     "Hamiltonian",
     "SpectrumResult",
-    "WaveState",
     "build_hamiltonian",
     "stationary_states",
     "evolve",
@@ -89,14 +92,6 @@ class SpectrumResult:
         return [_from_odd(self.lattice, v) for v in self.vectors.T]
 
 
-@dataclass(eq=False)
-class WaveState:
-    """A lattice wavefunction at a point in time."""
-
-    psi: LatticeFunction
-    t: float = 0.0
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Hamiltonian(OperatorMatrix):
     """Tridiagonal realization of -(hbar^2/2m) D^2 + V on the odd sublattice.
@@ -104,31 +99,19 @@ class Hamiltonian(OperatorMatrix):
     An odd-support :class:`~basicq.l2q.OperatorMatrix`: ``lo``/``di``/``up``
     are its real bands in coordinate-ascending odd ordering.  ``sym_e`` is
     the off-diagonal of the weight-conjugated symmetric form fed to the
-    eigensolver, whose diagonal is ``di``.  The full spectrum is computed
-    on first use and cached.
+    eigensolver, whose diagonal is ``di``.
     """
 
     support: str = field(default="odd", init=False)
-    potential: object
-    mass: float
     hbar: float
     sym_e: np.ndarray = field(repr=False)
-    potential_text: str | None = None
-    _spectrum: SpectrumResult | None = field(default=None, init=False, repr=False)
 
     @property
     def n_odd(self) -> int:
         return len(self.di)
 
-    def full_spectrum(self) -> SpectrumResult:
-        """All eigenpairs, computed once and cached."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", stationary_states(self, self.n_odd))
-        return self._spectrum
 
-
-def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
-                      potential_text: str | None = None) -> Hamiltonian:
+def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamiltonian:
     """Assemble the Hamiltonian for potential ``V`` (a callable of x).
 
     ``V`` must be real on the lattice (a complex value breaks Hermiticity
@@ -187,9 +170,7 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice,
 
     root = np.sqrt(w)
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
-    return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, potential=V,
-                       mass=mass, hbar=hbar, sym_e=sym_e,
-                       potential_text=potential_text)
+    return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, hbar=hbar, sym_e=sym_e)
 
 
 def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
@@ -254,8 +235,7 @@ def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
 def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
     """Coefficients ``c_n = <psi_n, psi>``; even samples of ``psi`` carry no weight."""
     lat = spectrum.lattice
-    if psi.lattice is not lat and not psi.lattice.compatible(lat):
-        raise ValueError("lattice mismatch")
+    _check_same_lattice(psi.lattice, lat)
     idx = lat.odd_indices
     return _real_times_complex(spectrum.vectors.T, lat.w[idx] * psi.values[idx])
 
@@ -265,26 +245,22 @@ def synthesize(coeffs, spectrum: SpectrumResult, lattice: QLattice) -> LatticeFu
     return _from_odd(lattice, _real_times_complex(spectrum.vectors, coeffs))
 
 
-def evolve(state: WaveState, H: Hamiltonian, dt: float, steps: int) -> WaveState:
-    """Propagate by ``steps`` steps of size ``dt`` through the full spectrum.
+def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> list[LatticeFunction]:
+    """``psi`` propagated under ``H`` to each of ``times``, one state per time.
 
-    Each eigencoefficient picks up ``exp(-i E_n dt steps / hbar)``; the
-    coefficient magnitudes are untouched, so the q-norm and every spectral
-    observable are conserved to rounding.  The state's physical content is
-    its odd-sublattice part (the inner product sees nothing else); output
+    One full eigensolve and one expansion ``c_n = <psi_n, psi>``; the state
+    at time ``t`` is synthesized from ``c_n exp(-i E_n t / hbar)``.  Only
+    the phases depend on ``t``, so the coefficient magnitudes, hence the
+    q-norm and every spectral observable, hold to rounding at every time,
+    however many are asked for.  The state's physical content is its
+    odd-sublattice part (the inner product sees nothing else); output
     even-exponent samples are 0.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if state.psi.lattice is not H.lattice and not state.psi.lattice.compatible(H.lattice):
-        raise ValueError("lattice mismatch")
-    if steps == 0:
-        return WaveState(state.psi, state.t)
-    spec = H.full_spectrum()
-    c = expand(state.psi, spec)
-    phases = np.exp(-1j * spec.eigenvalues * (dt * steps) / H.hbar)
-    psi_t = synthesize(c * phases, spec, H.lattice)
-    return WaveState(psi_t, state.t + dt * steps)
+    _check_same_lattice(psi.lattice, H.lattice)
+    spec = stationary_states(H, H.n_odd)
+    c = expand(psi, spec)
+    return [synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, H.lattice)
+            for t in times]
 
 
 def _require_normalized(psi: LatticeFunction):

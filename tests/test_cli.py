@@ -322,6 +322,18 @@ def test_evolve_writes_snapshots_and_norms(capsys, tmp_path):
         assert float(nv) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_evolve_norm_holds_to_rounding_over_many_snapshots(capsys, tmp_path):
+    # every snapshot comes from the one t=0 expansion, so no rounding
+    # accumulates from one snapshot to the next
+    code, _, err = run(capsys, "evolve", "--potential", "x^2",
+                       "--psi0", "gauss((x - 0.5)/0.4)", "--t", "20", "--steps", "400",
+                       "--snap-every", "1", "--output", str(tmp_path))
+    assert code == 0, err
+    rows = (tmp_path / "norms.csv").read_text().strip().splitlines()[2:]
+    assert len(rows) == 401
+    assert max(abs(float(row.split(",")[1]) - 1.0) for row in rows) < 1e-14
+
+
 def test_evolve_default_grid_final_snapshot_only(capsys, tmp_path):
     code, _, _ = run(capsys, "evolve", "--potential", "x^2",
                      "--psi0", "gauss(x)", "--output", str(tmp_path))
@@ -353,6 +365,17 @@ def test_evolve_bad_grid(capsys, tmp_path):
     code, _, err = run(capsys, "evolve", "--potential", "x^2",
                        "--psi0", "gauss(x)", "--t", "-1", "--output", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--potential", "x^2", "--k", "1"],
+    ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"],
+])
+def test_format_is_rejected_where_output_is_always_csv(capsys, tmp_path, command):
+    code, _, err = run(capsys, *command, "--format", "json", "--output", str(tmp_path))
+    assert code == 2
+    assert "--format" in err
+    assert not any(tmp_path.iterdir())
 
 
 # -- configuration resolution ------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from basicq import (
     Hamiltonian,
     OperatorMatrix,
-    WaveState,
     build_hamiltonian,
     build_lattice,
     default_lattice,
@@ -31,6 +31,7 @@ from basicq.l2q import (
     momentum_matrix,
     position_matrix,
 )
+import basicq.qschrodinger as qschrodinger
 from basicq.qschrodinger import fluctuation
 
 
@@ -187,13 +188,6 @@ class TestSpectrum:
         for f, g in zip(a.eigenfunctions, b.eigenfunctions):
             assert np.allclose(f.values, g.values, rtol=1e-12)
 
-    def test_full_spectrum_cached(self):
-        H = oscillator()
-        s1 = H.full_spectrum()
-        s2 = H.full_spectrum()
-        assert s1 is s2
-        assert len(s1.eigenvalues) == H.n_odd
-
     def test_k_validation(self):
         H = oscillator()
         with pytest.raises(ValueError):
@@ -219,7 +213,7 @@ class TestExpansion:
     def test_roundtrip(self):
         lat = default_lattice()
         H = oscillator(lat)
-        spec = H.full_spectrum()
+        spec = stationary_states(H, H.n_odd)
         psi = gaussian_packet(lat)
         c = expand(psi, spec)
         back = synthesize(c, spec, lat)
@@ -231,13 +225,13 @@ class TestExpansion:
         lat = default_lattice()
         H = oscillator(lat)
         psi = gaussian_packet(lat)
-        c = expand(psi, H.full_spectrum())
+        c = expand(psi, stationary_states(H, H.n_odd))
         assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_energy_from_coefficients(self):
         lat = default_lattice()
         H = oscillator(lat)
-        spec = H.full_spectrum()
+        spec = stationary_states(H, H.n_odd)
         psi = gaussian_packet(lat)
         c = expand(psi, spec)
         e_spec = float(np.sum(np.abs(c) ** 2 * spec.eigenvalues))
@@ -282,55 +276,79 @@ class TestEvolution:
         lat = default_lattice()
         H = oscillator(lat)
         psi = gaussian_packet(lat)
-        out = evolve(WaveState(psi, 0.0), H, dt=0.01, steps=1000)
-        assert out.t == pytest.approx(10.0, rel=1e-12)
-        assert q_norm(out.psi) == pytest.approx(1.0, abs=1e-9)
+        (out,) = evolve(psi, H, [10.0])
+        assert q_norm(out) == pytest.approx(1.0, abs=1e-9)
         e0 = expectation(H, psi).real
         # renormalize exactly before the expectation guard
-        e1 = expectation(H, (1.0 / q_norm(out.psi)) * out.psi).real
+        e1 = expectation(H, (1.0 / q_norm(out)) * out).real
         assert e1 == pytest.approx(e0, abs=1e-9)
 
     def test_eigenstate_picks_up_pure_phase(self):
-        # eigenpair taken from the same spectrum evolve expands in; the
+        # eigenpair taken from the full spectrum evolve expands in; the
         # k-lowest solver path agrees only to its ~1e-10 eigenvalue noise,
         # which times t would dominate the phase comparison
         lat = default_lattice()
         H = oscillator(lat)
-        spec = H.full_spectrum()
+        spec = stationary_states(H, H.n_odd)
         f = spec.eigenfunctions[1]
         t = 3.7
-        out = evolve(WaveState(f, 0.0), H, dt=t / 100, steps=100)
+        (out,) = evolve(f, H, [t])
         phase = np.exp(-1j * spec.eigenvalues[1] * t)
         odd = lat.odd_indices
-        assert np.max(np.abs(out.psi.values[odd] - phase * f.values[odd])) < 1e-9
+        assert np.max(np.abs(out.values[odd] - phase * f.values[odd])) < 1e-9
 
-    def test_zero_steps_identity(self):
+    def test_zero_time_identity(self):
         lat = default_lattice()
         H = oscillator(lat)
         psi = gaussian_packet(lat)
-        out = evolve(WaveState(psi, 1.5), H, dt=0.1, steps=0)
+        (out,) = evolve(psi, H, [0.0])
         odd = lat.odd_indices
-        assert np.allclose(out.psi.values[odd], psi.values[odd], atol=1e-12)
-        assert out.t == 1.5
+        assert np.allclose(out.values[odd], psi.values[odd], atol=1e-12)
 
     def test_time_reversal(self):
         lat = default_lattice()
         H = oscillator(lat)
         psi = gaussian_packet(lat)
-        fwd = evolve(WaveState(psi, 0.0), H, dt=0.05, steps=40)
-        back = evolve(fwd, H, dt=-0.05, steps=40)
+        (fwd,) = evolve(psi, H, [2.0])
+        (back,) = evolve(fwd, H, [-2.0])
         odd = lat.odd_indices
-        assert np.max(np.abs(back.psi.values[odd] - psi.values[odd])) < 1e-10
+        assert np.max(np.abs(back.values[odd] - psi.values[odd])) < 1e-10
 
-    def test_evolve_validation(self):
+    def test_each_time_is_synthesized_from_the_initial_expansion(self):
         lat = default_lattice()
-        H = oscillator(lat)
+        H = build_hamiltonian(lambda x: x * x, 0.7, 1.3, lat)
         psi = gaussian_packet(lat)
-        with pytest.raises(ValueError):
-            evolve(WaveState(psi, 0.0), H, dt=0.1, steps=-1)
+        ts = [0.0, 0.25, 1.0, 7.5, -3.0]
+        out = evolve(psi, H, ts)
+        assert len(out) == len(ts)
+        spec = stationary_states(H, H.n_odd)
+        c = expand(psi, spec)
+        for t, got in zip(ts, out):
+            want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, lat)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(
+                np.abs(want.values))
+        assert evolve(psi, H, []) == []
+
+    def test_one_eigensolve_and_one_expansion_for_all_times(self, monkeypatch):
+        spies = {name: Mock(wraps=getattr(qschrodinger, name))
+                 for name in ("stationary_states", "expand")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(qschrodinger, name, spy)
+        lat = default_lattice()
+        evolve(gaussian_packet(lat), oscillator(lat), [0.5 * k for k in range(1, 41)])
+        assert [spy.call_count for spy in spies.values()] == [1, 1]
+
+    def test_evolve_validation(self, monkeypatch):
+        # a lattice mismatch is refused before any eigensolve
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before the lattice check")
+
+        monkeypatch.setattr(qschrodinger, "stationary_states", no_eigensolve)
+        monkeypatch.setattr(qschrodinger, "eigh_tridiagonal", no_eigensolve)
+        psi = gaussian_packet(default_lattice())
         other = build_hamiltonian(lambda x: x * x, 1.0, 1.0, build_lattice(0.9, -2, 8, 1.0))
-        with pytest.raises(ValueError):
-            evolve(WaveState(psi, 0.0), other, dt=0.1, steps=1)
+        with pytest.raises(ValueError, match="lattice mismatch"):
+            evolve(psi, other, [0.1])
 
 
 # -- observables -------------------------------------------------------------
