@@ -2,11 +2,20 @@
 
 Subcommands: eval (special-function tables), qderiv (Jackson derivative of
 an expression), qint (q-integrals), verify (identity suite report), solve
-(stationary states to files), evolve (time evolution snapshots).  Every
-command takes --q --tol --hbar --mass --lattice, and the table commands
-(eval, qderiv, qint, verify) also --format; environment variables
-BASICQ_Q, BASICQ_TOL, BASICQ_HBAR, BASICQ_MASS, BASICQ_LATTICE and
-BASICQ_FORMAT override the built-in defaults, explicit flags override both.
+(stationary states to files), evolve (time evolution snapshots).  Each
+command takes only the shared options it reads, besides its own and
+--output:
+
+    eval            --q --tol --format
+    qderiv          --q --format
+    qint            --q --tol --format
+    verify          --q --format
+    solve, evolve   --q --hbar --mass --lattice
+
+A shared option comes from its flag, else from the environment variable
+BASICQ_<NAME> (BASICQ_Q, BASICQ_TOL, BASICQ_HBAR, BASICQ_MASS,
+BASICQ_LATTICE, BASICQ_FORMAT), else from the built-in default.  A command
+reads no variable for an option it does not take.
 
 Exit codes: 0 success, 1 computation failure (evaluation or convergence),
 2 usage, parse, or configuration failure.  Output is deterministic: the
@@ -23,7 +32,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from . import exprparse, l2q, qcalculus, qfunctions, verify as verify_mod
 from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
@@ -33,86 +41,74 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "q": 0.9,
-    "tol": qcalculus.DEFAULT_TOL,
-    "hbar": 1.0,
-    "mass": 1.0,
-    "lattice": "-15:60:1.0",
-    "format": "csv",
-}
-
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    q: float
-    q_explicit: bool
-    tol: float
-    hbar: float
-    mass: float
-    m_min: int
-    m_max: int
-    a: float
-    fmt: str
-    output: str | None
-
-
-def _env_or(env, key: str, fallback):
-    return env.get("BASICQ_" + key.upper(), fallback)
+def _positive(name: str):
+    def conv(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        return value
+    return conv
 
 
 def _parse_lattice(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"--lattice expects m_min:m_max:a, got {text!r}")
-    try:
-        m_min, m_max, a = int(parts[0]), int(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad --lattice value {text!r}: {exc}") from None
+        raise ValueError("expected m_min:m_max:a")
+    m_min, m_max, a = int(parts[0]), int(parts[1]), float(parts[2])
+    if m_min >= m_max:
+        raise ValueError(f"lattice needs m_min < m_max, got {m_min}:{m_max}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"lattice scale a must be positive, got {a!r}")
     return m_min, m_max, a
 
 
-def _resolve_config(args, env) -> RunConfig:
-    def pick(name, conv):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return conv(flag), True
-        raw = _env_or(env, name, None)
-        if raw is not None:
-            try:
-                return conv(raw), True
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad BASICQ_{name.upper()} value {raw!r}: {exc}") from None
-        return conv(_DEFAULTS[name]), False
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError("format must be csv or json")
+    return text
 
-    q, q_explicit = pick("q", float)
-    tol, _ = pick("tol", float)
-    hbar, _ = pick("hbar", float)
-    mass, _ = pick("mass", float)
-    lattice_text, _ = pick("lattice", str)
-    fmt, _ = pick("format", str)
-    if not (math.isfinite(q) and q > 0):
-        raise UsageError(f"q must be finite and positive, got {q!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tol must be finite and positive, got {tol!r}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise UsageError(f"hbar must be positive, got {hbar!r}")
-    if not (math.isfinite(mass) and mass > 0):
-        raise UsageError(f"mass must be positive, got {mass!r}")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
-    m_min, m_max, a = _parse_lattice(lattice_text)
-    if m_min >= m_max:
-        raise UsageError(f"lattice needs m_min < m_max, got {m_min}:{m_max}")
-    if not (math.isfinite(a) and a > 0):
-        raise UsageError(f"lattice scale a must be positive, got {a!r}")
-    return RunConfig(q=q, q_explicit=q_explicit, tol=tol, hbar=hbar, mass=mass,
-                     m_min=m_min, m_max=m_max, a=a, fmt=fmt,
-                     output=getattr(args, "output", None))
+
+# Options shared between commands: name -> (converter that validates,
+# default, help).  A subparser registers the names its handler reads.
+_SHARED = {
+    "q": (_positive("q"), 0.9, "deformation parameter (default 0.9)"),
+    "tol": (_positive("tol"), qcalculus.DEFAULT_TOL,
+            f"series truncation tolerance (default {qcalculus.DEFAULT_TOL:g})"),
+    "hbar": (_positive("hbar"), 1.0, "reduced Planck constant (default 1)"),
+    "mass": (_positive("mass"), 1.0, "particle mass (default 1)"),
+    "lattice": (_parse_lattice, (-15, 60, 1.0),
+                "lattice exponent window and scale M_MIN:M_MAX:A (default -15:60:1.0)"),
+    "format": (_parse_format, "csv", "csv or json (default csv)"),
+}
+
+
+def _resolve_shared(args, env) -> None:
+    """Replace each registered shared option on ``args`` by its value.
+
+    The flag wins, then ``BASICQ_<NAME>``, then the default; only the
+    chosen source is converted.  ``args.explicit`` gets the names that
+    came from a flag or the environment.
+    """
+    args.explicit = set()
+    for name in args.shared:
+        conv, default, _ = _SHARED[name]
+        text, source = getattr(args, name), "--" + name
+        if text is None:
+            source = "BASICQ_" + name.upper()
+            text = env.get(source)
+        if text is None:
+            setattr(args, name, default)
+            continue
+        try:
+            setattr(args, name, conv(text))
+        except ValueError as exc:
+            raise UsageError(f"bad {source} value {text!r}: {exc}") from None
+        args.explicit.add(name)
 
 
 def _canon(v):
@@ -135,10 +131,12 @@ def _fmt_cell(v) -> str:
 
 def _emit_table(columns, rows, fmt: str, path: str | None):
     if fmt == "csv":
-        lines = ["# schema_version=%d" % SCHEMA_VERSION, ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write("# schema_version=%d\n" % SCHEMA_VERSION)
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([_fmt_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
     else:
         doc = {"schema_version": SCHEMA_VERSION, "columns": list(columns),
                "rows": [[_canon(v) for v in r] for r in rows]}
@@ -179,7 +177,7 @@ def _expr_fn(text: str, q: float):
     return lambda x: exprparse.evaluate(ast, x, q)
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     fnmap = {"Eq": qfunctions.q_exp, "Sq": qfunctions.q_sin, "Cq": qfunctions.q_cos}
     fn = fnmap[args.fn]
     if args.points is not None and args.range is not None:
@@ -192,45 +190,45 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         raise UsageError("one of --points or --range is required")
     rows = []
     for x in points:
-        r = fn(x, cfg.q, tol=cfg.tol)
+        r = fn(x, args.q, tol=args.tol)
         val = complex(r.value)
         rows.append((x, val.real, val.imag, r.terms_used))
-    _emit_table(("x", "re", "im", "terms_used"), rows, cfg.fmt, cfg.output)
+    _emit_table(("x", "re", "im", "terms_used"), rows, args.format, args.output)
     return 0
 
 
-def cmd_qderiv(args, cfg: RunConfig) -> int:
-    f = _expr_fn(args.expr, cfg.q)
+def cmd_qderiv(args) -> int:
+    f = _expr_fn(args.expr, args.q)
     rows = []
     for x in args.points:
-        val = complex(qcalculus.jackson_derivative(f, float(x), cfg.q))
+        val = complex(qcalculus.jackson_derivative(f, float(x), args.q))
         rows.append((float(x), val.real, val.imag))
-    _emit_table(("x", "re", "im"), rows, cfg.fmt, cfg.output)
+    _emit_table(("x", "re", "im"), rows, args.format, args.output)
     return 0
 
 
-def cmd_qint(args, cfg: RunConfig) -> int:
-    f = _expr_fn(args.expr, cfg.q)
+def cmd_qint(args) -> int:
+    f = _expr_fn(args.expr, args.q)
     chosen = [name for name in ("upper", "halfline", "fullline")
               if getattr(args, name)]
     if len(chosen) > 1:
         raise UsageError("--upper, --halfline and --fullline are mutually exclusive")
     if args.halfline:
-        val = qcalculus.q_integral_halfline(f, cfg.q, tol=cfg.tol)
+        val = qcalculus.q_integral_halfline(f, args.q, tol=args.tol)
     elif args.fullline:
-        val = qcalculus.q_integral_fullline(f, cfg.q, tol=cfg.tol)
+        val = qcalculus.q_integral_fullline(f, args.q, tol=args.tol)
     else:
         upper = args.upper if args.upper is not None else 1.0
-        val = qcalculus.q_integral_finite(f, upper, cfg.q, tol=cfg.tol)
+        val = qcalculus.q_integral_finite(f, upper, args.q, tol=args.tol)
     val = complex(val)
-    _emit_table(("re", "im"), [(val.real, val.imag)], cfg.fmt, cfg.output)
+    _emit_table(("re", "im"), [(val.real, val.imag)], args.format, args.output)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    sweep = (cfg.q,) if cfg.q_explicit else verify_mod.DEFAULT_SWEEP
+def cmd_verify(args) -> int:
+    sweep = (args.q,) if "q" in args.explicit else verify_mod.DEFAULT_SWEEP
     report = verify_mod.run_verify(sweep, tol_override=args.force_tolerance)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "q_values": list(report.q_values),
@@ -242,16 +240,14 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             ],
             "all_pass": report.all_pass,
         }
-        _write_out(json.dumps(doc) + "\n", cfg.output)
+        _write_out(json.dumps(doc) + "\n", args.output)
     else:
-        buf = io.StringIO()
-        buf.write("# schema_version=%d\n" % SCHEMA_VERSION)
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(("identity", "detail", "max_residual", "tolerance", "status"))
-        for r in report.results:
-            res = "" if math.isnan(r.max_residual) else "%.6e" % r.max_residual
-            w.writerow((r.name, r.detail, res, "%g" % r.tolerance, r.status))
-        _write_out(buf.getvalue(), cfg.output)
+        rows = [(r.name, r.detail,
+                 "" if math.isnan(r.max_residual) else "%.6e" % r.max_residual,
+                 "%g" % r.tolerance, r.status)
+                for r in report.results]
+        _emit_table(("identity", "detail", "max_residual", "tolerance", "status"),
+                    rows, "csv", args.output)
     if not report.all_pass:
         names = ", ".join(r.name for r in report.failures)
         print(f"basicq: verify failed: {names}", file=sys.stderr)
@@ -259,29 +255,33 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _spectrum_doc(lat, eigenvalues, cfg: RunConfig, potential_text: str):
+def _spectrum_doc(lat, eigenvalues, args):
     return {
         "schema_version": SCHEMA_VERSION,
         "q": lat.q,
         "lattice": {"m_min": lat.m_min, "m_max": lat.m_max, "a": lat.a},
         "eigenvalues": [float(e) for e in eigenvalues],
-        "meta": {"hbar": cfg.hbar, "mass": cfg.mass, "potential_text": potential_text},
+        "meta": {"hbar": args.hbar, "mass": args.mass, "potential_text": args.potential},
     }
 
 
-def _out_dir(cfg: RunConfig) -> str:
-    d = cfg.output if cfg.output is not None else "."
+def _hamiltonian(args):
+    lat = l2q.build_lattice(args.q, *args.lattice)
+    return build_hamiltonian(_expr_fn(args.potential, args.q), args.mass, args.hbar, lat)
+
+
+def _out_dir(args) -> str:
+    d = args.output if args.output is not None else "."
     os.makedirs(d, exist_ok=True)
     return d
 
 
-def cmd_solve(args, cfg: RunConfig) -> int:
-    lat = l2q.build_lattice(cfg.q, cfg.m_min, cfg.m_max, cfg.a)
-    H = build_hamiltonian(_expr_fn(args.potential, cfg.q), cfg.mass, cfg.hbar, lat)
+def cmd_solve(args) -> int:
+    H = _hamiltonian(args)
     spec = stationary_states(H, args.k)
-    outdir = _out_dir(cfg)
+    outdir = _out_dir(args)
     spath = os.path.join(outdir, "spectrum.json")
-    doc = _spectrum_doc(lat, spec.eigenvalues, cfg, args.potential)
+    doc = _spectrum_doc(H.lattice, spec.eigenvalues, args)
     _write_out(json.dumps(doc) + "\n", spath)
     written = [spath]
     for n, f in enumerate(spec.eigenfunctions):
@@ -293,10 +293,9 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evolve(args, cfg: RunConfig) -> int:
-    lat = l2q.build_lattice(cfg.q, cfg.m_min, cfg.m_max, cfg.a)
-    H = build_hamiltonian(_expr_fn(args.potential, cfg.q), cfg.mass, cfg.hbar, lat)
-    psi = l2q.sample(_expr_fn(args.psi0, cfg.q), lat)
+def cmd_evolve(args) -> int:
+    H = _hamiltonian(args)
+    psi = l2q.sample(_expr_fn(args.psi0, args.q), H.lattice)
     nrm = l2q.q_norm(psi)
     if not (math.isfinite(nrm) and nrm > 0):
         print(f"basicq: error: initial state has q-norm {nrm!r}, cannot normalize",
@@ -304,18 +303,12 @@ def cmd_evolve(args, cfg: RunConfig) -> int:
         return 1
     psi = (1.0 / nrm) * psi
 
-    t_total, dt, steps = args.t, args.dt, args.steps
-    if dt is not None and t_total is not None:
-        steps = int(round(t_total / dt))
-    elif dt is not None:
-        steps = steps if steps is not None else 100
-        t_total = dt * steps
-    else:
-        t_total = t_total if t_total is not None else 1.0
-        steps = steps if steps is not None else 100
-        dt = t_total / steps
-    if steps < 1 or not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"bad evolution grid: t={t_total!r} dt={dt!r} steps={steps!r}")
+    steps = args.steps
+    if steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {steps}")
+    dt = args.t / steps
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"bad evolution grid: t={args.t!r} steps={steps}")
     snap_every = args.snap_every if args.snap_every is not None else steps
     if snap_every < 1:
         raise UsageError(f"--snap-every must be >= 1, got {snap_every}")
@@ -327,7 +320,7 @@ def cmd_evolve(args, cfg: RunConfig) -> int:
         t = t + dt * min(snap_every, steps - done)
         times.append(t)
 
-    outdir = _out_dir(cfg)
+    outdir = _out_dir(args)
     written, norm_rows = [], []
 
     def snap(t, psi_t):
@@ -347,19 +340,12 @@ def cmd_evolve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(sp, table: bool):
-    sp.add_argument("--q", type=float, default=None,
-                    help="deformation parameter (default %(default)s -> 0.9)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="series truncation tolerance")
-    sp.add_argument("--hbar", type=float, default=None)
-    sp.add_argument("--mass", type=float, default=None)
-    sp.add_argument("--lattice", type=str, default=None, metavar="M_MIN:M_MAX:A",
-                    help="lattice exponent window and scale")
-    if table:
-        sp.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    sp.add_argument("--output", type=str, default=None,
+def _add_shared(sp, handler, *names):
+    for name in names:
+        sp.add_argument("--" + name, default=None, help=_SHARED[name][2])
+    sp.add_argument("--output", default=None,
                     help="output file (tables) or directory (solve/evolve)")
+    sp.set_defaults(handler=handler, shared=names)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,14 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", required=True, choices=("Eq", "Sq", "Cq"))
     sp.add_argument("--points", type=float, nargs="+", default=None)
     sp.add_argument("--range", type=str, default=None, metavar="START:STOP:STEP")
-    _add_common(sp, table=True)
-    sp.set_defaults(handler=cmd_eval)
+    _add_shared(sp, cmd_eval, "q", "tol", "format")
 
     sp = sub.add_parser("qderiv", help="Jackson derivative of an expression")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--points", type=float, nargs="+", required=True)
-    _add_common(sp, table=True)
-    sp.set_defaults(handler=cmd_qderiv)
+    _add_shared(sp, cmd_qderiv, "q", "format")
 
     sp = sub.add_parser("qint", help="q-integral of an expression")
     sp.add_argument("--expr", required=True)
@@ -386,31 +370,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="finite upper limit (default 1 when no mode is chosen)")
     sp.add_argument("--halfline", action="store_true")
     sp.add_argument("--fullline", action="store_true")
-    _add_common(sp, table=True)
-    sp.set_defaults(handler=cmd_qint)
+    _add_shared(sp, cmd_qint, "q", "tol", "format")
 
     sp = sub.add_parser("verify", help="run the identity suite and report")
     sp.add_argument("--force-tolerance", type=float, default=None,
                     help="override every identity tolerance (report-format demo)")
-    _add_common(sp, table=True)
-    sp.set_defaults(handler=cmd_verify)
+    _add_shared(sp, cmd_verify, "q", "format")
 
     sp = sub.add_parser("solve", help="stationary states of a potential")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--k", type=int, default=4, help="number of lowest eigenpairs")
-    _add_common(sp, table=False)
-    sp.set_defaults(handler=cmd_solve)
+    _add_shared(sp, cmd_solve, "q", "hbar", "mass", "lattice")
 
     sp = sub.add_parser("evolve", help="evolve an initial state in time")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--psi0", required=True, help="initial wavefunction expression")
-    sp.add_argument("--t", type=float, default=None, help="total evolution time")
-    sp.add_argument("--dt", type=float, default=None, help="time step")
-    sp.add_argument("--steps", type=int, default=None, help="number of steps")
+    sp.add_argument("--t", type=float, default=1.0, help="total evolution time (default 1)")
+    sp.add_argument("--steps", type=int, default=100, help="number of steps (default 100)")
     sp.add_argument("--snap-every", type=int, default=None,
                     help="steps between snapshots (default: final state only)")
-    _add_common(sp, table=False)
-    sp.set_defaults(handler=cmd_evolve)
+    _add_shared(sp, cmd_evolve, "q", "hbar", "mass", "lattice")
     return p
 
 
@@ -447,8 +426,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = _resolve_config(args, os.environ)
-        return args.handler(args, cfg)
+        _resolve_shared(args, os.environ)
+        return args.handler(args)
     except UsageError as exc:
         print(f"basicq: usage error: {exc}", file=sys.stderr)
         return 2

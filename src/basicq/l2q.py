@@ -44,7 +44,6 @@ closes its inner end across the origin through the mirror point instead
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -225,9 +224,6 @@ class LatticeFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite sample rejected")
         object.__setattr__(self, "values", _freeze(vals))
-
-    def norm(self) -> float:
-        return q_norm(self)
 
     def __add__(self, other):
         _check_same_lattice(self.lattice, other.lattice)
@@ -491,13 +487,9 @@ def to_csv(psi: LatticeFunction) -> str:
 
     Floats are written with 17 significant digits.
     """
-    buf = io.StringIO()
-    buf.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
-    buf.write("sign,m,x,weight,re,im\n")
     lat = psi.lattice
-    for i in range(lat.size):
-        re, im = psi.values[i].real, psi.values[i].imag
-        buf.write("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % (
-            lat.sign[i], lat.m[i], lat.x[i], lat.w[i],
-            re + 0.0, im + 0.0))
-    return buf.getvalue()
+    # + 0.0 turns -0.0 into 0.0.
+    rows = zip(lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist(),
+               (psi.values.real + 0.0).tolist(), (psi.values.imag + 0.0).tolist())
+    return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
+            + "".join("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -362,9 +363,11 @@ def test_evolve_zero_initial_state_is_computation_failure(capsys, tmp_path):
 
 
 def test_evolve_bad_grid(capsys, tmp_path):
-    code, _, err = run(capsys, "evolve", "--potential", "x^2",
-                       "--psi0", "gauss(x)", "--t", "-1", "--output", str(tmp_path))
-    assert code == 2
+    for grid in (("--t", "-1"), ("--steps", "0")):
+        code, _, err = run(capsys, "evolve", "--potential", "x^2",
+                           "--psi0", "gauss(x)", *grid, "--output", str(tmp_path))
+        assert code == 2
+        assert err.startswith("basicq: usage error:")
 
 
 @pytest.mark.parametrize("command", [
@@ -379,6 +382,74 @@ def test_format_is_rejected_where_output_is_always_csv(capsys, tmp_path, command
 
 
 # -- configuration resolution ------------------------------------------------
+
+_BASE_ARGV = {
+    "eval": ["eval", "--fn", "Sq", "--points", "0"],
+    "qderiv": ["qderiv", "--expr", "x", "--points", "1"],
+    "qint": ["qint", "--expr", "x"],
+    "verify": ["verify", "--q", "0.9"],
+    "solve": ["solve", "--potential", "x^2", "--k", "1"],
+    "evolve": ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"],
+}
+
+
+@pytest.mark.parametrize("command, shared", [
+    ("eval", {"--q", "--tol", "--format"}),
+    ("qderiv", {"--q", "--format"}),
+    ("qint", {"--q", "--tol", "--format"}),
+    ("verify", {"--q", "--format"}),
+    ("solve", {"--q", "--hbar", "--mass", "--lattice"}),
+    ("evolve", {"--q", "--hbar", "--mass", "--lattice"}),
+])
+def test_help_lists_only_the_shared_options_a_command_reads(capsys, command, shared):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE))
+    all_shared = {"--q", "--tol", "--hbar", "--mass", "--lattice", "--format"}
+    assert listed & all_shared == shared
+    assert "--output" in listed
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[(c, "--tol", "1e-10") for c in ("qderiv", "verify", "solve", "evolve")],
+    *[(c, f, v) for c in ("eval", "qderiv", "qint", "verify")
+      for f, v in (("--hbar", "2"), ("--mass", "2"), ("--lattice", "-5:30:1"))],
+    ("evolve", "--dt", "0.3"),
+])
+def test_option_a_command_does_not_read_is_rejected(capsys, tmp_path, command, flag, value):
+    code, _, err = run(capsys, *_BASE_ARGV[command], flag, value,
+                       "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("variable, value, argv", [
+    ("BASICQ_FORMAT", "xml", ("solve", "--potential", "x^2", "--k", "1")),
+    ("BASICQ_TOL", "banana", ("verify", "--q", "0.9")),
+    ("BASICQ_HBAR", "-1", ("qint", "--expr", "x")),
+])
+def test_env_of_an_option_a_command_does_not_read_is_ignored(
+        capsys, monkeypatch, tmp_path, variable, value, argv):
+    def outputs(name):
+        root = tmp_path / name
+        root.mkdir()
+        code, _, err = run(capsys, *argv, "--output", str(root / "out"))
+        assert code == 0, err
+        return {str(f.relative_to(root)): f.read_bytes()
+                for f in sorted(root.rglob("*")) if f.is_file()}
+
+    plain = outputs("plain")
+    monkeypatch.setenv(variable, value)
+    assert outputs("env") == plain
+
+
+def test_env_of_an_unread_option_keeps_golden_output(capsys, monkeypatch):
+    monkeypatch.setenv("BASICQ_LATTICE", "abc")
+    code, out, _ = run(capsys, "eval", "--fn", "Sq", "--points", "0")
+    assert code == 0
+    assert out == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"
+
 
 def test_env_override_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("BASICQ_Q", "0.5")
