@@ -60,7 +60,7 @@ from .qschrodinger import (
     stationary_states,
     synthesize,
 )
-from .exprparse import evaluate, parse, pretty
+from .exprparse import evaluate, parse
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -114,7 +114,6 @@ __all__ = [
     "synthesize",
     "evaluate",
     "parse",
-    "pretty",
     "run_verify",
     "__version__",
 ]

@@ -172,6 +172,13 @@ def _parse_range(text: str):
     return [start + i * step for i in range(n + 1)]
 
 
+def _finite_points(points):
+    for x in points:
+        if not math.isfinite(x):
+            raise UsageError(f"bad --points value {x!r}: not finite")
+    return points
+
+
 def _expr_fn(text: str, q: float):
     ast = exprparse.parse(text)
     return lambda x: exprparse.evaluate(ast, x, q)
@@ -183,7 +190,7 @@ def cmd_eval(args) -> int:
     if args.points is not None and args.range is not None:
         raise UsageError("--points and --range are mutually exclusive")
     if args.points is not None:
-        points = [float(p) for p in args.points]
+        points = _finite_points(args.points)
     elif args.range is not None:
         points = _parse_range(args.range)
     else:
@@ -200,9 +207,9 @@ def cmd_eval(args) -> int:
 def cmd_qderiv(args) -> int:
     f = _expr_fn(args.expr, args.q)
     rows = []
-    for x in args.points:
-        val = complex(qcalculus.jackson_derivative(f, float(x), args.q))
-        rows.append((float(x), val.real, val.imag))
+    for x in _finite_points(args.points):
+        val = complex(qcalculus.jackson_derivative(f, x, args.q))
+        rows.append((x, val.real, val.imag))
     _emit_table(("x", "re", "im"), rows, args.format, args.output)
     return 0
 

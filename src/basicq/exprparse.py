@@ -20,6 +20,7 @@ offset into the source text.
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -38,21 +39,26 @@ __all__ = [
     "KNOWN_FUNCTIONS",
     "parse",
     "evaluate",
-    "pretty",
 ]
 
-KNOWN_FUNCTIONS = {
-    "exp": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "gauss": 1,
-    "Eq": 1,
-    "Sq": 1,
-    "Cq": 1,
-    "pow": 2,
+# name -> (arity, implementation of (qp, *args)); every value is complex.
+_FUNCTIONS = {
+    "exp": (1, lambda qp, z: cmath.exp(z)),
+    "sin": (1, lambda qp, z: cmath.sin(z)),
+    "cos": (1, lambda qp, z: cmath.cos(z)),
+    "sqrt": (1, lambda qp, z: cmath.sqrt(z)),
+    "abs": (1, lambda qp, z: complex(abs(z))),
+    "gauss": (1, lambda qp, z: cmath.exp(-z * z)),
+    "Eq": (1, lambda qp, z: q_exp(z, qp).value),
+    "Sq": (1, lambda qp, z: q_sin(z, qp).value),
+    "Cq": (1, lambda qp, z: q_cos(z, qp).value),
+    "pow": (2, lambda qp, z, p: z ** p),
 }
+
+KNOWN_FUNCTIONS = {name: arity for name, (arity, _) in _FUNCTIONS.items()}
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 
 @dataclass(frozen=True)
@@ -257,104 +263,19 @@ def evaluate(e: Expression, x, q) -> complex:
             # imaginary part, which puts sqrt(-1) on the -i side of the cut.
             return 0.0 - ev(node.operand)
         if isinstance(node, Binary):
-            lhs = ev(node.left)
-            rhs = ev(node.right)
-            try:
-                if node.op == "+":
-                    return lhs + rhs
-                if node.op == "-":
-                    return lhs - rhs
-                if node.op == "*":
-                    return lhs * rhs
-                if node.op == "/":
-                    return lhs / rhs
-                return lhs ** rhs
-            except ZeroDivisionError:
-                raise EvaluationError("division by zero", node.offset) from None
-            except OverflowError:
-                raise EvaluationError("overflow", node.offset) from None
-        if isinstance(node, Call):
-            args = [ev(a) for a in node.args]
-            try:
-                if node.name == "exp":
-                    return cmath.exp(args[0])
-                if node.name == "sin":
-                    return cmath.sin(args[0])
-                if node.name == "cos":
-                    return cmath.cos(args[0])
-                if node.name == "sqrt":
-                    return cmath.sqrt(args[0])
-                if node.name == "abs":
-                    return complex(abs(args[0]))
-                if node.name == "gauss":
-                    return cmath.exp(-args[0] * args[0])
-                if node.name == "Eq":
-                    return q_exp(args[0], qp).value
-                if node.name == "Sq":
-                    return q_sin(args[0], qp).value
-                if node.name == "Cq":
-                    return q_cos(args[0], qp).value
-                if node.name == "pow":
-                    return args[0] ** args[1]
-            except ZeroDivisionError:
-                raise EvaluationError("division by zero", node.offset) from None
-            except OverflowError:
-                raise EvaluationError("overflow", node.offset) from None
-            except ValueError as exc:
-                raise EvaluationError(str(exc), node.offset) from None
-        raise EvaluationError(f"unknown node {type(node).__name__}", getattr(node, "offset", 0))
+            fn, args = _OPERATORS[node.op], [ev(node.left), ev(node.right)]
+        elif isinstance(node, Call):
+            fn, args = _FUNCTIONS[node.name][1], [qp] + [ev(a) for a in node.args]
+        else:
+            raise EvaluationError(f"unknown node {type(node).__name__}",
+                                  getattr(node, "offset", 0))
+        try:
+            return fn(*args)
+        except ZeroDivisionError:
+            raise EvaluationError("division by zero", node.offset) from None
+        except OverflowError:
+            raise EvaluationError("overflow", node.offset) from None
+        except ValueError as exc:
+            raise EvaluationError(str(exc), node.offset) from None
 
     return ev(e)
-
-
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-# Precedence levels for printing: containers below their children reparse
-# without parentheses.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def pretty(e: Expression) -> str:
-    """Canonical text form; ``parse(pretty(e))`` equals ``e`` (offsets aside).
-
-    Parenthesization is conservative (a reparse always rebuilds the same
-    tree) rather than minimal.  Canonical means parser-producible: a Num
-    node holds a nonnegative literal, negation being a Unary node.
-    """
-
-    def render(node, parent_prec: int, right_side: bool) -> str:
-        if isinstance(node, Num):
-            return _fmt_number(node.value)
-        if isinstance(node, Var):
-            return "x"
-        if isinstance(node, Param):
-            return "q"
-        if isinstance(node, Call):
-            inner = ", ".join(render(a, 0, False) for a in node.args)
-            return f"{node.name}({inner})"
-        if isinstance(node, Unary):
-            if isinstance(node.operand, (Num, Var, Param, Call)):
-                s = "-" + render(node.operand, 99, False)
-            else:
-                s = "-(" + render(node.operand, 0, False) + ")"
-            # A bare unary sits at factor level; protect it in tighter slots.
-            return "(" + s + ")" if parent_prec > 2 else s
-        if isinstance(node, Binary):
-            prec = _PREC[node.op]
-            if node.op == "^":
-                # Base must reduce to a primary; exponent associates rightward.
-                left = render(node.left, prec + 1, False)
-                right = render(node.right, prec, True)
-            else:
-                left = render(node.left, prec, False)
-                right = render(node.right, prec + 1, True)
-            s = f"{left}{node.op}{right}"
-            need = prec < parent_prec or (prec == parent_prec and right_side)
-            return "(" + s + ")" if need else s
-        raise ValueError(f"cannot render {type(node).__name__}")
-
-    return render(e, 0, False)

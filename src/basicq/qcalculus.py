@@ -179,8 +179,9 @@ def _sum_series(first, step, tol, max_terms, what):
     as complex: the q-integrals compute each term afresh and ignore ``t_n``,
     the E/S/C series multiply it by their term ratio.  Returns
     ``(sum, terms_used)``, counting the trailing negligible terms.  A term
-    that overflows or is not finite raises ConvergenceError, and so does a
-    series that has not converged after ``max_terms`` terms.
+    that overflows or is not finite raises ConvergenceError, and so do a
+    converged sum that is not finite and a series that has not converged
+    after ``max_terms`` terms.
     """
     total = 0.0 + 0.0j
     streak = 0
@@ -197,6 +198,9 @@ def _sum_series(first, step, tol, max_terms, what):
             if abs(t) <= tol * abs(total):
                 streak += 1
                 if streak >= _STREAK:
+                    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+                        raise ConvergenceError(
+                            f"{what}: sum of {n + 1} finite terms overflows")
                     return total, n + 1
             else:
                 streak = 0

@@ -140,9 +140,9 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     for j, xi in enumerate(x):
         val = complex(V(xi))
         if val.imag != 0.0:
-            raise ValueError(f"complex potential rejected: V({xi!r}) = {val!r}")
+            raise ValueError(f"complex potential rejected: V({float(xi)!r}) = {val!r}")
         if not math.isfinite(val.real):
-            raise ValueError(f"non-finite potential value at x = {xi!r}")
+            raise ValueError(f"non-finite potential value at x = {float(xi)!r}")
         v[j] = val.real
 
     kin = -hbar * hbar / (2.0 * mass)

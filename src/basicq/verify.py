@@ -9,14 +9,17 @@ degrade to their classical counterparts and still must pass.
 
 Residuals are relative to a term-magnitude scale (1 + |reference|) except
 where a contract pins the absolute value.
+
+To add an identity, write a generator ``residuals(qp)`` that yields its
+residuals at one :class:`~basicq.qnum.QParam` and append a row
+``(name, detail, tolerance, needs_deformation, residuals)`` to
+``_IDENTITIES``; :func:`run_verify` alone sweeps q and keeps the worst.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import l2q, qcalculus, qfock, qfunctions, qnum
 
@@ -54,8 +57,7 @@ def lattice_for_q(q, x_max: float = 5.0, x_min: float = 1e-3) -> l2q.QLattice:
     The default exponent window is tied to q = 0.9; rescaling it keeps the
     lattice-based identities comparable across the sweep.
     """
-    qp = qnum.as_qparam(q)
-    qc = qp.canonical
+    qc = qnum.as_qparam(q).canonical
     m_min = math.floor(math.log(x_max) / math.log(qc))
     m_max = math.ceil(math.log(x_min) / math.log(qc))
     return l2q.build_lattice(qc, m_min, m_max)
@@ -77,217 +79,154 @@ def _corpus(qp):
     ]
 
 
-def _run_leibniz(qs, variant):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        fns = _corpus(qp)
-        for _, f in fns[:4]:
-            for _, g in fns[1:4]:
-                for x in (0.3, 0.7, 1.0, 2.0, 5.0):
-                    lhs = qcalculus.jackson_derivative(lambda t: f(t) * g(t), x, qp)
-                    res = qcalculus.q_leibniz_residual(f, g, x, qp, variant)
-                    worst = max(worst, _rel(res, abs(lhs)))
-    return worst
+def _leibniz(qp, variant):
+    fns = _corpus(qp)
+    for _, f in fns[:4]:
+        for _, g in fns[1:4]:
+            for x in (0.3, 0.7, 1.0, 2.0, 5.0):
+                lhs = qcalculus.jackson_derivative(lambda t: f(t) * g(t), x, qp)
+                res = qcalculus.q_leibniz_residual(f, g, x, qp, variant)
+                yield _rel(res, abs(lhs))
 
 
-def _run_chain(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for _, f in _corpus(qp)[:3]:
-            for a in (2.0, -1.0, 0.5):
-                for x in (0.5, 1.0, 2.5):
-                    ref = qcalculus.jackson_derivative(f, x, qp) / a
-                    res = qcalculus.chain_scaling_residual(f, a, x, qp)
-                    worst = max(worst, _rel(res, abs(ref)))
-    return worst
+def _chain(qp):
+    for _, f in _corpus(qp)[:3]:
+        for a in (2.0, -1.0, 0.5):
+            for x in (0.5, 1.0, 2.5):
+                ref = qcalculus.jackson_derivative(f, x, qp) / a
+                res = qcalculus.chain_scaling_residual(f, a, x, qp)
+                yield _rel(res, abs(ref))
 
 
-def _run_ft_derivative_of_integral(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for _, f in _corpus(qp):
-            for x in (0.5, 1.0, 2.0, 4.0):
-                dF = qcalculus.jackson_derivative(
-                    lambda t: qcalculus.q_integral_finite(f, t, qp), x, qp)
-                worst = max(worst, _rel(abs(dF - f(x)), f(x)))
-    return worst
+def _ft_derivative_of_integral(qp):
+    for _, f in _corpus(qp):
+        for x in (0.5, 1.0, 2.0, 4.0):
+            dF = qcalculus.jackson_derivative(
+                lambda t: qcalculus.q_integral_finite(f, t, qp), x, qp)
+            yield _rel(abs(dF - f(x)), f(x))
 
 
-def _run_ft_integral_of_derivative(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for _, f in _corpus(qp):
-            for a in (1.0, 3.0, 5.0):
-                val = qcalculus.q_integral_finite(
-                    lambda t: qcalculus.jackson_derivative(f, t, qp), a, qp)
-                ref = f(a) - f(0.0)
-                worst = max(worst, _rel(abs(val - ref), abs(ref)))
-    return worst
+def _ft_integral_of_derivative(qp):
+    for _, f in _corpus(qp):
+        for a in (1.0, 3.0, 5.0):
+            val = qcalculus.q_integral_finite(
+                lambda t: qcalculus.jackson_derivative(f, t, qp), a, qp)
+            ref = f(a) - f(0.0)
+            yield _rel(abs(val - ref), abs(ref))
 
 
-def _run_ibp(qs, variant):
-    pairs = [
-        ("x,x^2", lambda x: x, lambda x: x * x),
-        ("x^2,x^3", lambda x: x * x, lambda x: x**3),
-        ("1,x", lambda x: 1.0, lambda x: x),
-    ]
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        eq = lambda x: qfunctions.q_exp(x, qp).value
-        for (_, f, g) in pairs + [("Eq,Eq", eq, eq)]:
-            for a in (1.0, 2.0):
-                res = qcalculus.integration_by_parts_residual(f, g, a, qp, variant)
-                worst = max(worst, _rel(res, abs(f(a) * g(a))))
-    return worst
-
-
-def _run_pythagoras(qs):
-    worst = 0.0
-    for q in qs:
-        for x in (-5.0, -2.5, -1.0, 0.25, 1.0, 2.5, 5.0):
-            worst = max(worst, qfunctions.q_pythagoras_residual(x, q))
-    return worst
-
-
-def _run_trig_derivative(qs, which):
-    worst = 0.0
-    for q in qs:
+def _ibp(qp, variant):
+    eq = lambda x: qfunctions.q_exp(x, qp).value
+    pairs = ((lambda x: x, lambda x: x * x), (lambda x: x * x, lambda x: x**3),
+             (lambda x: 1.0, lambda x: x), (eq, eq))
+    for f, g in pairs:
         for a in (1.0, 2.0):
-            for x in (0.3, 0.7, 1.5):
-                worst = max(worst, qfunctions.trig_derivative_residual(x, a, q, which))
-    return worst
+            res = qcalculus.integration_by_parts_residual(f, g, a, qp, variant)
+            yield _rel(res, abs(f(a) * g(a)))
 
 
-def _run_wave(qs):
-    worst = 0.0
-    for q in qs:
-        for u in ("sin", "cos", "exp"):
-            for a in (1.0, 1.2):
-                for x in (0.5, 1.0):
-                    worst = max(worst, qfunctions.wave_equation_residual(u, a, x, q))
-    return worst
+def _pythagoras(qp):
+    for x in (-5.0, -2.5, -1.0, 0.25, 1.0, 2.5, 5.0):
+        yield qfunctions.q_pythagoras_residual(x, qp)
 
 
-def _run_exp_eigen(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for a in (1.5, 0.7):
-            f = lambda t: qfunctions.q_exp(a * t, qp).value
-            for x in (0.5, 1.0, 2.0, -1.0):
-                lhs = qcalculus.jackson_derivative(f, x, qp)
-                ref = a * f(x)
-                worst = max(worst, _rel(abs(lhs - ref), abs(ref)))
-    return worst
+def _trig_derivative(qp, which):
+    for a in (1.0, 2.0):
+        for x in (0.3, 0.7, 1.5):
+            yield qfunctions.trig_derivative_residual(x, a, qp, which)
 
 
-def _run_dual_integral(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for a in (0.8, 1.5):
-            for x in (1.0, 2.0):
-                val = qcalculus.q_integral_finite(
-                    lambda y: qfunctions.q_exp(a * y, qp).value, x, qp)
-                ref = (qfunctions.q_exp(a * x, qp).value - 1.0) / a
-                worst = max(worst, _rel(abs(val - ref), abs(ref)))
-    return worst
+def _wave(qp):
+    for u in ("sin", "cos", "exp"):
+        for a in (1.0, 1.2):
+            for x in (0.5, 1.0):
+                yield qfunctions.wave_equation_residual(u, a, x, qp)
 
 
-def _run_factorial_bridge(qs):
-    worst = 0.0
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for n in range(41):
-            direct = qnum.basic_factorial(n, qp)
-            via = qnum.basic_factorial_via_shifted(n, qp)
-            worst = max(worst, abs(direct - via) / direct)
-    return worst
+def _exp_eigen(qp):
+    for a in (1.5, 0.7):
+        f = lambda t: qfunctions.q_exp(a * t, qp).value
+        for x in (0.5, 1.0, 2.0, -1.0):
+            lhs = qcalculus.jackson_derivative(f, x, qp)
+            ref = a * f(x)
+            yield _rel(abs(lhs - ref), abs(ref))
 
 
-def _run_dual_representation(qs):
-    worst = 0.0
-    points = (0.5, 2.0, 1.0 + 0.5j, -1.2, 3.0j)
-    for q in qs:
-        qp = qnum.as_qparam(q)
-        for fn in (qfunctions.q_exp, qfunctions.q_sin, qfunctions.q_cos):
-            for z in points:
-                ref = fn(z, qp).value
-                alt = fn(z, qp, representation="shifted").value
-                worst = max(worst, abs(ref - alt) / (1.0 + abs(ref)))
-    return worst
+def _dual_integral(qp):
+    for a in (0.8, 1.5):
+        for x in (1.0, 2.0):
+            val = qcalculus.q_integral_finite(
+                lambda y: qfunctions.q_exp(a * y, qp).value, x, qp)
+            ref = (qfunctions.q_exp(a * x, qp).value - 1.0) / a
+            yield _rel(abs(val - ref), abs(ref))
 
 
-def _run_fock(qs):
-    worst = 0.0
-    for q in qs:
-        for dim in (4, 8, 16):
-            res = qfock.algebra_residuals(qfock.build_ladder(dim, q))
-            for key in ("defining", "raising_commutator", "lowering_commutator",
-                        "occupancy", "occupancy_shifted"):
-                worst = max(worst, res[key])
-    return worst
+def _factorial_bridge(qp):
+    for n in range(41):
+        direct = qnum.basic_factorial(n, qp)
+        via = qnum.basic_factorial_via_shifted(n, qp)
+        yield abs(direct - via) / direct
 
 
-def _run_hermiticity(qs, parity):
+def _dual_representation(qp):
+    for fn in (qfunctions.q_exp, qfunctions.q_sin, qfunctions.q_cos):
+        for z in (0.5, 2.0, 1.0 + 0.5j, -1.2, 3.0j):
+            ref = fn(z, qp).value
+            alt = fn(z, qp, representation="shifted").value
+            yield abs(ref - alt) / (1.0 + abs(ref))
+
+
+def _fock(qp):
+    for dim in (4, 8, 16):
+        res = qfock.algebra_residuals(qfock.build_ladder(dim, qp))
+        for key in ("defining", "raising_commutator", "lowering_commutator",
+                    "occupancy", "occupancy_shifted"):
+            yield res[key]
+
+
+def _hermiticity(qp, parity):
     # Parity-pure pairs, paired in the q-inner product on both sublattices
     # (the momentum acts on the full lattice; see l2q.hermiticity_residual):
     # the defect is rounding at every q.  Generic mixed pairs are held to
     # 1e-8 by acceptance criterion 4, where the lattice edges leave a small
     # remainder that shrinks as the lattice widens.
-    worst = 0.0
-    for q in qs:
-        lat = lattice_for_q(q)
-        p = l2q.momentum_matrix(lat)
-        worst = max(worst, l2q.hermiticity_residual(p, trials=8, seed=7, parity=parity))
-    return worst
+    p = l2q.momentum_matrix(lattice_for_q(qp))
+    yield l2q.hermiticity_residual(p, trials=8, seed=7, parity=parity)
 
 
-# (name, detail, tolerance, needs_deformation, runner)
+# (name, detail, tolerance, needs_deformation, residuals at one QParam)
 _IDENTITIES = (
     ("leibniz-1", "D(fg)(x) = Df(x) g(x/q) + f(qx) Dg(x)",
-     1e-10, True, lambda qs: _run_leibniz(qs, 1)),
+     1e-10, True, lambda qp: _leibniz(qp, 1)),
     ("leibniz-2", "D(fg)(x) = Df(x) g(qx) + f(x/q) Dg(x)",
-     1e-10, True, lambda qs: _run_leibniz(qs, 2)),
-    ("chain-scaling", "D_{ax} f = (1/a) D_x f",
-     1e-12, True, _run_chain),
+     1e-10, True, lambda qp: _leibniz(qp, 2)),
+    ("chain-scaling", "D_{ax} f = (1/a) D_x f", 1e-12, True, _chain),
     ("fundamental-deriv-of-int", "D_x int_0^x f d_q t = f(x)",
-     1e-10, True, _run_ft_derivative_of_integral),
+     1e-10, True, _ft_derivative_of_integral),
     ("fundamental-int-of-deriv", "int_0^a D f d_q x = f(a) - f(0)",
-     1e-9, True, _run_ft_integral_of_derivative),
+     1e-9, True, _ft_integral_of_derivative),
     ("by-parts-shifted-q", "int f Dg = [f(qx) g]_0^a - int D[f(qx)] g(qx)",
-     1e-9, True, lambda qs: _run_ibp(qs, "shifted-q")),
+     1e-9, True, lambda qp: _ibp(qp, "shifted-q")),
     ("by-parts-shifted-qinv", "int f Dg = [f(x/q) g]_0^a - int D[f(x/q)] g(x/q)",
-     1e-9, True, lambda qs: _run_ibp(qs, "shifted-qinv")),
-    ("q-pythagoras", "S(x/q) S(x) + C(x/q) C(x) = 1",
-     1e-10, False, _run_pythagoras),
-    ("trig-deriv-sin", "D S(ax) = a C(ax)",
-     1e-10, False, lambda qs: _run_trig_derivative(qs, "sin")),
-    ("trig-deriv-cos", "D C(ax) = -a S(ax)",
-     1e-10, False, lambda qs: _run_trig_derivative(qs, "cos")),
-    ("wave-equation", "D^2 u + a^2 u = 0 for u in {S, C, E(i a x)}",
-     1e-9, False, _run_wave),
-    ("exp-eigenrelation", "D E(ax) = a E(ax)",
-     1e-10, False, _run_exp_eigen),
-    ("dual-integral", "int_0^x E(ay) d_q y = (E(ax) - 1)/a",
-     1e-9, True, _run_dual_integral),
+     1e-9, True, lambda qp: _ibp(qp, "shifted-qinv")),
+    ("q-pythagoras", "S(x/q) S(x) + C(x/q) C(x) = 1", 1e-10, False, _pythagoras),
+    ("trig-deriv-sin", "D S(ax) = a C(ax)", 1e-10, False, lambda qp: _trig_derivative(qp, "sin")),
+    ("trig-deriv-cos", "D C(ax) = -a S(ax)", 1e-10, False, lambda qp: _trig_derivative(qp, "cos")),
+    ("wave-equation", "D^2 u + a^2 u = 0 for u in {S, C, E(i a x)}", 1e-9, False, _wave),
+    ("exp-eigenrelation", "D E(ax) = a E(ax)", 1e-10, False, _exp_eigen),
+    ("dual-integral", "int_0^x E(ay) d_q y = (E(ax) - 1)/a", 1e-9, True, _dual_integral),
     ("factorial-bridge", "[n]! via (1-q^2)^n q^{n(n-1)/2} / (q^2; q^2)_n",
-     1e-12, True, _run_factorial_bridge),
+     1e-12, True, _factorial_bridge),
     ("dual-representation", "physics vs shifted-factorial series for E, S, C",
-     1e-11, True, _run_dual_representation),
+     1e-11, True, _dual_representation),
     ("fock-algebra", "a adag - q adag a = q^{-N}; [N, a] = -a; [N, adag] = adag",
-     1e-13, False, _run_fock),
+     1e-13, False, _fock),
     ("momentum-hermiticity-even",
      "<phi, p psi> = <p phi, psi>, both-sublattice q-inner product, even pairs",
-     1e-8, True, lambda qs: _run_hermiticity(qs, "even")),
+     1e-8, True, lambda qp: _hermiticity(qp, "even")),
     ("momentum-hermiticity-odd",
      "<phi, p psi> = <p phi, psi>, both-sublattice q-inner product, odd pairs",
-     1e-8, True, lambda qs: _run_hermiticity(qs, "odd")),
+     1e-8, True, lambda qp: _hermiticity(qp, "odd")),
 )
 
 
@@ -303,16 +242,19 @@ def run_verify(q_values=DEFAULT_SWEEP, tol_override: float | None = None) -> Ver
     for q in qs:
         if not (q > 0) or not math.isfinite(q):
             raise ValueError(f"q values must be finite and positive, got {q!r}")
+    qps = tuple(qnum.as_qparam(q) for q in qs)
     results = []
-    for name, detail, tol, needs_deform, runner in _IDENTITIES:
+    for name, detail, tol, needs_deform, residuals in _IDENTITIES:
         if tol_override is not None:
             tol = tol_override
-        eligible = qs if not needs_deform else tuple(
-            q for q in qs if not qnum.as_qparam(q).classical)
+        eligible = [qp for qp in qps if not (needs_deform and qp.classical)]
         if not eligible:
             results.append(IdentityResult(name, detail, float("nan"), tol, "SKIP"))
             continue
-        residual = float(runner(eligible))
+        worst = 0.0
+        for qp in eligible:
+            worst = max(worst, *residuals(qp))
+        residual = float(worst)
         status = "PASS" if residual <= tol else "FAIL"
         results.append(IdentityResult(name, detail, residual, tol, status))
     return VerifyReport(tuple(results), qs)

@@ -116,6 +116,15 @@ def test_eval_output_file(capsys, tmp_path):
     assert target.read_text() == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"
 
 
+@pytest.mark.parametrize("command", [["eval", "--fn", "Eq"], ["qderiv", "--expr", "x"]])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_points_are_usage_failure(capsys, command, value):
+    code, out, err = run(capsys, *command, "--points", "1", value)
+    assert code == 2
+    assert out == ""
+    assert err == f"basicq: usage error: bad --points value {value}: not finite\n"
+
+
 # -- qderiv ------------------------------------------------------------------
 
 def test_qderiv_matches_library(capsys):
@@ -174,6 +183,13 @@ def test_qint_divergent_integrand_is_computation_failure(capsys):
     code, _, err = run(capsys, "qint", "--expr", "Eq(x)", "--halfline", "--q", "0.5")
     assert code == 1
     assert err != ""
+
+
+def test_qint_overflowing_sum_is_computation_failure(capsys):
+    code, out, err = run(capsys, "qint", "--expr", "x", "--upper", "1e308")
+    assert code == 1
+    assert out == ""
+    assert "overflows" in err
 
 
 # -- verify ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from basicq.exprparse import (
     Num,
     Unary,
     Var,
-    pretty,
 )
 
 
@@ -161,7 +160,7 @@ def test_evaluation_error_offset_points_at_operator():
         pytest.fail("expected EvaluationError")
 
 
-# -- AST and pretty-printing -------------------------------------------------
+# -- AST and precedence -------------------------------------------------------
 
 def test_ast_shape():
     e = parse("-x^2 + sin(3*x)")
@@ -176,21 +175,25 @@ def test_ast_shape():
     assert isinstance(call, Call) and call.name == "sin" and len(call.args) == 1
 
 
-@pytest.mark.parametrize("text", [
-    "1+2*3", "(1+2)*3", "2^3^2", "-x^2", "-(x^2)", "x*q/2",
-    "sin(x)*cos(2*x)", "pow(x, 2)+Eq(q*x)", "2-3-4", "gauss(x/2)",
-    "-(x+1)", "1/(x+2)^2",
-])
-def test_pretty_reparse_fixed_point(text):
+# Each text against the same expression written in Python, with q = 0.9.
+_PRECEDENCE = [
+    ("1+2*3", lambda x, q: 7.0),
+    ("(1+2)*3", lambda x, q: 9.0),
+    ("2^3^2", lambda x, q: 512.0),
+    ("-x^2", lambda x, q: -(x**2)),
+    ("-(x^2)", lambda x, q: -(x**2)),
+    ("x*q/2", lambda x, q: x * q / 2),
+    ("sin(x)*cos(2*x)", lambda x, q: math.sin(x) * math.cos(2 * x)),
+    ("pow(x, 2)+Eq(q*x)", lambda x, q: x**2 + q_exp(q * x, q).value),
+    ("2-3-4", lambda x, q: -5.0),
+    ("gauss(x/2)", lambda x, q: math.exp(-(x / 2) ** 2)),
+    ("-(x+1)", lambda x, q: -(x + 1)),
+    ("1/(x+2)^2", lambda x, q: 1 / (x + 2) ** 2),
+]
+
+
+@pytest.mark.parametrize("text,python", _PRECEDENCE, ids=[t for t, _ in _PRECEDENCE])
+def test_parse_matches_python_expression(text, python):
     e = parse(text)
-    p = pretty(e)
-    again = parse(p)
-    assert pretty(again) == p
-    # and the canonical form evaluates identically
     for x in (0.7, 2.0):
-        assert evaluate(again, x, 0.9) == pytest.approx(evaluate(e, x, 0.9), rel=1e-15)
-
-
-def test_pretty_renders_integers_without_fraction():
-    assert pretty(parse("2*x")) == "2*x"
-    assert "2.0" not in pretty(parse("2.0*x"))
+        assert evaluate(e, x, 0.9) == pytest.approx(python(x, 0.9), rel=1e-15)

@@ -218,6 +218,12 @@ def test_truncation_flags_nonfinite_terms():
         q_integral_finite(lambda x: math.inf if x > 0.8 else 1.0, 1.0, 0.9, max_terms=500)
 
 
+def test_overflowing_sum_of_finite_terms_raises():
+    # every term q^{4n+2} a^2 is finite; their sum is not
+    with pytest.raises(ConvergenceError, match="sum of 6 finite terms overflows"):
+        q_integral_finite(lambda x: x, 1e308, 0.9)
+
+
 def test_max_terms_cap_raises():
     with pytest.raises(ConvergenceError):
         # tol = 0 can never satisfy the negligible-term rule

@@ -85,10 +85,14 @@ class TestAssembly:
             build_hamiltonian(lambda x: x * x, 0.0, 1.0, lat)
         with pytest.raises(ValueError):
             build_hamiltonian(lambda x: x * x, 1.0, -1.0, lat)
-        with pytest.raises(ValueError):
+        # the message names x as a plain float, not a numpy repr
+        x0 = float(lat.x[lat.odd_indices][0])
+        with pytest.raises(ValueError) as exc:
             build_hamiltonian(lambda x: 1j * x, 1.0, 1.0, lat)  # complex potential
-        with pytest.raises(ValueError):
+        assert str(exc.value) == f"complex potential rejected: V({x0!r}) = {1j * x0!r}"
+        with pytest.raises(ValueError) as exc:
             build_hamiltonian(lambda x: math.nan, 1.0, 1.0, lat)
+        assert str(exc.value) == f"non-finite potential value at x = {x0!r}"
 
     def test_non_finite_bands_rejected(self):
         # x*x underflows to 0 at the innermost points, so the kinetic
