@@ -172,11 +172,11 @@ def _parse_range(text: str):
     return [start + i * step for i in range(n + 1)]
 
 
-def _finite_points(points):
-    for x in points:
+def _finite(values, option):
+    for x in values:
         if not math.isfinite(x):
-            raise UsageError(f"bad --points value {x!r}: not finite")
-    return points
+            raise UsageError(f"bad {option} value {x!r}: not finite")
+    return values
 
 
 def _expr_fn(text: str, q: float):
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     if args.points is not None and args.range is not None:
         raise UsageError("--points and --range are mutually exclusive")
     if args.points is not None:
-        points = _finite_points(args.points)
+        points = _finite(args.points, "--points")
     elif args.range is not None:
         points = _parse_range(args.range)
     else:
@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
 def cmd_qderiv(args) -> int:
     f = _expr_fn(args.expr, args.q)
     rows = []
-    for x in _finite_points(args.points):
+    for x in _finite(args.points, "--points"):
         val = complex(qcalculus.jackson_derivative(f, x, args.q))
         rows.append((x, val.real, val.imag))
     _emit_table(("x", "re", "im"), rows, args.format, args.output)
@@ -226,6 +226,7 @@ def cmd_qint(args) -> int:
         val = qcalculus.q_integral_fullline(f, args.q, tol=args.tol)
     else:
         upper = args.upper if args.upper is not None else 1.0
+        _finite([upper], "--upper")
         val = qcalculus.q_integral_finite(f, upper, args.q, tol=args.tol)
     val = complex(val)
     _emit_table(("re", "im"), [(val.real, val.imag)], args.format, args.output)

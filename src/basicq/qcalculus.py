@@ -19,13 +19,19 @@ at 0.  Decay fast enough for the improper sums to converge is the caller's
 responsibility; non-convergence raises :class:`~basicq.errors.ConvergenceError`.
 
 Truncation rule shared by every series in the package (these q-integrals and
-the E/S/C series of :mod:`basicq.qfunctions`, all summed by one kernel): stop
-once 3 consecutive terms fall below ``tol`` times the running partial sum
-(default ``tol = 1e-14``), with a hard cap of 10^6 terms.
+the E/S/C series of :mod:`basicq.qfunctions`): stop once 3 consecutive terms
+fall below ``tol`` times the running partial sum (default ``tol = 1e-14``),
+with a hard cap of 10^6 terms.  A scalar argument is summed term by term; an
+array of upper limits (or of E/S/C arguments) is summed by one block kernel
+whose every element is bit for bit the scalar result.  That kernel carries
+complex values as :class:`SplitComplex`, float64 real and imaginary parts
+combined in CPython's order, because numpy's complex ``*``, ``/`` and ``abs``
+round differently from CPython's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +58,9 @@ DEFAULT_TOL = 1e-14
 MAX_TERMS = 1_000_000
 # Consecutive negligible terms required before a series is declared converged.
 _STREAK = 3
+# Terms (times rows) one block of an array sum holds at most: bounds the
+# memory of a block whatever the number of rows.
+_BLOCK_VALUES = 1 << 15
 
 
 def jackson_derivative(f, x, q):
@@ -60,20 +69,25 @@ def jackson_derivative(f, x, q):
     On the classical branch dispatches to a central finite difference with
     step ``h = cbrt(eps) * max(|x|, 1)`` (eps = double machine epsilon).
 
+    ``x`` may be an ndarray of points when ``f`` takes arrays; the stencil
+    then runs in whatever arithmetic ``f``'s values carry (a
+    :class:`SplitComplex` keeps every element bit for bit the scalar one).
+
     Raises
     ------
     ValueError
-        If ``x == 0``; the derivative at the origin is defined termwise on
-        power series, see :func:`jackson_derivative_series`.
+        If ``x == 0`` (any element); the derivative at the origin is defined
+        termwise on power series, see :func:`jackson_derivative_series`.
     """
-    if x == 0:
+    if np.any(np.equal(x, 0)):
         raise ValueError(
             "jackson_derivative is undefined at x = 0; "
             "use jackson_derivative_series for a termwise derivative at the origin"
         )
     qp = as_qparam(q)
     if qp.classical:
-        h = 6.055454452393343e-06 * max(abs(x), 1.0)  # cbrt(2^-52) * max(|x|,1)
+        scale = np.maximum(abs(x), 1.0) if isinstance(x, np.ndarray) else max(abs(x), 1.0)
+        h = 6.055454452393343e-06 * scale  # cbrt(2^-52) * max(|x|,1)
         return (f(x + h) - f(x - h)) / (2.0 * h)
     qc = qp.canonical
     return (f(qc * x) - f(x / qc)) / ((qc - 1.0 / qc) * x)
@@ -152,7 +166,7 @@ def chain_scaling_residual(f, a, x, q) -> float:
     """
     if a == 0:
         raise ValueError("chain_scaling_residual requires a != 0")
-    if x == 0:
+    if np.any(np.equal(x, 0)):
         raise ValueError("chain_scaling_residual requires x != 0")
     qp = as_qparam(q)
     qc = qp.canonical
@@ -170,6 +184,88 @@ def _real_if_real(v):
     if isinstance(v, complex) and v.imag == 0.0:
         return v.real
     return v
+
+
+class SplitComplex:
+    """Complex values as two float64 arrays, combined by CPython's formulas.
+
+    numpy's complex ``*``, ``/`` and ``abs`` round differently from CPython's
+    (about half of random products and quotients differ in the last bit).
+    The same arithmetic on the parts, in the order of CPython's complex
+    product and quotient, gives CPython's bits:
+
+    - product ``(ar*br - ai*bi, ar*bi + ai*br)``
+    - quotient by a real ``d``: ``r = 0.0/d; ((ar + ai*r)/d, (ai - ar*r)/d)``
+    - ``abs`` as ``np.hypot``
+
+    A real operand (a float or a real array) enters as ``(x, 0.0)``, as
+    CPython promotes it.  Supports ``+``, ``-``, ``*``, division by reals
+    and ``abs``; ``np.asarray`` gives the complex array.
+
+    Examples
+    --------
+    >>> z = SplitComplex(np.array([1 + 2j, 3 - 1j]))
+    >>> np.asarray(z * z / 2.0)
+    array([-1.5+2.j,  4. -3.j])
+    """
+
+    __slots__ = ("re", "im")
+    # Makes ``ndarray <op> SplitComplex`` defer to the reflected method here.
+    __array_ufunc__ = None
+
+    def __init__(self, re, im=None):
+        if im is None:
+            re, im = _parts(re)
+        self.re, self.im = re, im
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out if dtype is None else out.astype(dtype)
+
+    def __abs__(self):
+        # np.hypot(re, 0) is |re| exactly; the plain |re| is far cheaper.
+        return np.hypot(self.re, self.im) if np.any(self.im) else np.abs(self.re)
+
+    def __add__(self, other):
+        br, bi = _parts(other)
+        return SplitComplex(self.re + br, self.im + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        br, bi = _parts(other)
+        return SplitComplex(self.re - br, self.im - bi)
+
+    def __rsub__(self, other):
+        br, bi = _parts(other)
+        return SplitComplex(br - self.re, bi - self.im)
+
+    def __mul__(self, other):
+        ar, ai = self.re, self.im
+        br, bi = _parts(other)
+        return SplitComplex(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, SplitComplex) or np.iscomplexobj(other):
+            return NotImplemented
+        d = np.asarray(other, dtype=float)
+        if np.any(d == 0.0):
+            raise ZeroDivisionError("complex division by zero")
+        r = 0.0 / d
+        return SplitComplex((self.re + self.im * r) / d, (self.im - self.re * r) / d)
+
+
+def _parts(v):
+    """``(re, im)`` of a SplitComplex, or of a complex or real value or array."""
+    if isinstance(v, SplitComplex):
+        return v.re, v.im
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return v.real, v.imag
+    return np.asarray(v, dtype=float), 0.0
 
 
 def _sum_series(first, step, tol, max_terms, what):
@@ -213,13 +309,178 @@ def _sum_series(first, step, tol, max_terms, what):
     )
 
 
-def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
-    """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum."""
-    def step(n, _):
-        p = qc ** (sgn * (2 * n + 3))
-        return complex(p * f(p * a))
+def _accumulate(op, first, t, first_line=False):
+    """``op(first, t[0])``, ``op(op(first, t[0]), t[1])``, ... down axis 0, in
+    that order (a running sum or product, as a scalar loop makes it), led by
+    ``first`` itself when ``first_line``.  ``op.accumulate`` along axis 0 is
+    slow for few long lines, and a loop over lines for many short ones; both
+    combine in this order."""
+    out = np.empty((len(t) + 1,) + t.shape[1:])
+    out[0] = first
+    if not 0 < len(t) <= t.shape[1]:
+        out[1:] = t
+        op.accumulate(out, axis=0, out=out)
+    else:
+        for j in range(len(t)):
+            op(out[j], t[j], out=out[j + 1])
+    return out if first_line else out[1:]
 
-    return _sum_series(lambda: step(-1, None), step, tol, max_terms, what)[0]
+
+def _sum_blocks(terms, rows, first, tol, max_terms, what):
+    """Sum ``rows`` series at once under the rule of :func:`_sum_series`.
+
+    ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
+    ``n0 .. m-1`` of the rows ``idx``, arrays of shape ``(m - n0, len(idx))``
+    (one line per term index), the imaginary part None when every term is
+    real; ``m < n1`` means that term ``m`` overflows.
+    The first block asks for ``first`` terms and each later one for twice
+    as many, but no block for more than ``_BLOCK_VALUES`` values.  Returns
+    ``(re, im, terms_used)`` arrays of length ``rows``; each row is bit for
+    bit what :func:`_sum_series` returns for its terms, because running sums
+    are taken down the term axis in order, like ``total += t``, from the
+    carried sum per part, and magnitudes are ``np.hypot`` (CPython's complex
+    ``abs``; ``|re|`` for real terms).  A failing row raises the error
+    :func:`_sum_series` raises for it; a row's terms are checked only up to
+    its stopping index.
+    """
+    sum_re, sum_im = np.zeros(rows), np.zeros(rows)
+    used = np.zeros(rows, dtype=np.int64)
+    streak = np.zeros(rows, dtype=np.int64)
+    last = np.zeros(rows)
+    idx = np.arange(rows)
+    n0, size = 0, max(1, first)
+    with np.errstate(all="ignore"):
+        while idx.size:
+            if n0 >= max_terms:
+                j = idx[0]
+                raise ConvergenceError(
+                    f"{what}: no convergence after {max_terms} terms (last |term| = "
+                    f"{last[j]:.3e}, |sum| = {math.hypot(sum_re[j], sum_im[j]):.3e})")
+            n1 = min(n0 + max(1, min(size, _BLOCK_VALUES // idx.size)), max_terms)
+            tr, ti = terms(n0, n1, idx)
+            width = tr.shape[0]
+            if width == 0:
+                raise ConvergenceError(
+                    f"{what}: term overflow at index {n0} (divergent tail?)")
+            cr = _accumulate(np.add, sum_re[idx], tr)
+            if ti is None:  # every imaginary part and sum is 0.0
+                ti = ci = np.broadcast_to(0.0, tr.shape)
+                mag, sum_mag = np.abs(tr), np.abs(cr)
+            else:
+                ci = _accumulate(np.add, sum_im[idx], ti)
+                mag, sum_mag = np.hypot(tr, ti), np.hypot(cr, ci)
+            sum_mag *= tol
+            small = mag <= sum_mag
+            # Line j of `run`: terms j-2, j-1, j all negligible, the streak
+            # carried in from the previous block standing in for j < 2.
+            carried = streak[None, idx]
+            ext = np.concatenate((carried >= 2, carried >= 1, small))
+            run = ext[:-2] & ext[1:-1] & ext[2:]
+            stops = run.any(axis=0)
+            stop = run.argmax(axis=0)
+            # A running sum stays non-finite from the first non-finite term or
+            # overflow on, so finite last sums clear the whole block.
+            if not (np.isfinite(cr[-1]).all() and np.isfinite(ci[-1]).all()):
+                end = np.where(stops, stop, width - 1)
+                bad = ~(np.isfinite(tr) & np.isfinite(ti))
+                first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), width)
+                failing = first_bad <= end
+                if failing.any():
+                    raise ConvergenceError(
+                        f"{what}: non-finite term at index {n0 + first_bad[failing].min()} "
+                        "(divergent tail?)")
+                cols = np.arange(end.size)
+                over = stops & ~(np.isfinite(cr[end, cols]) & np.isfinite(ci[end, cols]))
+                if over.any():
+                    raise ConvergenceError(
+                        f"{what}: sum of {n0 + stop[over][0] + 1} finite terms overflows")
+            done, at = idx[stops], stop[stops]
+            cols = np.flatnonzero(stops)
+            sum_re[done], sum_im[done] = cr[at, cols], ci[at, cols]
+            used[done] = n0 + at + 1
+            if done.size == idx.size:
+                break
+            going = ~stops
+            idx = idx[going]
+            sum_re[idx], sum_im[idx] = cr[-1, going], ci[-1, going]
+            last[idx] = mag[-1, going]
+            streak[idx] = np.where(ext[-1, going], np.where(ext[-2, going], 2, 1), 0)
+            n0 += width
+            if idx.size and n0 < n1:
+                raise ConvergenceError(
+                    f"{what}: term overflow at index {n0} (divergent tail?)")
+            size *= 2
+    return sum_re, sum_im, used
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_points(qc, sgn, size):
+    """``q^{sgn (2n+1)}`` for ``n < size`` by CPython's float power, whose
+    bits the scalar sum uses (numpy's ``power`` rounds differently); cut
+    short where the power overflows.  Read-only, cached per ``(q, sgn)``.
+    """
+    out = []
+    for n in range(size):
+        try:
+            out.append(qc ** (sgn * (2 * n + 1)))
+        except OverflowError:
+            break
+    points = np.array(out, dtype=float)
+    points.flags.writeable = False
+    return points
+
+
+def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
+    """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum.
+
+    A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
+    takes arrays: every element's sum is taken at once by
+    :func:`_sum_blocks`, and the sums come back as a SplitComplex of ``a``'s
+    shape.  The first block spans the ``log(tol) / log(q^2)`` terms after
+    which ``p`` alone falls below ``tol``.
+    """
+    if not isinstance(a, np.ndarray):
+        def step(n, _):
+            p = qc ** (sgn * (2 * n + 3))
+            return complex(p * f(p * a))
+
+        return _sum_series(lambda: step(-1, None), step, tol, max_terms, what)[0]
+
+    flat = np.asarray(a, dtype=float).ravel()
+
+    def terms(n0, n1, idx):
+        size = max(64, 1 << (n1 - 1).bit_length())
+        p = _lattice_points(qc, sgn, size)[n0:n1, None]
+        x = p * flat[None, idx]
+        try:
+            v = np.asarray(f(x))
+        except OverflowError:
+            raise ConvergenceError(
+                f"{what}: term overflow at an index in [{n0}, {n1}) (divergent tail?)") from None
+        if np.iscomplexobj(v) and v.imag.any():
+            vr, vi = np.broadcast_to(v.real, x.shape), np.broadcast_to(v.imag, x.shape)
+            return p * vr - 0.0 * vi, p * vi + 0.0 * vr
+        # Real values (or imaginary parts all zero, whose signs leave the
+        # sums, begun at +0.0, alone): the terms are real.
+        return p * np.broadcast_to(np.asarray(v.real, dtype=float), x.shape), None
+
+    first = _STREAK + (math.ceil(math.log(tol) / math.log(qc * qc)) if 0.0 < tol < 1.0 else 0)
+    re, im, _ = _sum_blocks(terms, flat.size, first, tol, max_terms, what)
+    return SplitComplex(re.reshape(a.shape), im.reshape(a.shape))
+
+
+def _finite_result(v, what):
+    """An integral's value ``v``, raising ConvergenceError when it is not
+    finite.  A SplitComplex becomes a complex array whose imaginary ``-0.0``
+    reads ``0.0``, as ``complex()`` of the float a scalar integral returns."""
+    if isinstance(v, SplitComplex):
+        v = np.asarray(SplitComplex(v.re, v.im + 0.0))
+        finite = bool(np.isfinite(v).all())
+    else:
+        finite = math.isfinite(v.real) and math.isfinite(v.imag)
+    if not finite:
+        raise ConvergenceError(f"{what}: result overflows after a finite sum")
+    return v
 
 
 def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
@@ -233,15 +494,31 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     ----------
     f : callable
         Integrand, evaluated only at points ``q^{2n+1} a`` inside ``(0, a)``.
-    a : float
-        Upper limit, ``> 0``.
+        With an array ``a`` it is called with 2-D arrays of such points (one
+        line per lattice index, one column per limit) and returns an array
+        of values (real, complex or :class:`SplitComplex`).
+    a : float or ndarray
+        Upper limit, ``> 0``; an ndarray of limits gives a complex ndarray of
+        integrals of the same shape, each element bit for bit the scalar
+        result (as a complex).
     q : float or QParam
         Deformation parameter; must not be classical (the lattice collapses
         at ``q = 1``).
     tol, max_terms
         Truncation rule parameters.
+
+    Raises
+    ------
+    ConvergenceError
+        If a sum does not converge or the result overflows.
+
+    Examples
+    --------
+    >>> v = q_integral_finite(lambda x: x, np.array([1.0, 2.0]), 0.5)  # a^2 / [2]
+    >>> v.dtype, np.round(v.real, 12).tolist()
+    (dtype('complex128'), [0.4, 1.6])
     """
-    if a <= 0:
+    if np.any(np.less_equal(a, 0)):
         raise ValueError(f"q_integral_finite requires upper limit a > 0, got {a!r}")
     qp = as_qparam(q)
     if qp.classical:
@@ -249,7 +526,9 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     qc = qp.canonical
     pref = a * (1.0 / qc - qc)
     total = _lattice_sum(f, qc, a, 1, tol, max_terms, "q_integral_finite")
-    return _real_if_real(pref * total)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        value = pref * total
+    return _finite_result(_real_if_real(value), "q_integral_finite")
 
 
 def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
@@ -257,7 +536,8 @@ def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TER
 
     ``(q^-1 - q) sum_{n=-inf}^{inf} q^{2n+1} f(q^{2n+1})``; the two tails are
     truncated independently under the shared rule.  Requires decay faster
-    than ``1/x`` at infinity and q-regularity at 0.
+    than ``1/x`` at infinity and q-regularity at 0.  A result that overflows
+    raises ConvergenceError.
     """
     qp = as_qparam(q)
     if qp.classical:
@@ -267,7 +547,7 @@ def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TER
     inner = _lattice_sum(f, qc, 1.0, 1, tol, max_terms, "q_integral_halfline (x->0 tail)")
     outer = _lattice_sum(f, qc, 1.0, -1, tol, max_terms,
                          "q_integral_halfline (x->inf tail)")
-    return _real_if_real(pref * (inner + outer))
+    return _finite_result(_real_if_real(pref * (inner + outer)), "q_integral_halfline")
 
 
 def q_integral_fullline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
@@ -277,7 +557,7 @@ def q_integral_fullline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TER
     """
     plus = q_integral_halfline(f, q, tol=tol, max_terms=max_terms)
     minus = q_integral_halfline(lambda x: f(-x), q, tol=tol, max_terms=max_terms)
-    return plus + minus
+    return _finite_result(plus + minus, "q_integral_fullline")
 
 
 def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q",

@@ -11,17 +11,22 @@ Residuals are relative to a term-magnitude scale (1 + |reference|) except
 where a contract pins the absolute value.
 
 To add an identity, write a generator ``residuals(qp)`` that yields its
-residuals at one :class:`~basicq.qnum.QParam` and append a row
-``(name, detail, tolerance, needs_deformation, residuals)`` to
-``_IDENTITIES``; :func:`run_verify` alone sweeps q and keeps the worst.
+residuals (floats or arrays) at one :class:`~basicq.qnum.QParam` and append
+a row ``(name, detail, tolerance, needs_deformation, residuals)`` to
+``_IDENTITIES``; :func:`run_verify` alone sweeps q and keeps the worst.  A
+NaN residual makes its row FAIL, with ``max_residual`` NaN.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import l2q, qcalculus, qfock, qfunctions, qnum
+from .qcalculus import DEFAULT_TOL, SplitComplex
 
 __all__ = ["IdentityResult", "VerifyReport", "run_verify", "DEFAULT_SWEEP", "lattice_for_q"]
 
@@ -67,62 +72,106 @@ def _rel(res: float, ref: float) -> float:
     return res / (1.0 + abs(ref))
 
 
-# Smooth function corpus for the calculus identities.  Each entry returns a
-# fresh callable for the given q (the deformed exponential depends on it).
+def _pypow(x, n):
+    """``x**n`` per element by CPython's float power, as the scalar
+    identities computed it (numpy's ``power`` rounds differently)."""
+    x = np.asarray(x, dtype=float)
+    powers = map(pow, x.ravel().tolist(), itertools.repeat(n))
+    return np.fromiter(powers, float, x.size).reshape(x.shape)
+
+
+def _gauss(x):
+    """``exp(-min(x^2, 700))`` per element by ``math.exp`` (numpy's ``exp``
+    rounds differently)."""
+    x = np.asarray(x, dtype=float)
+    arg = (-np.minimum(x * x, 700.0)).ravel().tolist()
+    return np.fromiter(map(math.exp, arg), float, x.size).reshape(x.shape)
+
+
+def _exp(qp, scale=1.0):
+    """``x -> E_q(scale x)`` on arrays, each distinct argument array summed
+    once (an identity evaluates its functions at the same points several
+    times).  It calls the E/S/C array kernel directly: ``bench/tracing.py``
+    adds each public ``q_exp`` call's ``terms_used`` to an integer counter,
+    which an array would break."""
+    seen = {}
+
+    def eq(x):
+        z = np.asarray(scale * x, dtype=float)
+        key = (z.shape, z.tobytes())
+        if key not in seen:
+            seen[key] = SplitComplex(qfunctions._physics_arrays("exp", z, qp, DEFAULT_TOL)[0])
+        return seen[key]
+
+    return eq
+
+
+def _real(fn):
+    return lambda x: SplitComplex(fn(x))
+
+
+# Smooth function corpus for the calculus identities.  Each entry maps an
+# array of points to a SplitComplex of values, so every identity below is
+# one array expression per q whose elements are bit for bit the scalar
+# ones; the deformed exponential depends on q.
 def _corpus(qp):
     return [
-        ("x^2", lambda x: x * x),
-        ("x^3", lambda x: x**3),
-        ("poly8", lambda x: 1 + x + 0.5 * x**4 + 0.125 * x**8),
-        ("Eq(0.5x)", lambda x: qfunctions.q_exp(0.5 * x, qp).value),
-        ("gauss", lambda x: math.exp(-min(x * x, 700.0))),
+        ("x^2", _real(lambda x: x * x)),
+        ("x^3", _real(lambda x: _pypow(x, 3))),
+        ("poly8", _real(lambda x: 1 + x + 0.5 * _pypow(x, 4) + 0.125 * _pypow(x, 8))),
+        ("Eq(0.5x)", _exp(qp, 0.5)),
+        ("gauss", _real(_gauss)),
     ]
 
 
 def _leibniz(qp, variant):
     fns = _corpus(qp)
+    x = np.array([0.3, 0.7, 1.0, 2.0, 5.0])
     for _, f in fns[:4]:
         for _, g in fns[1:4]:
-            for x in (0.3, 0.7, 1.0, 2.0, 5.0):
-                lhs = qcalculus.jackson_derivative(lambda t: f(t) * g(t), x, qp)
-                res = qcalculus.q_leibniz_residual(f, g, x, qp, variant)
-                yield _rel(res, abs(lhs))
+            lhs = qcalculus.jackson_derivative(lambda t: f(t) * g(t), x, qp)
+            res = qcalculus.q_leibniz_residual(f, g, x, qp, variant)
+            yield _rel(res, abs(lhs))
 
 
 def _chain(qp):
+    x = np.array([0.5, 1.0, 2.5])
     for _, f in _corpus(qp)[:3]:
         for a in (2.0, -1.0, 0.5):
-            for x in (0.5, 1.0, 2.5):
-                ref = qcalculus.jackson_derivative(f, x, qp) / a
-                res = qcalculus.chain_scaling_residual(f, a, x, qp)
-                yield _rel(res, abs(ref))
+            ref = qcalculus.jackson_derivative(f, x, qp) / a
+            res = qcalculus.chain_scaling_residual(f, a, x, qp)
+            yield _rel(res, abs(ref))
+
+
+def _integral(f, qp):
+    """``t -> int_0^t f d_q x`` on arrays of upper limits."""
+    return lambda t: SplitComplex(qcalculus.q_integral_finite(f, t, qp))
 
 
 def _ft_derivative_of_integral(qp):
+    x = np.array([0.5, 1.0, 2.0, 4.0])
     for _, f in _corpus(qp):
-        for x in (0.5, 1.0, 2.0, 4.0):
-            dF = qcalculus.jackson_derivative(
-                lambda t: qcalculus.q_integral_finite(f, t, qp), x, qp)
-            yield _rel(abs(dF - f(x)), f(x))
+        dF = qcalculus.jackson_derivative(_integral(f, qp), x, qp)
+        yield _rel(abs(dF - f(x)), f(x))
 
 
 def _ft_integral_of_derivative(qp):
+    a = np.array([1.0, 3.0, 5.0])
     for _, f in _corpus(qp):
-        for a in (1.0, 3.0, 5.0):
-            val = qcalculus.q_integral_finite(
-                lambda t: qcalculus.jackson_derivative(f, t, qp), a, qp)
-            ref = f(a) - f(0.0)
-            yield _rel(abs(val - ref), abs(ref))
+        val = _integral(lambda t: qcalculus.jackson_derivative(f, t, qp), qp)(a)
+        ref = f(a) - f(0.0)
+        yield _rel(abs(val - ref), abs(ref))
 
 
 def _ibp(qp, variant):
-    eq = lambda x: qfunctions.q_exp(x, qp).value
-    pairs = ((lambda x: x, lambda x: x * x), (lambda x: x * x, lambda x: x**3),
-             (lambda x: 1.0, lambda x: x), (eq, eq))
+    eq = _exp(qp)
+    pairs = ((_real(lambda x: x), _real(lambda x: x * x)),
+             (_real(lambda x: x * x), _real(lambda x: _pypow(x, 3))),
+             (_real(np.ones_like), _real(lambda x: x)), (eq, eq))
+    a = np.array([1.0, 2.0])
     for f, g in pairs:
-        for a in (1.0, 2.0):
-            res = qcalculus.integration_by_parts_residual(f, g, a, qp, variant)
-            yield _rel(res, abs(f(a) * g(a)))
+        res = qcalculus.integration_by_parts_residual(f, g, a, qp, variant)
+        yield _rel(res, abs(f(a) * g(a)))
 
 
 def _pythagoras(qp):
@@ -153,12 +202,12 @@ def _exp_eigen(qp):
 
 
 def _dual_integral(qp):
+    x = np.array([1.0, 2.0])
     for a in (0.8, 1.5):
-        for x in (1.0, 2.0):
-            val = qcalculus.q_integral_finite(
-                lambda y: qfunctions.q_exp(a * y, qp).value, x, qp)
-            ref = (qfunctions.q_exp(a * x, qp).value - 1.0) / a
-            yield _rel(abs(val - ref), abs(ref))
+        eq = _exp(qp, a)
+        val = _integral(eq, qp)(x)
+        ref = (eq(x) - 1.0) / a
+        yield _rel(abs(val - ref), abs(ref))
 
 
 def _factorial_bridge(qp):
@@ -251,10 +300,9 @@ def run_verify(q_values=DEFAULT_SWEEP, tol_override: float | None = None) -> Ver
         if not eligible:
             results.append(IdentityResult(name, detail, float("nan"), tol, "SKIP"))
             continue
-        worst = 0.0
-        for qp in eligible:
-            worst = max(worst, *residuals(qp))
-        residual = float(worst)
+        values = np.concatenate([np.ravel(r) for qp in eligible for r in residuals(qp)])
+        # A NaN residual fails its row: the worst residual is then unknown.
+        residual = float("nan") if np.isnan(values).any() else float(values.max(initial=0.0))
         status = "PASS" if residual <= tol else "FAIL"
         results.append(IdentityResult(name, detail, residual, tol, status))
     return VerifyReport(tuple(results), qs)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from basicq import cli, exprparse
@@ -43,3 +45,16 @@ def test_cli_evaluates_expressions_through_the_module_attribute(capsys, monkeypa
     assert cli.main(["qint", "--expr", "x", "--upper", "1"]) == 0
     capsys.readouterr()
     assert len(calls) > 10
+
+
+def test_import_basicq_lists_scipy_linalg_in_importtime():
+    # bench/run.py reads import.scipy_linalg_s from this output and turns a
+    # missing line into NaN, which makes its last line invalid JSON.  So
+    # `import basicq` keeps loading scipy.linalg until a benchmark change
+    # reports an absent import as 0; this test goes with that change, which
+    # unblocks the lazy scipy import (ROADMAP item 1).
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import basicq"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    names = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+    assert "scipy.linalg" in names

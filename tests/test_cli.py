@@ -192,6 +192,22 @@ def test_qint_overflowing_sum_is_computation_failure(capsys):
     assert "overflows" in err
 
 
+def test_qint_overflowing_result_is_computation_failure(capsys):
+    # the sum is finite; the prefactor times it is not
+    code, out, err = run(capsys, "qint", "--expr", "x", "--upper", "1e307")
+    assert code == 1
+    assert out == ""
+    assert err == "basicq: error: q_integral_finite: result overflows after a finite sum\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_qint_non_finite_upper_is_usage_failure(capsys, value):
+    code, out, err = run(capsys, "qint", "--expr", "x", "--upper", value)
+    assert code == 2
+    assert out == ""
+    assert err == f"basicq: usage error: bad --upper value {value}: not finite\n"
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_default_exits_zero(capsys):

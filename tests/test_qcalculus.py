@@ -11,12 +11,16 @@ from basicq import (
     ConvergenceError,
     basic_number,
     jackson_derivative,
+    q_exp,
     q_integral_finite,
     q_integral_fullline,
     q_integral_halfline,
+    qcalculus,
 )
 from basicq.qcalculus import (
     PowerSeries,
+    SplitComplex,
+    _lattice_sum,
     chain_scaling_residual,
     integration_by_parts_residual,
     jackson_derivative_series,
@@ -259,3 +263,98 @@ def test_integration_by_parts(q, variant):
 def test_integration_by_parts_rejects_unknown_variant():
     with pytest.raises(ValueError):
         integration_by_parts_residual(lambda t: t, lambda t: t, 1.0, 0.9, variant="left")
+
+
+# -- arrays of upper limits: bit for bit the scalar integral --------------------
+
+def _bits(value):
+    v = complex(value)
+    return (np.float64(v.real).view(np.int64), np.float64(v.imag).view(np.int64))
+
+
+def _pypow(x, n):
+    return np.array([v ** n for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _pygauss(x):
+    return np.array([math.exp(-v * v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+UPPERS = np.array([0.1, 0.5, 1.0, 2.0, 3.7, 5.0])
+
+
+def _integrands(q):
+    """(name, scalar integrand, array integrand computing the same floats)."""
+    return [
+        ("poly", lambda x: 1 + x + 0.5 * x ** 4, lambda x: 1 + x + 0.5 * _pypow(x, 4)),
+        ("Eq", lambda x: q_exp(0.5 * x, q).value, lambda x: q_exp(0.5 * x, q).value),
+        ("Eq(ix)", lambda x: q_exp(1j * x, q).value, lambda x: q_exp(1j * x, q).value),
+        ("gauss", lambda x: math.exp(-x * x), _pygauss),
+        ("const", lambda x: 1.0, lambda x: 1.0),
+    ]
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3])
+def test_array_of_upper_limits_matches_scalar_bit_for_bit(q):
+    for name, scalar, array in _integrands(q):
+        got = q_integral_finite(array, UPPERS, q)
+        assert got.dtype == complex and got.shape == UPPERS.shape
+        for a, value in zip(UPPERS, got):
+            assert _bits(value) == _bits(q_integral_finite(scalar, a, q)), (name, q, a)
+
+
+def test_array_of_upper_limits_in_small_blocks_matches_scalar(monkeypatch):
+    # blocks of a few lattice terms carry the sums and streaks between blocks
+    monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 13)
+    for name, scalar, array in _integrands(0.9):
+        got = q_integral_finite(array, UPPERS, 0.9)
+        for a, value in zip(UPPERS, got):
+            assert _bits(value) == _bits(q_integral_finite(scalar, a, 0.9)), (name, a)
+
+
+@pytest.mark.parametrize("sgn", [1, -1])
+def test_block_lattice_sum_matches_scalar_on_both_tails(sgn):
+    # the half-line tails share the lattice sum; sgn -1 walks outward
+    qc = 0.9
+    scalar = _lattice_sum(lambda x: x * math.exp(-x * x), qc, 1.0, sgn, 1e-14, 10**6, "t")
+    block = _lattice_sum(lambda x: x * _pygauss(x), qc, np.array([1.0, 1.5]), sgn,
+                         1e-14, 10**6, "t")
+    assert _bits(complex(block.re[0], block.im[0])) == _bits(scalar)
+
+
+def test_array_of_upper_limits_raises_like_the_scalar_call():
+    with pytest.raises(ValueError, match="a > 0"):
+        q_integral_finite(lambda x: x, np.array([1.0, 0.0]), 0.9)
+    with pytest.raises(ConvergenceError, match="non-finite term at index 0"):
+        q_integral_finite(lambda x: x, np.array([1.0, np.nan]), 0.9)
+    with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
+        q_integral_finite(lambda x: x, np.array([1.0]), 0.9, tol=0.0, max_terms=50)
+
+
+def test_split_complex_arithmetic_is_cpythons():
+    rng = np.random.default_rng(7)
+    parts = rng.standard_normal((4, 2000)) * 10.0 ** rng.integers(-8, 8, (4, 2000))
+    a, b = SplitComplex(parts[0], parts[1]), SplitComplex(parts[2], parts[3])
+    d = parts[2]
+    got = {"mul": a * b, "rmul": d * a, "div": a / d, "add": a + b, "rsub": d - a}
+    for k in range(parts.shape[1]):
+        x, y = complex(parts[0, k], parts[1, k]), complex(parts[2, k], parts[3, k])
+        want = {"mul": x * y, "rmul": d[k] * x, "div": x / d[k], "add": x + y, "rsub": d[k] - x}
+        for op, w in want.items():
+            assert _bits(complex(got[op].re[k], got[op].im[k])) == _bits(w), op
+        assert abs(a)[k] == abs(x)
+
+
+def test_overflowing_result_raises():
+    # the sum is finite; the prefactor a (1/q - q) times it is not
+    with pytest.raises(ConvergenceError, match="result overflows"):
+        q_integral_finite(lambda x: x, 1e307, 0.9)
+    with pytest.raises(ConvergenceError, match="result overflows"):
+        q_integral_finite(lambda x: x, np.array([1.0, 1e307]), 0.9)
+    with pytest.raises(ConvergenceError, match="q_integral_halfline: result overflows"):
+        q_integral_halfline(lambda x: 1e308 * math.exp(-x * x / 4.0), 0.5)
+    # each half-line is finite, their sum is not
+    f = lambda x: 1.7e308 * math.exp(-x * x)
+    assert math.isfinite(q_integral_halfline(f, 0.5))
+    with pytest.raises(ConvergenceError, match="q_integral_fullline: result overflows"):
+        q_integral_fullline(f, 0.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from basicq import (
@@ -15,6 +16,7 @@ from basicq import (
     q_cos,
     q_exp,
     q_sin,
+    qcalculus,
 )
 from basicq.qfunctions import (
     q_pythagoras_residual,
@@ -172,3 +174,66 @@ def test_overflow_diagnosed_as_convergence_failure():
     # terms of exp(1e8) leave double range long before they shrink
     with pytest.raises(ConvergenceError):
         q_exp(1e8, 1.0)
+
+
+# -- array arguments: bit for bit the scalar call ------------------------------
+
+def _bits(value):
+    """The float64 bit patterns of a complex value's parts, -0.0 kept apart from 0.0."""
+    v = complex(value)
+    return (np.float64(v.real).view(np.int64), np.float64(v.imag).view(np.int64))
+
+
+# A real array takes the kernel's real path, an array with any imaginary
+# part the complex one.
+REAL_Z = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0, -0.0, 1e-300, -1e-300]])
+ARRAY_Z = {
+    "real": REAL_Z,
+    "complex": np.concatenate([
+        REAL_Z,
+        [20j, -20j, complex(0.0, -0.0), complex(-0.0, -0.0)],
+        (np.linspace(-6.0, 6.0, 7)[:, None] + 1j * np.linspace(-6.0, 6.0, 7)[None, :]).ravel(),
+    ]),
+}
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3, 1.0])
+@pytest.mark.parametrize("fn", [q_exp, q_sin, q_cos])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_array_argument_matches_scalar_bit_for_bit(kind, fn, q):
+    zs = ARRAY_Z[kind]
+    got = fn(zs, q)
+    assert got.value.shape == zs.shape and got.terms_used.shape == zs.shape
+    assert got.representation == "physics-series"
+    for z, value, terms in zip(zs, got.value, got.terms_used):
+        want = fn(complex(z), q)
+        assert _bits(value) == _bits(want.value), (fn.__name__, q, z)
+        assert terms == want.terms_used, (fn.__name__, q, z)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.99])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_array_argument_in_small_blocks_matches_scalar(monkeypatch, kind, q):
+    # blocks of one to a few terms carry the sums and streaks between blocks
+    monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 97)
+    zs = ARRAY_Z[kind]
+    for fn in (q_exp, q_sin, q_cos):
+        got = fn(zs, q)
+        for z, value, terms in zip(zs, got.value, got.terms_used):
+            want = fn(complex(z), q)
+            assert (_bits(value), terms) == (_bits(want.value), want.terms_used)
+
+
+def test_array_argument_keeps_shape_and_rejects_shifted():
+    z = np.array([[0.5, 1.0], [2.0, -1.0]])
+    assert q_cos(z, 0.9).value.shape == (2, 2)
+    with pytest.raises(ValueError, match="representation='physics'"):
+        q_exp(z, 0.9, representation="shifted")
+
+
+def test_array_argument_raises_like_the_scalar_call():
+    # terms of E_q(1e200) overflow at index 2 in both paths
+    with pytest.raises(ConvergenceError, match="non-finite term at index 2"):
+        q_exp(1e200, 0.9)
+    with pytest.raises(ConvergenceError, match="non-finite term at index 2"):
+        q_exp(np.array([1.0, 1e200]), 0.9)
