@@ -152,6 +152,10 @@ def _write_out(text: str, path: str | None):
             fh.write(text)
 
 
+# Points a --range may hold: a million scalar series take about a minute.
+_MAX_POINTS = 10**6
+
+
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -165,10 +169,12 @@ def _parse_range(text: str):
     if (stop - start) * step < 0:
         raise UsageError(f"--range step walks away from stop in {text!r}")
     # Inclusive endpoint: 0:2:0.1 yields 21 points despite float rounding.
-    n = int(round((stop - start) / step))
+    n = int(round(min((stop - start) / step, _MAX_POINTS + 1)))
     direction = 1.0 if step > 0 else -1.0
     while n > 0 and (start + n * step - stop) * direction > abs(step) * 1e-9:
         n -= 1
+    if n >= _MAX_POINTS:
+        raise UsageError(f"--range {text!r} holds more than {_MAX_POINTS} points")
     return [start + i * step for i in range(n + 1)]
 
 

@@ -199,8 +199,8 @@ class SplitComplex:
     - ``abs`` as ``np.hypot``
 
     A real operand (a float or a real array) enters as ``(x, 0.0)``, as
-    CPython promotes it.  Supports ``+``, ``-``, ``*``, division by reals
-    and ``abs``; ``np.asarray`` gives the complex array.
+    CPython promotes it.  Supports ``+``, ``-`` (also unary), ``*``,
+    division by reals and ``abs``; ``np.asarray`` gives the complex array.
 
     Examples
     --------
@@ -232,6 +232,9 @@ class SplitComplex:
         return SplitComplex(self.re + br, self.im + bi)
 
     __radd__ = __add__
+
+    def __neg__(self):
+        return SplitComplex(-self.re, -self.im)
 
     def __sub__(self, other):
         br, bi = _parts(other)

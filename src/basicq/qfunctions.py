@@ -18,12 +18,15 @@ reciprocal factorials with Pochhammer products,
 kept as an independent arithmetic route (``representation="shifted"``) used
 only to cross-validate the physics series; it requires ``q != 1``.
 
-The physics series also take an ndarray ``z``: every element is summed at
-once by the block kernel of :mod:`basicq.qcalculus`, bit for bit equal in
-value and ``terms_used`` to the scalar call.  Both routes divide by basic
-numbers ``[k]`` from one table per ``q``, built by :func:`basic_number`.
+Each series is read from one table, ``_SERIES``: ``t_0 = z`` (S) or 1, and
+``t_n = t_{n-1} r_n`` with ``r_n = w / d_n`` (physics; ``w = z`` for E and
+``-z^2`` for S, C; ``d_n`` a product of basic numbers ``[k]``) or
+``((w A) q^{p_n}) / D_n`` (shifted).  A scalar ``z`` is summed term by term;
+an ndarray ``z``, in either representation, by the block kernel of
+:mod:`basicq.qcalculus`, each element bit for bit the scalar call.
 
-Deformed trig identities verified here as residual diagnostics:
+Deformed trig identities verified here as residual diagnostics, at a scalar
+or at every element of an ndarray ``x``:
 
     S_q(x/q) S_q(x) + C_q(x/q) C_q(x) = 1              (q-Pythagoras)
     D S_q(a x) = a C_q(a x),  D C_q(a x) = -a S_q(a x)
@@ -34,10 +37,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcalculus import DEFAULT_TOL, MAX_TERMS, _accumulate, _sum_blocks, _sum_series
+from .qcalculus import DEFAULT_TOL, MAX_TERMS, SplitComplex, jackson_derivative
+from .qcalculus import _accumulate, _sum_blocks, _sum_series
 from .qnum import as_qparam, basic_number
 
 __all__ = [
@@ -66,17 +71,33 @@ class QSpecialValue:
         ``"physics-series"`` or ``"shifted-factorial-series"``.
     """
 
-    value: complex
-    terms_used: int
+    value: complex | np.ndarray
+    terms_used: int | np.ndarray
     representation: str
 
 
-def _check_representation(rep, qp, what):
-    if rep not in ("physics", "shifted"):
-        raise ValueError(f"{what}: representation must be 'physics' or 'shifted', got {rep!r}")
-    if rep == "shifted" and qp.classical:
-        raise ValueError(f"{what}: shifted-factorial representation requires q != 1")
+class _Series(NamedTuple):
+    odd: bool  # S: t_0 = z, and S_q(0) = 0 in one term; E, C: t_0 = 1
+    squared: bool  # w = -(z*z) for S and C, z for E; A = (1-q^2)^2 or (1-q^2)
+    d: Callable  # (b, n) -> d_n from b(k) = [k]
+    shifted: Callable  # (qc, q2, n) -> (q^{p_n}, D_n), q2 = qc*qc
 
+
+# The term ratio r_n of each series, in the order of operations every sum,
+# scalar or array, follows: w / d_n (physics), ((w * A) * q^{p_n}) / D_n
+# (shifted).
+_SERIES = {
+    "exp": _Series(False, False, lambda b, n: b(n),
+                   lambda qc, q2, n: (qc ** (n - 1), 1.0 - q2 ** n)),
+    "sin": _Series(True, True, lambda b, n: b(2 * n) * b(2 * n + 1),
+                   lambda qc, q2, n: (qc ** (4 * n - 1),
+                                      (1.0 - qc ** (4 * n)) * (1.0 - qc ** (4 * n + 2)))),
+    "cos": _Series(False, True, lambda b, n: b(2 * n - 1) * b(2 * n),
+                   lambda qc, q2, n: (qc ** (4 * n - 3),
+                                      (1.0 - qc ** (4 * n - 2)) * (1.0 - qc ** (4 * n)))),
+}
+
+_LABELS = {"physics": "physics-series", "shifted": "shifted-factorial-series"}
 
 # Basic numbers a scalar series reads from the table; past it, it calls
 # basic_number, which raises where [k] overflows.
@@ -96,54 +117,92 @@ def _bracket_table(qp, size):
     return tuple(out)
 
 
-def _bracket(qp):
-    """``k -> [k]`` for a scalar series, from the table while it lasts."""
-    table = _bracket_table(qp, _TABLE_SIZE)
-    n = len(table)
-    return lambda k: table[k] if k < n else basic_number(k, qp)
+@functools.lru_cache(maxsize=48)
+def _denominators(qp, kind, size):
+    """``(None, d_1, d_2, ...)`` of the physics series ``kind`` for every ``n``
+    whose basic numbers lie in ``_bracket_table(qp, size)``, so cut short
+    where ``[k]`` overflows."""
+    d, b = _SERIES[kind].d, _bracket_table(qp, size).__getitem__
+    out = [None]
+    try:
+        while True:
+            out.append(d(b, len(out)))
+    except IndexError:
+        return tuple(out)
 
 
-# Term ratio t_n / t_{n-1} = w / d_n of each physics series: d_n from the
-# table b of basic numbers, and the largest k whose [k] it reads.
-_DENOMINATOR = {
-    "exp": (lambda b, n: b[n], lambda n: n),
-    "sin": (lambda b, n: b[2 * n] * b[2 * n + 1], lambda n: 2 * n + 1),
-    "cos": (lambda b, n: b[2 * n - 1] * b[2 * n], lambda n: 2 * n),
-}
+def _shifted(series, qp, ns):
+    """Arrays of ``q^{p_n}`` and ``D_n`` of the shifted ``series``, ``n`` in ``ns``."""
+    qc = qp.canonical
+    return np.array([series.shifted(qc, qc * qc, n) for n in ns], dtype=float).reshape(-1, 2).T
 
 
-@functools.lru_cache(maxsize=16)
-def _log_denominators(qp, kind):
-    """``log(d_1 ... d_n)`` of the physics series ``kind`` for the terms the
-    scalar table covers; sizes the first block of :func:`_physics_arrays`."""
-    denominator, top = _DENOMINATOR[kind]
-    table = _bracket_table(qp, _TABLE_SIZE)
-    ds = [denominator(table, n) for n in range(1, len(table)) if top(n) < len(table)]
-    return np.cumsum(np.log(ds))
+@functools.lru_cache(maxsize=48)
+def _log_gains(qp, kind, representation):
+    """``log |r_1 ... r_n / w'^n|`` (``w' = w`` or ``w A``) for the first
+    ``_TABLE_SIZE`` terms at most; sizes the first block of an array sum."""
+    with np.errstate(divide="ignore"):
+        if representation == "physics":
+            return np.cumsum(-np.log(_denominators(qp, kind, _TABLE_SIZE)[1:]))
+        s, d = _shifted(_SERIES[kind], qp, range(1, _TABLE_SIZE))
+        return np.cumsum(np.log(s) - np.log(d))
 
 
-def _physics_arrays(kind, z, qp, tol):
-    """The physics series of ``kind`` ("exp", "sin", "cos") at every element of ``z``.
+def _numerator(series, z, qp, representation):
+    """``w`` (physics) or ``w * A`` (shifted) of a complex or SplitComplex ``z``."""
+    w = -(z * z) if series.squared else z
+    if representation == "physics":
+        return w
+    q2 = qp.canonical * qp.canonical
+    return w * ((1.0 - q2) ** 2 if series.squared else 1.0 - q2)
 
-    Returns ``(value, terms_used)`` arrays of ``z``'s shape.  The terms follow
-    the scalar recurrence ``t_n = t_{n-1} * (w / d_n)`` (``w`` is ``z`` or
-    ``-z^2``) on float64 parts in CPython's order and are summed by
+
+def _series(kind, z, qp, tol, representation):
+    """The series ``kind`` ("exp", "sin", "cos") at a scalar ``z``, summed by
+    :func:`_sum_series`, or at an ndarray ``z``, by :func:`_sum_arrays`."""
+    if representation not in _LABELS:
+        raise ValueError(f"q_{kind}: representation must be 'physics' or 'shifted', "
+                         f"got {representation!r}")
+    if representation == "shifted" and qp.classical:
+        raise ValueError(f"q_{kind}: shifted-factorial representation requires q != 1")
+    label = _LABELS[representation]
+    if isinstance(z, np.ndarray):
+        return QSpecialValue(*_sum_arrays(kind, z, qp, tol, representation), label)
+    series = _SERIES[kind]
+    z = complex(z)
+    if series.odd and z == 0:
+        return QSpecialValue(0.0 + 0.0j, 1, label)
+    w = _numerator(series, z, qp, representation)
+    # t_{k+1} = t_k r_{k+1}; d_n from the table while it lasts.
+    if representation == "physics":
+        c = _denominators(qp, kind, _TABLE_SIZE)
+        top, b = len(c) - 1, lambda k: basic_number(k, qp)
+        step = lambda k, t: t * (w / (c[k + 1] if k < top else series.d(b, k + 1)))
+    else:
+        qc, ratio = qp.canonical, lambda s, d: (w * s) / d
+        step = lambda k, t: t * ratio(*series.shifted(qc, qc * qc, k + 1))
+    value, n = _sum_series(lambda: z if series.odd else 1.0 + 0j, step, tol, MAX_TERMS,
+                           "q_" + kind)
+    return QSpecialValue(value, n, label)
+
+
+def _sum_arrays(kind, z, qp, tol, representation):
+    """The series ``kind`` at every element of the ndarray ``z``.
+
+    Returns ``(value, terms_used)`` arrays of ``z``'s shape.  The ratios
+    ``r_n`` and the running products ``t_n = t_{n-1} r_n`` are taken on
+    float64 parts in CPython's order (:class:`SplitComplex`) and summed by
     :func:`_sum_blocks`, so each element is bit for bit the scalar call,
     ``-0.0`` included.
     """
+    series = _SERIES[kind]
     z = np.asarray(z, dtype=complex)
     zr, zi = z.real.ravel(), z.imag.ravel()
-    if kind == "exp":
-        wr, wi = zr, zi
-    else:  # -(z*z), the complex product negated; overflow is reported by the sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            wr, wi = -(zr * zr - zi * zi), -(zr * zi + zi * zr)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by the sum
+        w = _numerator(series, SplitComplex(zr, zi), qp, representation)
+    wr, wi = w.re, w.im
     # The latest term of every element.
-    if kind == "sin":
-        t_re, t_im = zr.copy(), zi.copy()
-    else:
-        t_re, t_im = np.ones(zr.shape), np.zeros(zr.shape)
-    denominator, top = _DENOMINATOR[kind]
+    t_re, t_im = (zr.copy(), zi.copy()) if series.odd else (np.ones(zr.shape), np.zeros(zr.shape))
     # For real z every term's imaginary part is a signed zero, and so is
     # ti*qi; tr*qr alone then gives every term and sum of the complex
     # recurrence (zero signs aside, which leave the sums, begun at +0.0,
@@ -151,52 +210,45 @@ def _physics_arrays(kind, z, qp, tol):
     real = not zi.any()
 
     def terms(n0, n1, idx):
-        table = _bracket_table(qp, max(_TABLE_SIZE, 1 << top(n1).bit_length()))
-        while n1 > n0 and top(n1 - 1) >= len(table):  # [k] overflows: end before that term
-            n1 -= 1
-        ks = range(max(n0, 1), n1)
-        d = np.array([denominator(table, n) for n in ks])[:, None]
-        w_re, w_im = wr[None, idx], wi[None, idx]
+        w = wr[None, idx] if real else SplitComplex(wr[None, idx], wi[None, idx])
+        if representation == "physics":
+            c = _denominators(qp, kind, max(_TABLE_SIZE, 1 << (2 * n1).bit_length()))
+            n1 = max(n0, min(n1, len(c)))  # [k] overflows: end before that term
+            r = w / np.array(c[max(n0, 1):n1], dtype=float)[:, None]
+        else:
+            s, d = _shifted(series, qp, range(max(n0, 1), n1))
+            r = (w * s[:, None]) / d[:, None]
         tr, ti = t_re[idx], t_im[idx]
-        if real:  # terms: the running product of the ratios w / d_n
-            out = _accumulate(np.multiply, tr, w_re / d, first_line=n0 == 0)
+        if real:  # terms: the running product of the ratios
+            out = _accumulate(np.multiply, tr, r, first_line=n0 == 0)
             if len(out):
                 t_re[idx] = out[-1]
             return out, None
-        # The ratios w / d_n of all lines at once, then the products in order.
-        r = 0.0 / d
-        q_re, q_im = (w_re + w_im * r) / d, (w_im - w_re * r) / d
         out_re, out_im = np.empty((n1 - n0, idx.size)), np.empty((n1 - n0, idx.size))
         if n0 == 0:
             out_re[0], out_im[0] = tr, ti
-        for line, qr, qi in zip(range(n1 - n0 - len(ks), n1 - n0), q_re, q_im):
+        for line, qr, qi in zip(range(1 if n0 == 0 else 0, n1 - n0), r.re, r.im):
             np.subtract(tr * qr, ti * qi, out=out_re[line])
             np.add(tr * qi, ti * qr, out=out_im[line])
             tr, ti = out_re[line], out_im[line]
         t_re[idx], t_im[idx] = tr, ti
         return out_re, out_im
 
-    # First block: the terms until |w|^n / (d_1 ... d_n) for the largest |w|
-    # falls below tol, plus the 3-term streak.
-    logs = _log_denominators(qp, kind)
+    # First block: the terms until |w'|^n |r_1 ... r_n / w'^n| for the
+    # largest |w'| falls below tol, plus the 3-term streak.
+    logs = _log_gains(qp, kind, representation)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(np.hypot(wr, wi).max(initial=0.0))
-    log_terms = np.arange(1, len(logs) + 1) * log_w - logs
+    log_terms = np.arange(1, len(logs) + 1) * log_w + logs
     below = np.flatnonzero(log_terms < np.log(tol)) if 0.0 < tol < 1.0 else []
     first = int(below[0]) + 4 if len(below) else 16
     re, im, used = _sum_blocks(terms, zr.size, first, tol, MAX_TERMS, "q_" + kind)
-    if kind == "sin":
+    if series.odd:
         zero = (zr == 0) & (zi == 0)
         re[zero], im[zero], used[zero] = 0.0, 0.0, 1
     value = np.empty(z.shape, dtype=complex)
     value.real, value.imag = re.reshape(z.shape), im.reshape(z.shape)
     return value, used.reshape(z.shape)
-
-
-def _array_call(kind, z, qp, tol, representation):
-    if representation != "physics":
-        raise ValueError(f"q_{kind}: an array argument needs representation='physics'")
-    return QSpecialValue(*_physics_arrays(kind, z, qp, tol), "physics-series")
 
 
 def q_exp(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QSpecialValue:
@@ -209,8 +261,8 @@ def q_exp(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     ----------
     z : complex or ndarray
         Argument; an ndarray gives arrays of ``value`` and ``terms_used``
-        (physics representation only), each element bit for bit the
-        scalar call.
+        (in either representation), each element bit for bit the scalar
+        call.
     q : float or QParam
         Deformation parameter.
     tol : float, optional
@@ -225,124 +277,72 @@ def q_exp(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     >>> q_exp(0.0, 0.9).value
     (1+0j)
     """
-    qp = as_qparam(q)
-    _check_representation(representation, qp, "q_exp")
-    if isinstance(z, np.ndarray):
-        return _array_call("exp", z, qp, tol, representation)
-    z = complex(z)
-    if representation == "physics":
-        b = _bracket(qp)
-        value, n = _sum_series(
-            lambda: 1.0 + 0j, lambda k, t: t * (z / b(k + 1)),
-            tol, MAX_TERMS, "q_exp")
-        return QSpecialValue(value, n, "physics-series")
-    qc = qp.canonical
-    q2 = qc * qc
-    value, n = _sum_series(
-        lambda: 1.0 + 0j, lambda k, t: t * (z * (1.0 - q2) * qc**k / (1.0 - q2 ** (k + 1))),
-        tol, MAX_TERMS, "q_exp")
-    return QSpecialValue(value, n, "shifted-factorial-series")
+    return _series("exp", z, as_qparam(q), tol, representation)
 
 
 def q_sin(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QSpecialValue:
     """Deformed sine ``S_q(z) = sum_n (-1)^n z^{2n+1} / [2n+1]!`` (odd).
 
     Arguments as for :func:`q_exp`, an ndarray ``z`` included."""
-    qp = as_qparam(q)
-    _check_representation(representation, qp, "q_sin")
-    if isinstance(z, np.ndarray):
-        return _array_call("sin", z, qp, tol, representation)
-    z = complex(z)
-    if z == 0:
-        rep = "physics-series" if representation == "physics" else "shifted-factorial-series"
-        return QSpecialValue(0.0 + 0.0j, 1, rep)
-    z2 = z * z
-    if representation == "physics":
-        b = _bracket(qp)
-        value, n = _sum_series(
-            lambda: z,
-            lambda k, t: t * (-z2 / (b(2 * k + 2) * b(2 * k + 3))),
-            tol, MAX_TERMS, "q_sin")
-        return QSpecialValue(value, n, "physics-series")
-    qc = qp.canonical
-    q2 = qc * qc
-    value, n = _sum_series(
-        lambda: z,
-        lambda k, t: t * (-z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 3)
-                          / ((1.0 - qc ** (4 * k + 4)) * (1.0 - qc ** (4 * k + 6)))),
-        tol, MAX_TERMS, "q_sin")
-    return QSpecialValue(value, n, "shifted-factorial-series")
+    return _series("sin", z, as_qparam(q), tol, representation)
 
 
 def q_cos(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QSpecialValue:
     """Deformed cosine ``C_q(z) = sum_n (-1)^n z^{2n} / [2n]!`` (even).
 
     Arguments as for :func:`q_exp`, an ndarray ``z`` included."""
-    qp = as_qparam(q)
-    _check_representation(representation, qp, "q_cos")
-    if isinstance(z, np.ndarray):
-        return _array_call("cos", z, qp, tol, representation)
-    z = complex(z)
-    z2 = z * z
-    if representation == "physics":
-        b = _bracket(qp)
-        value, n = _sum_series(
-            lambda: 1.0 + 0j,
-            lambda k, t: t * (-z2 / (b(2 * k + 1) * b(2 * k + 2))),
-            tol, MAX_TERMS, "q_cos")
-        return QSpecialValue(value, n, "physics-series")
-    qc = qp.canonical
-    q2 = qc * qc
-    value, n = _sum_series(
-        lambda: 1.0 + 0j,
-        lambda k, t: t * (-z2 * (1.0 - q2) ** 2 * qc ** (4 * k + 1)
-                          / ((1.0 - qc ** (4 * k + 2)) * (1.0 - qc ** (4 * k + 4)))),
-        tol, MAX_TERMS, "q_cos")
-    return QSpecialValue(value, n, "shifted-factorial-series")
+    return _series("cos", z, as_qparam(q), tol, representation)
 
 
-def q_pythagoras_residual(x, q, tol: float = DEFAULT_TOL) -> float:
+def _values(kind, qp, tol, scale=1.0):
+    """``t ->`` the physics series ``kind`` at ``scale * t``, a complex for a
+    scalar ``t`` and a SplitComplex for an ndarray ``t``; ``scale * t`` is
+    taken in CPython's arithmetic either way."""
+
+    def f(t):
+        if not isinstance(t, np.ndarray):
+            return _series(kind, scale * t, qp, tol, "physics").value
+        z = np.asarray(SplitComplex(scale) * t) if isinstance(scale, complex) else scale * t
+        return SplitComplex(_series(kind, z, qp, tol, "physics").value)
+
+    return f
+
+
+def q_pythagoras_residual(x, q, tol: float = DEFAULT_TOL):
     """Residual ``|S_q(x/q) S_q(x) + C_q(x/q) C_q(x) - 1|``.
 
     The deformed replacement for ``sin^2 + cos^2 = 1``; one factor in each
-    product carries the argument shifted by ``1/q``.  Contract: below
-    ``1e-10`` for ``|x| <= 5``, ``q in [0.5, 0.99]``.
+    product carries the argument shifted by ``1/q``.  An ndarray ``x`` gives
+    an array of residuals.  Contract: below ``1e-10`` for ``|x| <= 5``,
+    ``q in [0.5, 0.99]``.
     """
     qp = as_qparam(q)
     qc = qp.canonical
-    s1 = q_sin(x / qc, qp, tol=tol).value
-    s2 = q_sin(x, qp, tol=tol).value
-    c1 = q_cos(x / qc, qp, tol=tol).value
-    c2 = q_cos(x, qp, tol=tol).value
-    return abs(s1 * s2 + c1 * c2 - 1.0)
+    s, c = _values("sin", qp, tol), _values("cos", qp, tol)
+    return abs(s(x / qc) * s(x) + c(x / qc) * c(x) - 1.0)
 
 
-def trig_derivative_residual(x, a, q, which: str = "sin", tol: float = DEFAULT_TOL) -> float:
+def trig_derivative_residual(x, a, q, which: str = "sin", tol: float = DEFAULT_TOL):
     """Relative residual of the deformed trig derivative relations at ``x != 0``.
 
     ``which="sin"`` checks ``D S_q(ax) = a C_q(ax)``; ``which="cos"`` checks
     ``D C_q(ax) = -a S_q(ax)``.  The Jackson derivative is evaluated
-    pointwise from the series.  Contract: below ``1e-10``.
+    pointwise from the series; an ndarray ``x`` gives an array of residuals.
+    Contract: below ``1e-10``.
     """
-    if x == 0:
+    if np.any(np.equal(x, 0)):
         raise ValueError("trig_derivative_residual requires x != 0")
     if which not in ("sin", "cos"):
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
     qp = as_qparam(q)
-    if which == "sin":
-        f = lambda t: q_sin(a * t, qp, tol=tol).value
-        rhs = a * q_cos(a * x, qp, tol=tol).value
-    else:
-        f = lambda t: q_cos(a * t, qp, tol=tol).value
-        rhs = -a * q_sin(a * x, qp, tol=tol).value
-    from .qcalculus import jackson_derivative
-
-    lhs = jackson_derivative(f, x, qp)
+    other = "cos" if which == "sin" else "sin"
+    rhs = (a if which == "sin" else -a) * _values(other, qp, tol, a)(x)
+    lhs = jackson_derivative(_values(which, qp, tol, a), x, qp)
     scale = abs(lhs) + abs(rhs) + abs(a)
     return abs(lhs - rhs) / scale
 
 
-def wave_equation_residual(u: str, a, x, q, tol: float = DEFAULT_TOL) -> float:
+def wave_equation_residual(u: str, a, x, q, tol: float = DEFAULT_TOL):
     """Relative residual of ``D^2 u + a^2 u = 0`` at ``x != 0``.
 
     ``u`` selects the solution family: ``"sin"`` for ``S_q(ax)``, ``"cos"``
@@ -353,33 +353,29 @@ def wave_equation_residual(u: str, a, x, q, tol: float = DEFAULT_TOL) -> float:
 
     and the residual is normalized by the stencil term magnitudes plus
     ``a^2 |u(x)|``, so roundoff cancellation near the origin is measured
-    against the size of what is being cancelled.  Contract: below ``1e-9``.
+    against the size of what is being cancelled.  An ndarray ``x`` gives an
+    array of residuals.  Contract: below ``1e-9``.
     """
-    if x == 0:
+    if np.any(np.equal(x, 0)):
         raise ValueError("wave_equation_residual requires x != 0")
     if u not in ("sin", "cos", "exp"):
         raise ValueError(f"u must be 'sin', 'cos' or 'exp', got {u!r}")
     qp = as_qparam(q)
-    if u == "sin":
-        f = lambda t: q_sin(a * t, qp, tol=tol).value
-    elif u == "cos":
-        f = lambda t: q_cos(a * t, qp, tol=tol).value
-    else:
-        f = lambda t: q_exp(1j * a * t, qp, tol=tol).value
+    f = _values(u, qp, tol, 1j * a if u == "exp" else a)
+    fx = f(x)
     if qp.classical:
         # Five-point second difference at h ~ eps^(1/6): the three-point
         # stencil at the first-derivative step loses six digits to
         # cancellation (eps / h^2), far above the 1e-9 contract.
-        h = 2.4631237553627168e-03 * max(abs(x), 1.0)
-        d2 = (-f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x)
+        h = 2.4631237553627168e-03 * (
+            np.maximum(abs(x), 1.0) if isinstance(x, np.ndarray) else max(abs(x), 1.0))
+        d2 = (-f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * fx
               + 16.0 * f(x - h) - f(x - 2 * h)) / (12.0 * h * h)
-        val = f(x)
-        scale = abs(d2) + a * a * abs(val) + 1e-300
-        return abs(d2 + a * a * val) / scale
+        scale = abs(d2) + a * a * abs(fx) + 1e-300
+        return abs(d2 + a * a * fx) / scale
     qc = qp.canonical
     c = (qc - 1.0 / qc) ** 2 * x * x
-    t_in, t_mid, t_out = f(qc * qc * x) / qc, (qc + 1.0 / qc) * f(x), qc * f(x / (qc * qc))
+    t_in, t_mid, t_out = f(qc * qc * x) / qc, (qc + 1.0 / qc) * fx, qc * f(x / (qc * qc))
     d2 = (t_in - t_mid + t_out) / c
-    val = f(x)
-    scale = (abs(t_in) + abs(t_mid) + abs(t_out)) / abs(c) + a * a * abs(val) + 1e-300
-    return abs(d2 + a * a * val) / scale
+    scale = (abs(t_in) + abs(t_mid) + abs(t_out)) / abs(c) + a * a * abs(fx) + 1e-300
+    return abs(d2 + a * a * fx) / scale

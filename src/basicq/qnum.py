@@ -137,6 +137,8 @@ def basic_factorial(n: int, q) -> float:
     out = 1.0
     for k in range(1, n + 1):
         out *= basic_number(k, qp)
+        if out == math.inf:  # a later [k] may overflow on its own
+            break
     return out
 
 
@@ -193,7 +195,7 @@ def basic_factorial_via_shifted(n: int, q) -> float:
     Computes ``[n]! = (q^2; q^2)_n / ((1 - q^2)^n q^{n(n-1)/2})`` by an
     iterative term-ratio update, an arithmetic path independent of
     :func:`basic_factorial`; the two must agree to relative ``1e-12``
-    wherever values are representable.
+    wherever values are representable.  Values past float range are ``inf``.
 
     Raises
     ------
@@ -214,4 +216,4 @@ def basic_factorial_via_shifted(n: int, q) -> float:
     inv = 1.0
     for k in range(1, n + 1):
         inv *= (1.0 - q2) * qc ** (k - 1) / (1.0 - q2**k)
-    return 1.0 / inv
+    return 1.0 / inv if inv else math.inf

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,29 @@ def test_cli_evaluates_expressions_through_the_module_attribute(capsys, monkeypa
     assert cli.main(["qint", "--expr", "x", "--upper", "1"]) == 0
     capsys.readouterr()
     assert len(calls) > 10
+
+
+def test_traced_commands_keep_integer_counters(capsys, tmp_path, monkeypatch):
+    # The traced benchmark run ends in json.dumps of these metrics: a counter
+    # fed an array (a public E/S/C call with an array argument adds its
+    # terms_used) makes that last line fail to serialize.
+    monkeypatch.chdir(tmp_path)
+    tracer = _load_tracing().Tracer()
+    commands = (["verify", "--q", "0.9"], ["eval", "--fn", "Sq", "--points", "0", "1.5"],
+                ["qint", "--expr", "Eq(2*x)", "--upper", "1"])
+    for cid, argv in enumerate(commands):
+        tracer.command = cid
+        tracer.install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counters["qfunctions.terms"] > 0
+    for key, value in tracer.counters.items():
+        assert type(value) is int, key
+    metrics, _ = tracer.layer_metrics({cid: argv[0] for cid, argv in enumerate(commands)})
+    json.dumps(metrics)
 
 
 def test_import_basicq_lists_scipy_linalg_in_importtime():

@@ -83,6 +83,22 @@ def test_eval_range_descending(capsys):
     assert xs == pytest.approx([2.0, 1.5, 1.0, 0.5, 0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["0:1:1e-300", "0:1e6:1", "-1e308:1e308:1", "1:0:-1e-300"])
+def test_eval_range_of_more_than_a_million_points_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "eval", "--fn", "Eq", "--range=" + spec)
+    assert code == 2
+    assert out == ""
+    assert "holds more than 1000000 points" in err
+
+
+def test_range_point_limit_is_inclusive():
+    from basicq.cli import UsageError, _parse_range
+
+    assert len(_parse_range("0:999999:1")) == 10**6
+    with pytest.raises(UsageError):
+        _parse_range("0:1000000:1")
+
+
 def test_eval_points_and_range_conflict(capsys):
     code, _, err = run(capsys, "eval", "--fn", "Sq", "--points", "1",
                        "--range", "0:1:0.5")

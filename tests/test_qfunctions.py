@@ -211,6 +211,20 @@ def test_array_argument_matches_scalar_bit_for_bit(kind, fn, q):
         assert terms == want.terms_used, (fn.__name__, q, z)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3])
+@pytest.mark.parametrize("fn", [q_exp, q_sin, q_cos])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_shifted_array_matches_scalar_bit_for_bit(kind, fn, q):
+    zs = ARRAY_Z[kind]
+    got = fn(zs, q, representation="shifted")
+    assert got.value.shape == zs.shape and got.terms_used.shape == zs.shape
+    assert got.representation == "shifted-factorial-series"
+    for z, value, terms in zip(zs, got.value, got.terms_used):
+        want = fn(complex(z), q, representation="shifted")
+        assert _bits(value) == _bits(want.value), (fn.__name__, q, z)
+        assert terms == want.terms_used, (fn.__name__, q, z)
+
+
 @pytest.mark.parametrize("q", [0.5, 0.99])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_array_argument_in_small_blocks_matches_scalar(monkeypatch, kind, q):
@@ -218,17 +232,24 @@ def test_array_argument_in_small_blocks_matches_scalar(monkeypatch, kind, q):
     monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 97)
     zs = ARRAY_Z[kind]
     for fn in (q_exp, q_sin, q_cos):
-        got = fn(zs, q)
-        for z, value, terms in zip(zs, got.value, got.terms_used):
-            want = fn(complex(z), q)
-            assert (_bits(value), terms) == (_bits(want.value), want.terms_used)
+        for rep in ("physics", "shifted"):
+            got = fn(zs, q, representation=rep)
+            for z, value, terms in zip(zs, got.value, got.terms_used):
+                want = fn(complex(z), q, representation=rep)
+                assert (_bits(value), terms) == (_bits(want.value), want.terms_used)
 
 
-def test_array_argument_keeps_shape_and_rejects_shifted():
-    z = np.array([[0.5, 1.0], [2.0, -1.0]])
-    assert q_cos(z, 0.9).value.shape == (2, 2)
-    with pytest.raises(ValueError, match="representation='physics'"):
-        q_exp(z, 0.9, representation="shifted")
+def test_array_argument_keeps_shape():
+    z = np.array([[0.5, 1.0j], [2.0, -1.0]])
+    for rep in ("physics", "shifted"):
+        got = q_cos(z, 0.9, representation=rep)
+        assert got.value.shape == got.terms_used.shape == (2, 2)
+        for index in np.ndindex(z.shape):
+            want = q_cos(z[index], 0.9, representation=rep)
+            assert _bits(got.value[index]) == _bits(want.value)
+            assert got.terms_used[index] == want.terms_used
+    with pytest.raises(ValueError, match="requires q != 1"):
+        q_exp(z, 1.0, representation="shifted")
 
 
 def test_array_argument_raises_like_the_scalar_call():

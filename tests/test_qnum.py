@@ -174,3 +174,11 @@ class TestQParam:
 
     def test_direct_construction_matches_helper(self):
         assert QParam(0.8).canonical == as_qparam(0.8).canonical
+
+
+@pytest.mark.parametrize("q", [0.4, 0.1, 1e-3, 1e-20, 100.0])
+def test_both_factorial_routes_overflow_to_inf(q):
+    # 1/[n]! underflows to 0 on the shifted route, and at q = 1e-20 a single
+    # [k] past k = 15 overflows, yet past float range both routes give inf
+    assert basic_factorial(60, q) == math.inf
+    assert basic_factorial_via_shifted(60, q) == math.inf

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from basicq import cli, qcalculus, qfunctions, qnum, run_verify, verify
+from basicq import ConvergenceError, cli, qcalculus, qfunctions, qnum, run_verify, verify
 from basicq.verify import DEFAULT_SWEEP, IdentityResult, VerifyReport, lattice_for_q
 
 
@@ -123,9 +123,60 @@ def test_verify_makes_few_basic_number_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     qfunctions._bracket_table.cache_clear()
-    qfunctions._log_denominators.cache_clear()
+    qfunctions._denominators.cache_clear()
+    qfunctions._log_gains.cache_clear()
     run_verify()
     assert 0 < len(calls) < 20_000
+
+
+def test_verify_makes_no_public_series_calls(monkeypatch):
+    # bench/tracing.py adds each public E/S/C call's terms_used to an int
+    # counter; the array rows must reach the series another way
+    calls = []
+    for fn in (qfunctions.q_exp, qfunctions.q_sin, qfunctions.q_cos):
+        def counting(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "basicq" or name.startswith("basicq."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+    assert run_verify().all_pass
+    assert calls == []
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, ConvergenceError])
+def test_raising_row_fails_without_aborting_the_sweep(monkeypatch, capsys, error):
+    def residuals(qp):
+        yield 0.0
+        raise error("cannot evaluate")
+
+    rows = (("raising-row", "raises", 1e-10, False, residuals),
+            ("quiet-row", "passes", 1e-10, False, lambda qp: iter([1e-20])))
+    monkeypatch.setattr(verify, "_IDENTITIES", rows)
+    report = run_verify(q_values=(0.9,))
+    raising, quiet = report.results
+    assert raising.status == "FAIL" and math.isnan(raising.max_residual)
+    assert quiet.status == "PASS"
+    assert cli.main(["verify", "--q", "0.9"]) == 1
+    assert "verify failed: raising-row\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [0.4, 0.3, 0.1, 0.01, 1e-3, 3.0, 5.0, 100.0])
+def test_small_q_passes_every_row(q):
+    # [40]! overflows on both factorial routes there; the bridge compares
+    # only the representable ones
+    report = run_verify(q_values=(q,))
+    assert report.all_pass, report.failures
+
+
+def test_unrepresentable_q_fails_its_rows_and_exits_1(capsys):
+    assert cli.main(["verify", "--q", "1e-60"]) == 1
+    captured = capsys.readouterr()
+    assert "verify failed: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 # -- the array rows against the per-point generators they replaced -----------
@@ -203,6 +254,41 @@ def _scalar_dual_integral(qp):
             yield _rel(abs(val - ref), abs(ref))
 
 
+def _scalar_pythagoras(qp):
+    for x in (-5.0, -2.5, -1.0, 0.25, 1.0, 2.5, 5.0):
+        yield qfunctions.q_pythagoras_residual(x, qp)
+
+
+def _scalar_trig_derivative(qp, which):
+    for a in (1.0, 2.0):
+        for x in (0.3, 0.7, 1.5):
+            yield qfunctions.trig_derivative_residual(x, a, qp, which)
+
+
+def _scalar_wave(qp):
+    for u in ("sin", "cos", "exp"):
+        for a in (1.0, 1.2):
+            for x in (0.5, 1.0):
+                yield qfunctions.wave_equation_residual(u, a, x, qp)
+
+
+def _scalar_exp_eigen(qp):
+    for a in (1.5, 0.7):
+        f = lambda t: qfunctions.q_exp(a * t, qp).value
+        for x in (0.5, 1.0, 2.0, -1.0):
+            lhs = qcalculus.jackson_derivative(f, x, qp)
+            ref = a * f(x)
+            yield _rel(abs(lhs - ref), abs(ref))
+
+
+def _scalar_dual_representation(qp):
+    for fn in (qfunctions.q_exp, qfunctions.q_sin, qfunctions.q_cos):
+        for z in (0.5, 2.0, 1.0 + 0.5j, -1.2, 3.0j):
+            ref = fn(z, qp).value
+            alt = fn(z, qp, representation="shifted").value
+            yield abs(ref - alt) / (1.0 + abs(ref))
+
+
 SCALAR_ROWS = {
     "leibniz-1": lambda qp: _scalar_leibniz(qp, 1),
     "leibniz-2": lambda qp: _scalar_leibniz(qp, 2),
@@ -212,15 +298,27 @@ SCALAR_ROWS = {
     "by-parts-shifted-q": lambda qp: _scalar_ibp(qp, "shifted-q"),
     "by-parts-shifted-qinv": lambda qp: _scalar_ibp(qp, "shifted-qinv"),
     "dual-integral": _scalar_dual_integral,
+    "q-pythagoras": _scalar_pythagoras,
+    "trig-deriv-sin": lambda qp: _scalar_trig_derivative(qp, "sin"),
+    "trig-deriv-cos": lambda qp: _scalar_trig_derivative(qp, "cos"),
+    "wave-equation": _scalar_wave,
+    "exp-eigenrelation": _scalar_exp_eigen,
+    "dual-representation": _scalar_dual_representation,
 }
 
 
-@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3, 1.0])
 def test_array_rows_match_the_scalar_generators_bit_for_bit(q):
     qp = qnum.as_qparam(q)
-    rows = {name: residuals for name, _, _, _, residuals in verify._IDENTITIES}
+    rows = {name: (deform, residuals) for name, _, _, deform, residuals in verify._IDENTITIES}
+    compared = 0
     for name, scalar in SCALAR_ROWS.items():
+        needs_deformation, residuals = rows[name]
+        if needs_deformation and qp.classical:
+            continue
+        compared += 1
         want = np.array(list(scalar(qp)), dtype=float)
-        got = np.concatenate([np.ravel(r) for r in rows[name](qp)]).astype(float)
+        got = np.concatenate([np.ravel(r) for r in residuals(qp)]).astype(float)
         assert got.shape == want.shape, name
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (name, q)
+    assert compared == (5 if qp.classical else 14)
