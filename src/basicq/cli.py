@@ -35,6 +35,7 @@ import sys
 
 from . import exprparse, l2q, qcalculus, qfunctions, verify as verify_mod
 from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
+from .qnum import as_qparam
 from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
 __all__ = ["main"]
@@ -186,8 +187,9 @@ def _finite(values, option):
 
 
 def _expr_fn(text: str, q: float):
-    ast = exprparse.parse(text)
-    return lambda x: exprparse.evaluate(ast, x, q)
+    # One QParam for every point, not one built per evaluate call.
+    ast, qp = exprparse.parse(text), as_qparam(q)
+    return lambda x: exprparse.evaluate(ast, x, qp)
 
 
 def cmd_eval(args) -> int:
@@ -335,6 +337,9 @@ def cmd_evolve(args) -> int:
         times.append(t)
 
     outdir = _out_dir(args)
+    # Solve before writing any file, so no serialization garbage is resident
+    # across the eigensolve and a failed solve leaves no snapshot behind.
+    states = evolve(psi, H, times)
     written, norm_rows = [], []
 
     def snap(t, psi_t):
@@ -344,7 +349,7 @@ def cmd_evolve(args) -> int:
         norm_rows.append((t, l2q.q_norm(psi_t)))
 
     snap(0.0, psi)
-    for t, psi_t in zip(times, evolve(psi, H, times)):
+    for t, psi_t in zip(times, states):
         snap(t, psi_t)
     npath = os.path.join(outdir, "norms.csv")
     _emit_table(("t", "norm"), norm_rows, "csv", npath)

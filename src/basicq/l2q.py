@@ -44,6 +44,7 @@ closes its inner end across the origin through the mirror point instead
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -482,14 +483,21 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
     return worst
 
 
+@functools.lru_cache(maxsize=4)
+def _csv_prefixes(lat: QLattice) -> tuple:
+    """The ``sign,m,x,weight,`` cells of each row of :func:`to_csv` on
+    ``lat``, formatted once per lattice (its arrays are read-only)."""
+    return tuple("%d,%d,%.17g,%.17g," % row for row in zip(
+        lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist()))
+
+
 def to_csv(psi: LatticeFunction) -> str:
     """Serialize samples as CSV: schema comment, header, one row per point.
 
     Floats are written with 17 significant digits.
     """
-    lat = psi.lattice
     # + 0.0 turns -0.0 into 0.0.
-    rows = zip(lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist(),
-               (psi.values.real + 0.0).tolist(), (psi.values.imag + 0.0).tolist())
+    rows = zip(_csv_prefixes(psi.lattice), (psi.values.real + 0.0).tolist(),
+               (psi.values.imag + 0.0).tolist())
     return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
-            + "".join("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
+            + "".join("%s%.17g,%.17g\n" % row for row in rows))

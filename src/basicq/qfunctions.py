@@ -43,7 +43,7 @@ import numpy as np
 
 from .qcalculus import DEFAULT_TOL, MAX_TERMS, SplitComplex, jackson_derivative
 from .qcalculus import _accumulate, _sum_blocks, _sum_series
-from .qnum import as_qparam, basic_number
+from .qnum import _TABLE_SIZE, _bracket_table, as_qparam, basic_number
 
 __all__ = [
     "QSpecialValue",
@@ -98,24 +98,6 @@ _SERIES = {
 }
 
 _LABELS = {"physics": "physics-series", "shifted": "shifted-factorial-series"}
-
-# Basic numbers a scalar series reads from the table; past it, it calls
-# basic_number, which raises where [k] overflows.
-_TABLE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=16)
-def _bracket_table(qp, size):
-    """``([0], [1], ...)`` from :func:`basic_number` for ``k < size``, cut
-    short where ``[k]`` overflows; cached per QParam."""
-    out = []
-    for k in range(size):
-        try:
-            out.append(basic_number(k, qp))
-        except OverflowError:
-            break
-    return tuple(out)
-
 
 @functools.lru_cache(maxsize=48)
 def _denominators(qp, kind, size):

@@ -21,6 +21,7 @@ cross-check of the direct product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,24 @@ def basic_number(x: float, q) -> float:
     return math.sinh(x * t) / math.sinh(t)
 
 
+# Basic numbers read from the per-q table; past it, callers call
+# basic_number, which raises where [k] overflows.
+_TABLE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=16)
+def _bracket_table(qp, size):
+    """``([0], [1], ...)`` from :func:`basic_number` for ``k < size``, cut
+    short where ``[k]`` overflows; cached per QParam."""
+    out = []
+    for k in range(size):
+        try:
+            out.append(basic_number(k, qp))
+        except OverflowError:
+            break
+    return tuple(out)
+
+
 def basic_factorial(n: int, q) -> float:
     """Basic factorial ``[n]! = [n][n-1]...[1]`` with ``[0]! = 1``.
 
@@ -134,9 +153,10 @@ def basic_factorial(n: int, q) -> float:
     if n < 0:
         raise ValueError(f"basic_factorial requires n >= 0, got {n}")
     qp = as_qparam(q)
+    b = _bracket_table(qp, _TABLE_SIZE)
     out = 1.0
     for k in range(1, n + 1):
-        out *= basic_number(k, qp)
+        out *= b[k] if k < len(b) else basic_number(k, qp)
         if out == math.inf:  # a later [k] may overflow on its own
             break
     return out

@@ -216,8 +216,12 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
             start = i
 
     evecs /= np.sqrt(H.lattice.w[H.lattice.odd_indices])[:, None]
-    mag = np.abs(evecs)
-    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    # |v| > t is v > t or v < -t, and max |v| is max(max v, -min v), both
+    # exactly: only boolean masks sit next to evecs, no float copy of it.
+    big = 1e-8 * np.maximum(evecs.max(axis=0), -evecs.min(axis=0))
+    above = evecs > big
+    above |= evecs < -big
+    first = np.argmax(above, axis=0)
     evecs *= np.where(evecs[first, np.arange(len(evals))] < 0, -1.0, 1.0)
     return SpectrumResult(np.asarray(evals, dtype=float), evecs, H.lattice)
 

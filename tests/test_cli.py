@@ -26,7 +26,9 @@ from basicq import (
     q_integral_halfline,
     stationary_states,
 )
+from basicq import exprparse, qschrodinger
 from basicq.cli import main
+from basicq.qnum import QParam
 
 
 def run(capsys, *argv):
@@ -159,6 +161,25 @@ def test_qderiv_bad_expression_is_usage_failure(capsys):
     code, _, err = run(capsys, "qderiv", "--expr", "x^^2", "--points", "1")
     assert code == 2
     assert err != ""
+
+
+def test_expression_points_share_one_qparam(capsys, monkeypatch):
+    # q is coerced once per expression, and the q leaf still yields it as
+    # given, not its canonical 1/q
+    calls = []
+    original = exprparse.evaluate
+
+    def recording(ast, x, q):
+        value = original(ast, x, q)
+        calls.append((x, q, value))
+        return value
+
+    monkeypatch.setattr(exprparse, "evaluate", recording)
+    code, _, err = run(capsys, "qint", "--expr", "q*x", "--upper", "1", "--q", "1.25")
+    assert code == 0, err
+    qp = calls[0][1]
+    assert isinstance(qp, QParam) and qp.q == 1.25
+    assert all(q is qp and value == 1.25 * x for x, q, value in calls)
 
 
 # -- qint --------------------------------------------------------------------
@@ -408,6 +429,41 @@ def test_evolve_zero_initial_state_is_computation_failure(capsys, tmp_path):
                        "--psi0", "0", "--output", str(tmp_path))
     assert code == 1
     assert "norm" in err
+
+
+def _forward_eigensolve(monkeypatch, check):
+    original = qschrodinger.eigh_tridiagonal
+
+    def forwarder(*args, **kwargs):
+        check()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qschrodinger, "eigh_tridiagonal", forwarder)
+
+
+def test_evolve_writes_nothing_before_the_eigensolve(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+
+    def output_is_empty():
+        assert not any(out.iterdir())
+
+    _forward_eigensolve(monkeypatch, output_is_empty)
+    code, _, err = run(capsys, "evolve", "--potential", "x^2", "--psi0", "gauss(x)",
+                       "--snap-every", "50", "--output", str(out))
+    assert code == 0, err
+    assert len(list(out.glob("snapshot_*.csv"))) == 3
+
+
+def test_evolve_whose_eigensolve_fails_leaves_no_snapshot(capsys, tmp_path, monkeypatch):
+    def fail():
+        raise np.linalg.LinAlgError("no convergence")
+
+    _forward_eigensolve(monkeypatch, fail)
+    code, out, err = run(capsys, "evolve", "--potential", "x^2", "--psi0", "gauss(x)",
+                         "--output", str(tmp_path))
+    assert code == 1
+    assert out == "" and "eigensolver failed" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_evolve_bad_grid(capsys, tmp_path):

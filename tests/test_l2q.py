@@ -385,6 +385,21 @@ class TestSerialization:
             assert np.array_equal(col, want)
         assert np.array_equal(cols[:, 4] + 1j * cols[:, 5], psi.values)
 
+    def test_csv_matches_per_row_formatting(self):
+        # the lattice columns come from a cache per lattice; every file
+        # must equal all six cells formatted row by row
+        def reference(psi):
+            lat, v = psi.lattice, psi.values + 0.0
+            rows = zip(lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist(),
+                       v.real.tolist(), v.imag.tolist())
+            return ("# schema_version=1\nsign,m,x,weight,re,im\n"
+                    + "".join("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
+
+        for lat in (default_lattice(), build_lattice(0.5, -3, 7, 2.5), default_lattice()):
+            for f in (gauss2, lambda x: (1 - 2j) * x ** 3, lambda x: -0.0):
+                psi = sample(f, lat)
+                assert to_csv(psi) == reference(psi)
+
     def test_csv_deterministic(self):
         psi = sample(gauss2, default_lattice())
         assert to_csv(psi) == to_csv(psi)

@@ -97,6 +97,31 @@ def test_factorial_classical_matches_math_factorial():
         assert basic_factorial(n, 1.0) == pytest.approx(math.factorial(n), rel=1e-13)
 
 
+def _factorial_by_basic_numbers(n, q):
+    # the left-to-right product of basic_number calls: the reference the
+    # table-backed basic_factorial must match bit for bit
+    out = 1.0
+    for k in range(1, n + 1):
+        out *= basic_number(k, q)
+        if out == math.inf:
+            break
+    return out
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.999, 1.0, 1.25, 1e-100, 1e-300])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 40, 255, 256, 300])
+def test_factorial_is_the_basic_number_product_bit_for_bit(n, q):
+    # at q = 1e-100 [4] overflows and at 1e-300 [2] does, with the product
+    # still finite: the same OverflowError as the per-call product
+    try:
+        want = _factorial_by_basic_numbers(n, q)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            basic_factorial(n, q)
+    else:
+        assert basic_factorial(n, q) == want
+
+
 def test_factorial_rejects_bad_n():
     with pytest.raises(ValueError):
         basic_factorial(-1, 0.9)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from basicq import (
     Hamiltonian,
@@ -191,6 +193,55 @@ class TestSpectrum:
         b = stationary_states(oscillator(), 5)
         for f, g in zip(a.eigenfunctions, b.eigenfunctions):
             assert np.allclose(f.values, g.values, rtol=1e-12)
+
+    @pytest.mark.parametrize("potential", [lambda x: x * x,
+                                           lambda x: x ** 4 - 2 * x * x, abs])
+    @pytest.mark.parametrize("k", [5, None])
+    def test_sign_rule_matches_the_magnitude_reference(self, potential, k):
+        # the reference takes |v| as a float array and is the sign rule as
+        # first written: the rule on eigh_tridiagonal's output after the
+        # cluster re-orthogonalization and the W^{-1/2} scaling, bit for bit
+        lat = default_lattice()
+        H = build_hamiltonian(potential, 1.0, 1.0, lat)
+        k = H.n_odd if k is None else k
+        select = {} if k == H.n_odd else {"select": "i", "select_range": (0, k - 1)}
+        evals, evecs = eigh_tridiagonal(H.di, H.sym_e, **select)
+        start = 0
+        for i in range(1, k + 1):
+            if i == k or evals[i] - evals[i - 1] >= qschrodinger.DEGENERACY_GAP:
+                if i - start > 1:
+                    evecs[:, start:i] = np.linalg.qr(evecs[:, start:i])[0]
+                start = i
+        evecs /= np.sqrt(lat.w[lat.odd_indices])[:, None]
+        mag = np.abs(evecs)
+        first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+        evecs *= np.where(evecs[first, np.arange(k)] < 0, -1.0, 1.0)
+        assert np.array_equal(stationary_states(H, k).vectors, evecs)
+
+    def test_no_matrix_sized_temporary_past_the_eigensolver_peak(self):
+        # the full solve's eigenvectors plus workspace set the peak; after
+        # it only boolean masks may join the eigenvectors.  The slack covers
+        # Python scalars alive across the solve (an n x n bool mask here is
+        # 549 KiB; a float copy of the eigenvectors is 4.3 MiB).
+        H = oscillator(build_lattice(0.99, -150, 600))
+        n = H.n_odd
+        assert n == 750
+
+        def traced_peak(call):
+            call()  # warm: first-call allocations are not the solve's
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            del result
+            return peak
+
+        solver = traced_peak(lambda: eigh_tridiagonal(H.di, H.sym_e))
+        assert traced_peak(lambda: stationary_states(H, n)) <= solver + 1024
 
     def test_k_validation(self):
         H = oscillator()

@@ -109,7 +109,9 @@ def test_nan_residual_fails_its_row(monkeypatch, capsys):
 
 
 def test_verify_makes_few_basic_number_calls(monkeypatch):
-    # the per-point sums made 542k calls; the array rows read cached tables
+    # the per-point sums made 542k calls; the array rows read cached tables,
+    # and basic_factorial reads qnum's table (1,685 calls; 5,785 when it
+    # called basic_number for every factor)
     calls = []
     original = qnum.basic_number
 
@@ -122,11 +124,11 @@ def test_verify_makes_few_basic_number_calls(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    qfunctions._bracket_table.cache_clear()
+    qnum._bracket_table.cache_clear()
     qfunctions._denominators.cache_clear()
     qfunctions._log_gains.cache_clear()
     run_verify()
-    assert 0 < len(calls) < 20_000
+    assert 0 < len(calls) < 2_000
 
 
 def test_verify_makes_no_public_series_calls(monkeypatch):
