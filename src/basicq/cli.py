@@ -337,8 +337,10 @@ def cmd_evolve(args) -> int:
         times.append(t)
 
     outdir = _out_dir(args)
-    # Solve before writing any file, so no serialization garbage is resident
-    # across the eigensolve and a failed solve leaves no snapshot behind.
+    # evolve solves and expands at the call, before any file is written, so
+    # no serialization garbage is resident across the eigensolve and a failed
+    # solve leaves no snapshot behind.  Its states are then synthesized one
+    # at a time, each as the loop below writes it.
     states = evolve(psi, H, times)
     written, norm_rows = [], []
 

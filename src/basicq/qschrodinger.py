@@ -26,9 +26,24 @@ instead of a doubled even spectrum.  In the lattice order the mirror point
 The solver conjugates the bands by the square-root weights itself,
 W^{1/2} H W^{-1/2}, which turns q-Hermiticity into real symmetric
 tridiagonal form; eigenvectors mapped back through W^{-1/2} are
-automatically q-orthonormal.  They are kept as the columns of one real
-matrix, ``SpectrumResult.vectors``, so expanding a state in the eigenbasis
-and summing it back are each one matrix product.  Time evolution is purely
+automatically q-orthonormal.
+
+Parity split.  The lattice is mirror-symmetric, so for an even potential
+the bands ``di`` and ``sym_e`` and the odd weights each equal their own
+reversal, and parity is an exact symmetry of H.  When all three do, bit for
+bit, the N x N problem splits into two problems of size h = N/2 on the
+right half (x > 0).  With ``c = sym_e[h-1]``, the closure coupling of
+``-x0`` to ``+x0``, the even block is ``(di[h:], sym_e[h:])`` with
+``di[h] + c`` and the odd block the same with ``di[h] - c``.  A block
+eigenvector ``u`` embeds as ``[u[::-1], u] / sqrt(2)`` (even) or
+``[-u[::-1], u] / sqrt(2)`` (odd), so each eigenfunction has an exact
+parity.  The split needs 6N^2 bytes at its peak where the full solve
+needs 16N^2.  Otherwise the full problem is solved.
+
+The eigenvectors are kept as real matrices, one per block, so expanding a
+state in the eigenbasis and summing it back are each one matrix product per
+block; for a split, each product is half the size on folded halves of the
+state.  Time evolution is purely
 spectral, hence exactly unitary in the q-metric: :func:`evolve` solves
 once, expands the initial state once, and synthesizes every requested
 time from those coefficients times the phases ``exp(-i E_n t / hbar)``,
@@ -38,6 +53,7 @@ so no rounding carries from one time to the next.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,13 +94,33 @@ DEGENERACY_GAP = 1e-10
 class SpectrumResult:
     """Ascending real eigenvalues and q-orthonormal eigenfunctions.
 
-    ``vectors`` is a real ``(n_odd, k)`` array: column n holds eigenfunction
-    n at the odd points of ``lattice``, in coordinate-ascending order.
+    ``blocks`` holds the eigenvectors as ``(parity, cols, U)`` triples: the
+    columns of the real matrix ``U`` are the eigenfunctions numbered ``cols``
+    in ``eigenvalues``.  A full solve has one block of parity ``None``, whose
+    ``U`` covers all odd points in coordinate-ascending order.  A parity
+    split has an even (+1) and an odd (-1) block, whose ``U`` holds the right
+    half (x > 0) of each eigenfunction; its left half is ``parity * U[::-1]``.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    blocks: tuple
     lattice: QLattice
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Real ``(n_odd, k)`` array: column n holds eigenfunction n at the
+        odd points, coordinate-ascending.  Embedded from ``blocks`` on each
+        access."""
+        n = len(self.lattice.odd_indices)
+        h = n // 2
+        V = np.empty((n, len(self.eigenvalues)))
+        for parity, cols, U in self.blocks:
+            if parity is None:
+                V[:, cols] = U
+            else:
+                V[h:, cols] = U
+                V[:h, cols] = parity * U[::-1]
+        return V
 
     @property
     def eigenfunctions(self) -> list:
@@ -173,40 +209,19 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, hbar=hbar, sym_e=sym_e)
 
 
-def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs of ``H``.
+def _mirrored(a: np.ndarray) -> bool:
+    return np.array_equal(a, a[::-1])
 
-    The solver conjugates the bands by the square-root weights into real
-    symmetric tridiagonal form (diagonal ``H.di``, off-diagonal
-    ``H.sym_e``), so eigenvalues come out exactly real; eigenvectors are
-    mapped back through the inverse weight conjugation, which makes
-    them q-orthonormal with no extra normalization.  Within near-degenerate
-    clusters (gap below 1e-10) the block is re-orthogonalized explicitly.
-    Each eigenfunction's first significant component (the first above
-    ``1e-8`` times its largest magnitude) is made positive.  They are
-    returned as the columns of the real ``(n_odd, k)`` array ``vectors``.
-    """
-    n = H.n_odd
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds odd-sublattice size {n}")
-    if k == 0:
-        return SpectrumResult(np.empty(0), np.empty((n, 0)), H.lattice)
-    try:
-        if k == n:
-            evals, evecs = eigh_tridiagonal(H.di, H.sym_e)
-        else:
-            evals, evecs = eigh_tridiagonal(
-                H.di, H.sym_e, select="i", select_range=(0, k - 1))
-    except Exception as exc:
-        raise ConvergenceError(
-            "tridiagonal eigensolver failed: %s (n=%d, diag in [%.3e, %.3e], "
-            "max |offdiag| = %.3e)" % (
-                exc, n, float(np.min(H.di)), float(np.max(H.di)),
-                float(np.max(np.abs(H.sym_e))))) from exc
 
-    # Safety net for clustered eigenvalues: re-orthogonalize inside blocks.
+def _eigh(d: np.ndarray, e: np.ndarray, k: int):
+    """Lowest ``k`` eigenpairs of the symmetric tridiagonal matrix (d, e)."""
+    if k == len(d):
+        return eigh_tridiagonal(d, e)
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+
+
+def _orthonormalize_clusters(evals: np.ndarray, evecs: np.ndarray):
+    """Safety net for clustered eigenvalues: re-orthogonalize inside clusters."""
     start = 0
     for i in range(1, len(evals) + 1):
         if i == len(evals) or evals[i] - evals[i - 1] >= DEGENERACY_GAP:
@@ -215,15 +230,89 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
                 evecs[:, start:i] = block
             start = i
 
-    evecs /= np.sqrt(H.lattice.w[H.lattice.odd_indices])[:, None]
+
+def _fix_signs(U: np.ndarray, parity):
+    """Make each embedded eigenfunction's first significant component positive.
+
+    A half block's eigenfunction starts with its mirror half,
+    ``parity * U[::-1]``, so its first significant component is ``parity``
+    times ``U`` at the last significant row.
+    """
     # |v| > t is v > t or v < -t, and max |v| is max(max v, -min v), both
-    # exactly: only boolean masks sit next to evecs, no float copy of it.
-    big = 1e-8 * np.maximum(evecs.max(axis=0), -evecs.min(axis=0))
-    above = evecs > big
-    above |= evecs < -big
-    first = np.argmax(above, axis=0)
-    evecs *= np.where(evecs[first, np.arange(len(evals))] < 0, -1.0, 1.0)
-    return SpectrumResult(np.asarray(evals, dtype=float), evecs, H.lattice)
+    # exactly: only boolean masks sit next to U, no float copy of it.
+    big = 1e-8 * np.maximum(U.max(axis=0), -U.min(axis=0))
+    above = U > big
+    above |= U < -big
+    cols = np.arange(U.shape[1])
+    if parity is None:
+        lead = U[np.argmax(above, axis=0), cols]
+    else:
+        lead = parity * U[len(U) - 1 - np.argmax(above[::-1], axis=0), cols]
+    U *= np.where(lead < 0, -1.0, 1.0)
+
+
+def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
+    """Lowest ``k`` eigenpairs of ``H``.
+
+    The solver conjugates the bands by the square-root weights into real
+    symmetric tridiagonal form (diagonal ``H.di``, off-diagonal
+    ``H.sym_e``), so eigenvalues come out exactly real; eigenvectors are
+    mapped back through the inverse weight conjugation, which makes
+    them q-orthonormal with no extra normalization.  When the bands and the
+    odd weights equal their own reversal bit for bit, the problem is solved
+    as an even and an odd block of half the size (see the module
+    docstring); each block gives its lowest ``min(k, n_odd/2)`` pairs, and
+    the lowest ``k`` of both are kept (ties to the even one).  Within
+    near-degenerate clusters (gap below 1e-10) of one block the vectors are
+    re-orthogonalized explicitly.  Each eigenfunction's first significant
+    component (the first above ``1e-8`` times its largest magnitude) is
+    made positive.
+    """
+    n = H.n_odd
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds odd-sublattice size {n}")
+    if k == 0:
+        return SpectrumResult(np.empty(0), ((None, np.arange(0), np.empty((n, 0))),),
+                              H.lattice)
+    lat = H.lattice
+    h = n // 2
+    if (n % 2 == 0 and _mirrored(H.di) and _mirrored(H.sym_e)
+            and _mirrored(lat.w[lat.odd_indices])):
+        problems = []
+        for parity in (1, -1):
+            d = H.di[h:].copy()
+            d[0] += parity * H.sym_e[h - 1]
+            problems.append((parity, d, H.sym_e[h:], min(k, h)))
+    else:
+        problems = [(None, H.di, H.sym_e, k)]
+    try:
+        solved = [_eigh(d, e, kb) for _, d, e, kb in problems]
+    except Exception as exc:
+        raise ConvergenceError(
+            "tridiagonal eigensolver failed: %s (n=%d, diag in [%.3e, %.3e], "
+            "max |offdiag| = %.3e)" % (
+                exc, n, float(np.min(H.di)), float(np.max(H.di)),
+                float(np.max(np.abs(H.sym_e))))) from exc
+
+    # The lowest k of all blocks, each block's in its own ascending order.
+    evals = np.concatenate([ev for ev, _ in solved])
+    order = np.argsort(evals, kind="stable")[:k]
+    owner = np.repeat(np.arange(len(solved)), [len(ev) for ev, _ in solved])[order]
+    # Computed only now, so nothing of size n but the bands is alive
+    # across a full solve.
+    w = lat.w[lat.odd_indices]
+    blocks = []
+    for b, ((parity, *_), (ev, U)) in enumerate(zip(problems, solved)):
+        _orthonormalize_clusters(ev, U)
+        cols = np.flatnonzero(owner == b)
+        U = U[:, :len(cols)]
+        # 1/sqrt(2) of the embedding: a half vector fills both halves
+        U /= np.sqrt(w if parity is None else 2.0 * w[h:])[:, None]
+        _fix_signs(U, parity)
+        blocks.append((parity, cols, U))
+    return SpectrumResult(np.asarray(evals[order], dtype=float), tuple(blocks), lat)
 
 
 def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
@@ -237,34 +326,60 @@ def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
 
 
 def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
-    """Coefficients ``c_n = <psi_n, psi>``; even samples of ``psi`` carry no weight."""
+    """Coefficients ``c_n = <psi_n, psi>``; even samples of ``psi`` carry no weight.
+
+    Against a half block of parity p, ``<psi_n, psi>`` is ``U^T (a + p b)``,
+    with ``a`` the right half of ``w psi`` and ``b`` its left half reversed.
+    """
     lat = spectrum.lattice
     _check_same_lattice(psi.lattice, lat)
     idx = lat.odd_indices
-    return _real_times_complex(spectrum.vectors.T, lat.w[idx] * psi.values[idx])
+    z = lat.w[idx] * psi.values[idx]
+    h = len(z) // 2
+    c = np.empty(len(spectrum.eigenvalues), dtype=complex)
+    for parity, cols, U in spectrum.blocks:
+        folded = z if parity is None else z[h:] + parity * z[:h][::-1]
+        c[cols] = _real_times_complex(U.T, folded)
+    return c
 
 
 def synthesize(coeffs, spectrum: SpectrumResult, lattice: QLattice) -> LatticeFunction:
-    """Resum ``sum_n c_n psi_n`` as a lattice function (even samples 0)."""
-    return _from_odd(lattice, _real_times_complex(spectrum.vectors, coeffs))
+    """Resum ``sum_n c_n psi_n`` as a lattice function (even samples 0).
+
+    A half block of parity p adds ``y = U c`` to the right half and ``p y``
+    to the left half reversed.
+    """
+    coeffs = np.asarray(coeffs)
+    vals = np.zeros(len(lattice.odd_indices), dtype=complex)
+    h = len(vals) // 2
+    for parity, cols, U in spectrum.blocks:
+        y = _real_times_complex(U, coeffs[cols])
+        if parity is None:
+            vals = y
+        else:
+            vals[h:] += y
+            vals[:h][::-1] += parity * y
+    return _from_odd(lattice, vals)
 
 
-def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> list[LatticeFunction]:
+def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunction]:
     """``psi`` propagated under ``H`` to each of ``times``, one state per time.
 
-    One full eigensolve and one expansion ``c_n = <psi_n, psi>``; the state
-    at time ``t`` is synthesized from ``c_n exp(-i E_n t / hbar)``.  Only
-    the phases depend on ``t``, so the coefficient magnitudes, hence the
-    q-norm and every spectral observable, hold to rounding at every time,
-    however many are asked for.  The state's physical content is its
+    One full eigensolve and one expansion ``c_n = <psi_n, psi>``, both done
+    at the call (so a lattice mismatch or a failed solve raises there); the
+    state at time ``t`` is synthesized from ``c_n exp(-i E_n t / hbar)`` as
+    the returned iterator reaches it, so one state is alive at a time.
+    Only the phases depend on ``t``, so the coefficient magnitudes, hence
+    the q-norm and every spectral observable, hold to rounding at every
+    time, however many are asked for.  The state's physical content is its
     odd-sublattice part (the inner product sees nothing else); output
     even-exponent samples are 0.
     """
     _check_same_lattice(psi.lattice, H.lattice)
     spec = stationary_states(H, H.n_odd)
     c = expand(psi, spec)
-    return [synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, H.lattice)
-            for t in times]
+    return (synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, H.lattice)
+            for t in times)
 
 
 def _require_normalized(psi: LatticeFunction):
