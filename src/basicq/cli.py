@@ -121,13 +121,7 @@ def _canon(v):
 
 def _fmt_cell(v) -> str:
     v = _canon(v)
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def _emit_table(columns, rows, fmt: str, path: str | None):
@@ -300,9 +294,10 @@ def cmd_solve(args) -> int:
     doc = _spectrum_doc(H.lattice, spec.eigenvalues, args)
     _write_out(json.dumps(doc) + "\n", spath)
     written = [spath]
-    for n, f in enumerate(spec.eigenfunctions):
+    # One eigenfunction embedded on the lattice at a time, as it is written.
+    for n, v in enumerate(spec.vectors.T):
         fpath = os.path.join(outdir, "eigfunc_%03d.csv" % n)
-        _write_out(l2q.to_csv(f), fpath)
+        _write_out(l2q.to_csv(l2q._from_odd(H.lattice, v)), fpath)
         written.append(fpath)
     for p in written:
         print(p)

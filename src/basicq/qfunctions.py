@@ -57,7 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QSpecialValue:
-    """Value of a basic special function plus evaluation metadata.
+    """Value of a basic special function plus its term count.
+
+    Which series produced it is the caller's own ``representation=``
+    argument, so it is not repeated here.
 
     Attributes
     ----------
@@ -67,13 +70,10 @@ class QSpecialValue:
         Number of series terms accumulated (including the trailing
         negligible ones that triggered truncation); an int array for an
         array argument.
-    representation : str
-        ``"physics-series"`` or ``"shifted-factorial-series"``.
     """
 
     value: complex | np.ndarray
     terms_used: int | np.ndarray
-    representation: str
 
 
 class _Series(NamedTuple):
@@ -96,8 +96,6 @@ _SERIES = {
                    lambda qc, q2, n: (qc ** (4 * n - 3),
                                       (1.0 - qc ** (4 * n - 2)) * (1.0 - qc ** (4 * n)))),
 }
-
-_LABELS = {"physics": "physics-series", "shifted": "shifted-factorial-series"}
 
 @functools.lru_cache(maxsize=48)
 def _denominators(qp, kind, size):
@@ -142,18 +140,17 @@ def _numerator(series, z, qp, representation):
 def _series(kind, z, qp, tol, representation):
     """The series ``kind`` ("exp", "sin", "cos") at a scalar ``z``, summed by
     :func:`_sum_series`, or at an ndarray ``z``, by :func:`_sum_arrays`."""
-    if representation not in _LABELS:
+    if representation not in ("physics", "shifted"):
         raise ValueError(f"q_{kind}: representation must be 'physics' or 'shifted', "
                          f"got {representation!r}")
     if representation == "shifted" and qp.classical:
         raise ValueError(f"q_{kind}: shifted-factorial representation requires q != 1")
-    label = _LABELS[representation]
     if isinstance(z, np.ndarray):
-        return QSpecialValue(*_sum_arrays(kind, z, qp, tol, representation), label)
+        return QSpecialValue(*_sum_arrays(kind, z, qp, tol, representation))
     series = _SERIES[kind]
     z = complex(z)
     if series.odd and z == 0:
-        return QSpecialValue(0.0 + 0.0j, 1, label)
+        return QSpecialValue(0.0 + 0.0j, 1)
     w = _numerator(series, z, qp, representation)
     # t_{k+1} = t_k r_{k+1}; d_n from the table while it lasts.
     if representation == "physics":
@@ -165,7 +162,7 @@ def _series(kind, z, qp, tol, representation):
         step = lambda k, t: t * ratio(*series.shifted(qc, qc * qc, k + 1))
     value, n = _sum_series(lambda: z if series.odd else 1.0 + 0j, step, tol, MAX_TERMS,
                            "q_" + kind)
-    return QSpecialValue(value, n, label)
+    return QSpecialValue(value, n)
 
 
 def _sum_arrays(kind, z, qp, tol, representation):

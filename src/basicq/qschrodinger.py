@@ -94,6 +94,11 @@ DEGENERACY_GAP = 1e-10
 class SpectrumResult:
     """Ascending real eigenvalues and q-orthonormal eigenfunctions.
 
+    The eigenfunctions are kept only as real arrays on the odd points of
+    ``lattice``, never as a list of lattice functions: ``vectors`` gives them
+    as columns, and a caller that needs one on the lattice embeds that
+    column (even samples 0).
+
     ``blocks`` holds the eigenvectors as ``(parity, cols, U)`` triples: the
     columns of the real matrix ``U`` are the eigenfunctions numbered ``cols``
     in ``eigenvalues``.  A full solve has one block of parity ``None``, whose
@@ -121,11 +126,6 @@ class SpectrumResult:
                 V[h:, cols] = U
                 V[:h, cols] = parity * U[::-1]
         return V
-
-    @property
-    def eigenfunctions(self) -> list:
-        """The columns of ``vectors`` as lattice functions, built on each access."""
-        return [_from_odd(self.lattice, v) for v in self.vectors.T]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -343,13 +343,15 @@ def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
     return c
 
 
-def synthesize(coeffs, spectrum: SpectrumResult, lattice: QLattice) -> LatticeFunction:
-    """Resum ``sum_n c_n psi_n`` as a lattice function (even samples 0).
+def synthesize(coeffs, spectrum: SpectrumResult) -> LatticeFunction:
+    """Resum ``sum_n c_n psi_n`` as a function on ``spectrum.lattice`` (even
+    samples 0); on a full spectrum, the inverse of :func:`expand`.
 
     A half block of parity p adds ``y = U c`` to the right half and ``p y``
     to the left half reversed.
     """
     coeffs = np.asarray(coeffs)
+    lattice = spectrum.lattice
     vals = np.zeros(len(lattice.odd_indices), dtype=complex)
     h = len(vals) // 2
     for parity, cols, U in spectrum.blocks:
@@ -378,7 +380,7 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     _check_same_lattice(psi.lattice, H.lattice)
     spec = stationary_states(H, H.n_odd)
     c = expand(psi, spec)
-    return (synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, H.lattice)
+    return (synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
             for t in times)
 
 
@@ -414,12 +416,11 @@ def fluctuation(A: OperatorMatrix, psi: LatticeFunction) -> float:
     return _mean(A, psi, A.apply(dev) - mean * dev).real
 
 
-def free_particle_wave(kwav: float, lattice: QLattice,
-                       normalization: complex = 1.0) -> LatticeFunction:
-    """Plane wave ``N E_q(i k x)`` sampled on the lattice.
+def free_particle_wave(kwav: float, lattice: QLattice) -> LatticeFunction:
+    """Plane wave ``E_q(i k x)`` sampled on the lattice.
 
-    Not q-normalizable (plane waves never are); ``normalization`` is the
-    caller's overall factor, default 1.
+    Not q-normalizable (plane waves never are); scale the result for any
+    other overall factor, as in ``2.0 * free_particle_wave(k, lattice)``.
     """
     qp = lattice.q
-    return sample(lambda x: normalization * q_exp(1j * kwav * x, qp).value, lattice)
+    return sample(lambda x: q_exp(1j * kwav * x, qp).value, lattice)

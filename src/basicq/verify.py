@@ -58,15 +58,15 @@ class VerifyReport:
         return tuple(r for r in self.results if r.status == "FAIL")
 
 
-def lattice_for_q(q, x_max: float = 5.0, x_min: float = 1e-3) -> l2q.QLattice:
-    """Lattice whose magnitudes span roughly [x_min, x_max] for this q.
+def lattice_for_q(q) -> l2q.QLattice:
+    """Lattice whose magnitudes span roughly [1e-3, 5] for this q.
 
-    The default exponent window is tied to q = 0.9; rescaling it keeps the
-    lattice-based identities comparable across the sweep.
+    The exponent window is rescaled with q, so the lattice-based identities
+    stay comparable across the sweep.
     """
     qc = qnum.as_qparam(q).canonical
-    m_min = math.floor(math.log(x_max) / math.log(qc))
-    m_max = math.ceil(math.log(x_min) / math.log(qc))
+    m_min = math.floor(math.log(5.0) / math.log(qc))
+    m_max = math.ceil(math.log(1e-3) / math.log(qc))
     return l2q.build_lattice(qc, m_min, m_max)
 
 

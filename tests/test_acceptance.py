@@ -33,7 +33,7 @@ from basicq import (
     stationary_states,
 )
 from basicq.cli import main as cli_main
-from basicq.l2q import derivative_matrix, hermiticity_residual, momentum_matrix
+from basicq.l2q import _from_odd, derivative_matrix, hermiticity_residual, momentum_matrix
 from basicq.qfock import algebra_residuals, build_ladder
 from basicq.verify import DEFAULT_SWEEP, lattice_for_q, run_verify
 
@@ -153,8 +153,8 @@ def test_criterion_6_solver_and_evolution():
 
     real_ok = spec.eigenvalues.dtype.kind == "f" and bool(
         np.all(np.isfinite(spec.eigenvalues)))
-    gram = np.array([[inner_product(fi, fj) for fj in spec.eigenfunctions]
-                     for fi in spec.eigenfunctions])
+    fs = [_from_odd(lat, v) for v in spec.vectors.T]
+    gram = np.array([[inner_product(fi, fj) for fj in fs] for fi in fs])
     ortho = float(np.max(np.abs(gram - np.eye(8))))
 
     psi0 = _normalized_packet(lat)
@@ -165,7 +165,7 @@ def test_criterion_6_solver_and_evolution():
     energy_drift = abs(expectation(H, renorm).real - e0)
 
     full = stationary_states(H, H.n_odd)
-    eig = full.eigenfunctions[1]
+    eig = _from_odd(lat, full.vectors[:, 1])
     ev = float(full.eigenvalues[1])
     (out,) = evolve(eig, H, [10.0])
     phase_err = q_norm(out - cmath.exp(-1j * ev * 10.0) * eig)

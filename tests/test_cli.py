@@ -12,6 +12,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from basicq import (
     q_integral_halfline,
     stationary_states,
 )
-from basicq import exprparse, qschrodinger
+from basicq import exprparse, l2q, qschrodinger
 from basicq.cli import main
 from basicq.qnum import QParam
 
@@ -277,31 +278,75 @@ def test_verify_forced_tolerance_fails(capsys):
 
 # -- solve -------------------------------------------------------------------
 
-def test_solve_writes_spectrum_and_eigenfunctions(capsys, tmp_path):
-    code, out, _ = run(capsys, "solve", "--potential", "x^2", "--k", "3",
+# A mirror potential is solved as two parity blocks, the shifted well whole;
+# k = n_odd (76 on the default lattice) writes every column of both blocks.
+@pytest.mark.parametrize("potential,k", [("x^2", 3), ("gauss((x-0.2)/0.4)", 3),
+                                         ("x^2", 76)])
+def test_solve_writes_spectrum_and_eigenfunctions(capsys, tmp_path, potential, k):
+    code, out, _ = run(capsys, "solve", "--potential", potential, "--k", str(k),
                        "--output", str(tmp_path))
     assert code == 0
     listed = out.strip().splitlines()
     assert listed[0] == str(tmp_path / "spectrum.json")
-    assert len(listed) == 4
+    assert len(listed) == 1 + k
 
     doc = json.loads((tmp_path / "spectrum.json").read_text())
     assert doc["schema_version"] == 1
     assert doc["q"] == 0.9
     assert doc["lattice"] == {"m_min": -15, "m_max": 60, "a": 1.0}
-    assert doc["meta"]["potential_text"] == "x^2"
+    assert doc["meta"]["potential_text"] == potential
     assert doc["meta"]["hbar"] == 1.0
     assert doc["meta"]["mass"] == 1.0
 
     lat = build_lattice(0.9, -15, 60, 1.0)
-    H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
-    want = stationary_states(H, 3).eigenvalues
-    assert np.allclose(doc["eigenvalues"], want, rtol=1e-12)
+    ast, qp = exprparse.parse(potential), QParam(0.9)
+    H = build_hamiltonian(lambda x: exprparse.evaluate(ast, x, qp), 1.0, 1.0, lat)
+    spec = stationary_states(H, k)
+    assert doc["eigenvalues"] == spec.eigenvalues.tolist()
 
-    for n in range(3):
+    for n in range(k):
         text = (tmp_path / f"eigfunc_{n:03d}.csv").read_text()
         assert text.startswith("# schema_version=1\n")
         assert len(text.strip().splitlines()) == 2 + lat.size
+        assert text == l2q.to_csv(l2q._from_odd(lat, spec.vectors[:, n]))
+    assert not (tmp_path / f"eigfunc_{k:03d}.csv").exists()
+
+
+@pytest.mark.parametrize("potential", ["x^2", "gauss((x-0.2)/0.4)"])
+def test_solve_writes_one_eigenfunction_at_a_time(capsys, tmp_path, potential):
+    # Past the solve, solve holds the spectrum, one (n_odd, k) vectors array
+    # and one eigfunc file's text at a time.  The slack, 16 times one file's
+    # size (0.33 MB), covers that text, its row strings, the lattice's cached
+    # row prefixes and the command's own lattice and bands; a list of every
+    # eigenfunction on the full lattice, complex, would add 4 times the
+    # vectors array (1.3 MB here against 0.32 MB).
+    argv = ["solve", "--potential", potential, "--q", "0.97", "--lattice=-40:160:1",
+            "--output", str(tmp_path)]
+    lat = build_lattice(0.97, -40, 160)
+    ast, qp = exprparse.parse(potential), QParam(0.97)
+    H = build_hamiltonian(lambda x: exprparse.evaluate(ast, x, qp), 1.0, 1.0, lat)
+    n = H.n_odd
+    assert n == 200
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak
+
+    stationary_states(H, n)  # warm: first-call allocations are not the solve's
+    solver = traced_peak(lambda: stationary_states(H, n))
+    assert main(argv + ["--k", "1"]) == 0  # warm the command's path
+    peak = traced_peak(lambda: main(argv + ["--k", str(n)]))
+    capsys.readouterr()
+    csv_size = (tmp_path / "eigfunc_000.csv").stat().st_size
+    assert peak <= solver + 8 * n * n + 16 * csv_size
 
 
 def test_solve_deterministic_bytes(capsys, tmp_path):

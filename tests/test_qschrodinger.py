@@ -30,6 +30,7 @@ from basicq import (
     synthesize,
 )
 from basicq.l2q import (
+    _from_odd,
     decaying_test_function,
     derivative_matrix,
     momentum_matrix,
@@ -42,6 +43,11 @@ from basicq.qschrodinger import fluctuation
 def oscillator(lattice=None):
     lat = lattice if lattice is not None else default_lattice()
     return build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
+
+
+def eigenfunctions(spec):
+    """The columns of ``spec.vectors`` as lattice functions."""
+    return [_from_odd(spec.lattice, v) for v in spec.vectors.T]
 
 
 def gaussian_packet(lat):
@@ -210,7 +216,7 @@ def test_free_wave_satisfies_wave_equation_on_lattice(kwav):
 
 def test_free_wave_values_are_deformed_exponential():
     lat = default_lattice()
-    u = free_particle_wave(1.3, lat, normalization=2.0)
+    u = 2.0 * free_particle_wave(1.3, lat)
     i = lat.index_of(1, 5)
     want = 2.0 * q_exp(1.3j * lat.x[i], lat.q).value
     assert u.values[i] == pytest.approx(want, rel=1e-13)
@@ -228,14 +234,14 @@ class TestSpectrum:
 
     def test_orthonormality(self):
         spec = stationary_states(oscillator(), 8)
-        G = np.array([[inner_product(a, b) for b in spec.eigenfunctions]
-                      for a in spec.eigenfunctions])
+        fs = eigenfunctions(spec)
+        G = np.array([[inner_product(a, b) for b in fs] for a in fs])
         assert np.max(np.abs(G - np.eye(8))) < 1e-9
 
     def test_eigenfunction_solves_eigenproblem(self):
         H = oscillator()
         spec = stationary_states(H, 4)
-        for E, f in zip(spec.eigenvalues, spec.eigenfunctions):
+        for E, f in zip(spec.eigenvalues, eigenfunctions(spec)):
             r = H.apply(f) - E * f
             assert q_norm(r) < 1e-9 * max(1.0, abs(E))
 
@@ -243,7 +249,7 @@ class TestSpectrum:
         # first significant component positive: re-solving cannot flip signs
         a = stationary_states(oscillator(), 5)
         b = stationary_states(oscillator(), 5)
-        for f, g in zip(a.eigenfunctions, b.eigenfunctions):
+        for f, g in zip(eigenfunctions(a), eigenfunctions(b)):
             assert np.allclose(f.values, g.values, rtol=1e-12)
 
     @pytest.mark.parametrize("potential", [*EVEN_POTENTIALS[:3], SHIFTED_GAUSS])
@@ -403,7 +409,7 @@ class TestExpansion:
         spec = stationary_states(H, H.n_odd)
         psi = gaussian_packet(lat)
         c = expand(psi, spec)
-        back = synthesize(c, spec, lat)
+        back = synthesize(c, spec)
         # the packet lives on the odd sublattice as far as the metric sees
         odd = lat.odd_indices
         assert np.allclose(back.values[odd], psi.values[odd], atol=1e-10)
@@ -432,7 +438,7 @@ class TestExpansion:
         spec = stationary_states(oscillator(lat), 5)
         assert spec.vectors.dtype == np.float64
         assert spec.vectors.shape == (len(lat.odd_indices), 5)
-        for n, f in enumerate(spec.eigenfunctions):
+        for n, f in enumerate(eigenfunctions(spec)):
             assert np.array_equal(f.values[lat.odd_indices], spec.vectors[:, n])
             assert not np.any(np.delete(f.values, lat.odd_indices))
 
@@ -442,7 +448,7 @@ class TestExpansion:
         # mixed parity, nonzero at the even points too
         psi = decaying_test_function(lat, np.random.default_rng(3))
         assert np.all(np.delete(psi.values, lat.odd_indices) != 0)
-        want = np.array([inner_product(f, psi) for f in spec.eigenfunctions])
+        want = np.array([inner_product(f, psi) for f in eigenfunctions(spec)])
         got = expand(psi, spec)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -451,8 +457,8 @@ class TestExpansion:
         spec = stationary_states(oscillator(lat), 8)
         rng = np.random.default_rng(4)
         c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        want = sum(cn * f.values for cn, f in zip(c, spec.eigenfunctions))
-        got = synthesize(c, spec, lat)
+        want = sum(cn * f.values for cn, f in zip(c, eigenfunctions(spec)))
+        got = synthesize(c, spec)
         assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -477,7 +483,7 @@ class TestEvolution:
         lat = default_lattice()
         H = oscillator(lat)
         spec = stationary_states(H, H.n_odd)
-        f = spec.eigenfunctions[1]
+        f = eigenfunctions(spec)[1]
         t = 3.7
         (out,) = evolve(f, H, [t])
         phase = np.exp(-1j * spec.eigenvalues[1] * t)
@@ -511,7 +517,7 @@ class TestEvolution:
         spec = stationary_states(H, H.n_odd)
         c = expand(psi, spec)
         for t, got in zip(ts, out):
-            want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec, lat)
+            want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
             assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(
                 np.abs(want.values))
         assert list(evolve(psi, H, [])) == []
@@ -561,14 +567,14 @@ class TestObservables:
     def test_full_lattice_expectation_on_eigenstates_uses_odd_points(self):
         lat = default_lattice()
         x = position_matrix(lat)
-        for f in stationary_states(oscillator(lat), 3).eigenfunctions:
+        for f in eigenfunctions(stationary_states(oscillator(lat), 3)):
             assert expectation(x, f) == pytest.approx(
                 inner_product(f, x.apply(f)), abs=1e-15)
 
     def test_fluctuation_vanishes_on_eigenstates(self):
         H = oscillator()
         spec = stationary_states(H, 3)
-        for f in spec.eigenfunctions:
+        for f in eigenfunctions(spec):
             assert fluctuation(H, f) < 1e-9
 
     def test_packet_has_positive_energy_spread(self):
