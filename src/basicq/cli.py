@@ -332,9 +332,11 @@ def cmd_evolve(args) -> int:
         times.append(t)
 
     outdir = _out_dir(args)
-    # evolve solves and expands at the call, before any file is written, so
-    # no serialization garbage is resident across the eigensolve and a failed
-    # solve leaves no snapshot behind.  Its states are then synthesized one
+    # evolve solves every block at the call, before any file is written, so
+    # no serialization garbage is resident across an eigensolve and a failed
+    # solve leaves no snapshot behind.  For few snapshots it also computes
+    # the even block's part of each and drops that block's eigenvectors
+    # before the odd block is solved.  Its states are then synthesized one
     # at a time, each as the loop below writes it.
     states = evolve(psi, H, times)
     written, norm_rows = [], []

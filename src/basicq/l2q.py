@@ -146,6 +146,14 @@ class QLattice:
         return (self.q == other.q and self.m_min == other.m_min
                 and self.m_max == other.m_max and self.a == other.a)
 
+    @functools.cached_property
+    def _csv_prefixes(self) -> tuple:
+        """The ``sign,m,x,weight,`` cells of each row of :func:`to_csv`,
+        formatted on first use and kept as long as the lattice (its arrays
+        are read-only)."""
+        return tuple("%d,%d,%.17g,%.17g," % row for row in zip(
+            self.sign.tolist(), self.m.tolist(), self.x.tolist(), self.w.tolist()))
+
 
 def _freeze(arr):
     arr.setflags(write=False)
@@ -483,21 +491,13 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
     return worst
 
 
-@functools.lru_cache(maxsize=4)
-def _csv_prefixes(lat: QLattice) -> tuple:
-    """The ``sign,m,x,weight,`` cells of each row of :func:`to_csv` on
-    ``lat``, formatted once per lattice (its arrays are read-only)."""
-    return tuple("%d,%d,%.17g,%.17g," % row for row in zip(
-        lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist()))
-
-
 def to_csv(psi: LatticeFunction) -> str:
     """Serialize samples as CSV: schema comment, header, one row per point.
 
     Floats are written with 17 significant digits.
     """
     # + 0.0 turns -0.0 into 0.0.
-    rows = zip(_csv_prefixes(psi.lattice), (psi.values.real + 0.0).tolist(),
+    rows = zip(psi.lattice._csv_prefixes, (psi.values.real + 0.0).tolist(),
                (psi.values.imag + 0.0).tolist())
     return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
             + "".join("%s%.17g,%.17g\n" % row for row in rows))

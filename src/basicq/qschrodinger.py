@@ -37,23 +37,29 @@ right half (x > 0).  With ``c = sym_e[h-1]``, the closure coupling of
 ``di[h] + c`` and the odd block the same with ``di[h] - c``.  A block
 eigenvector ``u`` embeds as ``[u[::-1], u] / sqrt(2)`` (even) or
 ``[-u[::-1], u] / sqrt(2)`` (odd), so each eigenfunction has an exact
-parity.  The split needs 6N^2 bytes at its peak where the full solve
-needs 16N^2.  Otherwise the full problem is solved.
+parity.  Otherwise the full problem is solved.  A full solve needs 16N^2
+bytes at its peak (eigenvectors and LAPACK workspace); a split needs 4N^2
+per block, and :func:`stationary_states` 6N^2, as it keeps the even
+block's eigenvectors across the odd block's solve.
 
 The eigenvectors are kept as real matrices, one per block, so expanding a
 state in the eigenbasis and summing it back are each one matrix product per
 block; for a split, each product is half the size on folded halves of the
-state.  Time evolution is purely
-spectral, hence exactly unitary in the q-metric: :func:`evolve` solves
-once, expands the initial state once, and synthesizes every requested
-time from those coefficients times the phases ``exp(-i E_n t / hbar)``,
-so no rounding carries from one time to the next.
+state.  Time evolution is purely spectral, hence exactly unitary in the
+q-metric: :func:`evolve` solves each block once, expands the initial state
+on it once, and synthesizes every requested time from those coefficients
+times the phases ``exp(-i E_n t / hbar)``, so no rounding carries from one
+time to the next.  It works one block at a time: when the even block's
+parts of the state at all T requested times take less room than its
+eigenvectors (2T < N/2), they are computed and the eigenvectors dropped
+before the odd block is solved, so a split ``evolve`` peaks at 4N^2 bytes;
+otherwise it keeps them, and peaks at 6N^2 as :func:`stationary_states`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +257,47 @@ def _fix_signs(U: np.ndarray, parity):
     U *= np.where(lead < 0, -1.0, 1.0)
 
 
+def _problems(H: Hamiltonian, k: int) -> list:
+    """The blocks to solve for the lowest ``k`` pairs, as ``(parity, d, e,
+    k_block)``: an even and an odd half block when the bands and the odd
+    weights equal their own reversal bit for bit, else the whole of ``H``."""
+    n = H.n_odd
+    h = n // 2
+    lat = H.lattice
+    if not (n % 2 == 0 and _mirrored(H.di) and _mirrored(H.sym_e)
+            and _mirrored(lat.w[lat.odd_indices])):
+        return [(None, H.di, H.sym_e, k)]
+    problems = []
+    for parity in (1, -1):
+        d = H.di[h:].copy()
+        d[0] += parity * H.sym_e[h - 1]
+        problems.append((parity, d, H.sym_e[h:], min(k, h)))
+    return problems
+
+
+def _solve_block(H: Hamiltonian, problem) -> tuple:
+    """``(parity, ev, U)`` of one block from :func:`_problems`: its lowest
+    eigenvalues, ascending, and its eigenvectors mapped back through the
+    inverse weight conjugation (a half block's scaled by the ``1/sqrt(2)``
+    of the embedding), sign-fixed."""
+    parity, d, e, k = problem
+    try:
+        ev, U = _eigh(d, e, k)
+    except Exception as exc:
+        raise ConvergenceError(
+            "tridiagonal eigensolver failed: %s (n=%d, diag in [%.3e, %.3e], "
+            "max |offdiag| = %.3e)" % (
+                exc, H.n_odd, float(np.min(H.di)), float(np.max(H.di)),
+                float(np.max(np.abs(H.sym_e))))) from exc
+    _orthonormalize_clusters(ev, U)
+    # Read only now, so nothing of size n but the bands is alive across a
+    # full solve.
+    w = H.lattice.w[H.lattice.odd_indices]
+    U /= np.sqrt(w if parity is None else 2.0 * w[H.n_odd // 2:])[:, None]
+    _fix_signs(U, parity)
+    return parity, ev, U
+
+
 def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     """Lowest ``k`` eigenpairs of ``H``.
 
@@ -276,43 +323,16 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     if k == 0:
         return SpectrumResult(np.empty(0), ((None, np.arange(0), np.empty((n, 0))),),
                               H.lattice)
-    lat = H.lattice
-    h = n // 2
-    if (n % 2 == 0 and _mirrored(H.di) and _mirrored(H.sym_e)
-            and _mirrored(lat.w[lat.odd_indices])):
-        problems = []
-        for parity in (1, -1):
-            d = H.di[h:].copy()
-            d[0] += parity * H.sym_e[h - 1]
-            problems.append((parity, d, H.sym_e[h:], min(k, h)))
-    else:
-        problems = [(None, H.di, H.sym_e, k)]
-    try:
-        solved = [_eigh(d, e, kb) for _, d, e, kb in problems]
-    except Exception as exc:
-        raise ConvergenceError(
-            "tridiagonal eigensolver failed: %s (n=%d, diag in [%.3e, %.3e], "
-            "max |offdiag| = %.3e)" % (
-                exc, n, float(np.min(H.di)), float(np.max(H.di)),
-                float(np.max(np.abs(H.sym_e))))) from exc
-
+    solved = [_solve_block(H, problem) for problem in _problems(H, k)]
     # The lowest k of all blocks, each block's in its own ascending order.
-    evals = np.concatenate([ev for ev, _ in solved])
+    evals = np.concatenate([ev for _, ev, _ in solved])
     order = np.argsort(evals, kind="stable")[:k]
-    owner = np.repeat(np.arange(len(solved)), [len(ev) for ev, _ in solved])[order]
-    # Computed only now, so nothing of size n but the bands is alive
-    # across a full solve.
-    w = lat.w[lat.odd_indices]
+    owner = np.repeat(np.arange(len(solved)), [len(ev) for _, ev, _ in solved])[order]
     blocks = []
-    for b, ((parity, *_), (ev, U)) in enumerate(zip(problems, solved)):
-        _orthonormalize_clusters(ev, U)
+    for b, (parity, _, U) in enumerate(solved):
         cols = np.flatnonzero(owner == b)
-        U = U[:, :len(cols)]
-        # 1/sqrt(2) of the embedding: a half vector fills both halves
-        U /= np.sqrt(w if parity is None else 2.0 * w[h:])[:, None]
-        _fix_signs(U, parity)
-        blocks.append((parity, cols, U))
-    return SpectrumResult(np.asarray(evals[order], dtype=float), tuple(blocks), lat)
+        blocks.append((parity, cols, U[:, :len(cols)]))
+    return SpectrumResult(np.asarray(evals[order], dtype=float), tuple(blocks), H.lattice)
 
 
 def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
@@ -325,6 +345,14 @@ def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
     return (M @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
+def _expand_block(psi: LatticeFunction, lat: QLattice, parity, U: np.ndarray) -> np.ndarray:
+    """``<psi_n, psi>`` for the columns of one block's ``U`` on ``lat``."""
+    idx = lat.odd_indices
+    z = lat.w[idx] * psi.values[idx]
+    h = len(z) // 2
+    return _real_times_complex(U.T, z if parity is None else z[h:] + parity * z[:h][::-1])
+
+
 def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
     """Coefficients ``c_n = <psi_n, psi>``; even samples of ``psi`` carry no weight.
 
@@ -333,14 +361,22 @@ def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
     """
     lat = spectrum.lattice
     _check_same_lattice(psi.lattice, lat)
-    idx = lat.odd_indices
-    z = lat.w[idx] * psi.values[idx]
-    h = len(z) // 2
     c = np.empty(len(spectrum.eigenvalues), dtype=complex)
     for parity, cols, U in spectrum.blocks:
-        folded = z if parity is None else z[h:] + parity * z[:h][::-1]
-        c[cols] = _real_times_complex(U.T, folded)
+        c[cols] = _expand_block(psi, lat, parity, U)
     return c
+
+
+def _add_block(vals: np.ndarray, parity, y: np.ndarray) -> np.ndarray:
+    """``vals`` with a block's odd-point values ``y`` added: the whole of
+    them for a full block, else ``y`` on the right half and ``parity * y``
+    on the left half reversed."""
+    if parity is None:
+        return y
+    h = len(vals) // 2
+    vals[h:] += y
+    vals[:h][::-1] += parity * y
+    return vals
 
 
 def synthesize(coeffs, spectrum: SpectrumResult) -> LatticeFunction:
@@ -351,26 +387,24 @@ def synthesize(coeffs, spectrum: SpectrumResult) -> LatticeFunction:
     to the left half reversed.
     """
     coeffs = np.asarray(coeffs)
-    lattice = spectrum.lattice
-    vals = np.zeros(len(lattice.odd_indices), dtype=complex)
-    h = len(vals) // 2
+    vals = np.zeros(len(spectrum.lattice.odd_indices), dtype=complex)
     for parity, cols, U in spectrum.blocks:
-        y = _real_times_complex(U, coeffs[cols])
-        if parity is None:
-            vals = y
-        else:
-            vals[h:] += y
-            vals[:h][::-1] += parity * y
-    return _from_odd(lattice, vals)
+        vals = _add_block(vals, parity, _real_times_complex(U, coeffs[cols]))
+    return _from_odd(spectrum.lattice, vals)
 
 
 def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunction]:
     """``psi`` propagated under ``H`` to each of ``times``, one state per time.
 
-    One full eigensolve and one expansion ``c_n = <psi_n, psi>``, both done
-    at the call (so a lattice mismatch or a failed solve raises there); the
-    state at time ``t`` is synthesized from ``c_n exp(-i E_n t / hbar)`` as
-    the returned iterator reaches it, so one state is alive at a time.
+    Every block of the full spectrum (two half blocks for a mirror-symmetric
+    ``H``, see :func:`stationary_states`) is solved at the call, one after
+    the other, so a lattice mismatch or a failed solve raises there.  A
+    block's part of the state at time ``t`` is ``U (c exp(-i E t / hbar))``,
+    with ``c_n = <psi_n, psi>`` the expansion of ``psi`` on the block, taken
+    once.  Before the next block is solved, a block whose parts at all of
+    ``times`` take fewer bytes than its eigenvectors ``U`` has them computed
+    and drops ``U``; every other block keeps ``U`` and computes each part as
+    the returned iterator reaches its time, so one state is alive at a time.
     Only the phases depend on ``t``, so the coefficient magnitudes, hence
     the q-norm and every spectral observable, hold to rounding at every
     time, however many are asked for.  The state's physical content is its
@@ -378,10 +412,44 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     even-exponent samples are 0.
     """
     _check_same_lattice(psi.lattice, H.lattice)
-    spec = stationary_states(H, H.n_odd)
-    c = expand(psi, spec)
-    return (synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
-            for t in times)
+    # Every block reads the times: an iterator is read into a list, a
+    # sequence is kept, not copied.
+    if not isinstance(times, (Sequence, np.ndarray)):
+        times = list(times)
+    problems = _problems(H, H.n_odd)
+    parities, parts = [], []
+    while problems:
+        # Popped, so a solved block's bands are freed too.
+        parity, ev, U = _solve_block(H, problems.pop(0))
+        ys = _block_parts(psi, H.lattice, parity, U, ev, H.hbar, times)
+        # Not the last block, and its complex parts are smaller than U.
+        if problems and 16 * len(times) * len(U) < U.nbytes:
+            Y = np.empty((len(times), len(U)), dtype=complex)
+            for i, y in enumerate(ys):
+                Y[i] = y
+            ys = iter(Y)
+        parities.append(parity)
+        parts.append(ys)
+        del U, ys  # a dropped U is freed before the next block is solved
+
+    def states():
+        for ys in zip(*parts):
+            vals = np.zeros(H.n_odd, dtype=complex)
+            for parity, y in zip(parities, ys):
+                vals = _add_block(vals, parity, y)
+            yield _from_odd(H.lattice, vals)
+
+    return states()
+
+
+def _block_parts(psi, lat, parity, U, ev, hbar, times) -> Iterator[np.ndarray]:
+    """A block's part ``U (c exp(-i E t / hbar))`` of the state at each of
+    ``times``, lazily.  ``c``, the expansion of ``psi`` on the block, is
+    taken before the first part, not at the call, so no coefficients sit
+    beside a later block's solve."""
+    c = _expand_block(psi, lat, parity, U)
+    for t in times:
+        yield _real_times_complex(U, c * np.exp(-1j * ev * t / hbar))
 
 
 def _require_normalized(psi: LatticeFunction):

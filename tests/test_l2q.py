@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -386,7 +388,7 @@ class TestSerialization:
         assert np.array_equal(cols[:, 4] + 1j * cols[:, 5], psi.values)
 
     def test_csv_matches_per_row_formatting(self):
-        # the lattice columns come from a cache per lattice; every file
+        # the lattice columns are cached on each lattice; every file
         # must equal all six cells formatted row by row
         def reference(psi):
             lat, v = psi.lattice, psi.values + 0.0
@@ -399,6 +401,14 @@ class TestSerialization:
             for f in (gauss2, lambda x: (1 - 2j) * x ** 3, lambda x: -0.0):
                 psi = sample(f, lat)
                 assert to_csv(psi) == reference(psi)
+
+    def test_csv_cache_lives_as_long_as_its_lattice(self):
+        lat = build_lattice(0.9, -4, 12, 1.0)
+        to_csv(sample(gauss2, lat))
+        ref = weakref.ref(lat)
+        del lat
+        gc.collect()
+        assert ref() is None
 
     def test_csv_deterministic(self):
         psi = sample(gauss2, default_lattice())

@@ -64,6 +64,22 @@ def SHIFTED_GAUSS(x):
     return math.exp(-(((x - 0.2) / 0.4) ** 2))
 
 
+def traced_peak(call):
+    """Bytes ``call()`` allocates at its peak under tracemalloc, on a second
+    call (first-call allocations are not the call's own)."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
 def _sturm_count(d, e2, x):
     """Eigenvalues of the symmetric tridiagonal (d, e) below ``x``: the
     negative pivots of ``T - x I = L D L^T``, with ``e2`` the squares of e."""
@@ -360,20 +376,6 @@ class TestSpectrum:
         # split holds both halves' vectors and one half's workspace, 3/8 of
         # the full solve's peak.
         lat = build_lattice(0.99, -150, 600)
-
-        def traced_peak(call):
-            call()  # warm: first-call allocations are not the solve's
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                result = call()
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            del result
-            return peak
-
         for potential, ratio, slack in ((lambda x: x * x, 0.5, 0), (SHIFTED_GAUSS, 1.0, 1024)):
             H = build_hamiltonian(potential, 1.0, 1.0, lat)
             n = H.n_odd
@@ -507,29 +509,89 @@ class TestEvolution:
         odd = lat.odd_indices
         assert np.max(np.abs(back.values[odd] - psi.values[odd])) < 1e-10
 
-    def test_each_time_is_synthesized_from_the_initial_expansion(self):
+    @pytest.mark.parametrize("potential, n_times", [
+        (lambda x: x * x, 5),         # the even block's parts computed at the call
+        (lambda x: x * x, 40),        # 2 T >= n_odd/2: the even block's U kept
+        (SHIFTED_GAUSS, 5),           # one full block
+    ], ids=["mirror-5", "mirror-40", "full-5"])
+    def test_each_time_is_synthesized_from_the_initial_expansion(self, potential, n_times):
         lat = default_lattice()
-        H = build_hamiltonian(lambda x: x * x, 0.7, 1.3, lat)
+        H = build_hamiltonian(potential, 0.7, 1.3, lat)
         psi = gaussian_packet(lat)
-        ts = [0.0, 0.25, 1.0, 7.5, -3.0]
+        ts = [0.0, 0.25, 1.0, 7.5, -3.0, *(0.3 * k for k in range(n_times - 5))]
         out = list(evolve(psi, H, ts))
         assert len(out) == len(ts)
         spec = stationary_states(H, H.n_odd)
         c = expand(psi, spec)
         for t, got in zip(ts, out):
             want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
-            assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(
-                np.abs(want.values))
+            assert np.array_equal(got.values, want.values)
         assert list(evolve(psi, H, [])) == []
 
-    def test_one_eigensolve_and_one_expansion_for_all_times(self, monkeypatch):
+    @pytest.mark.parametrize("n_times", [10, 30])
+    def test_times_may_be_any_iterable(self, n_times):
+        lat = default_lattice()
+        H = oscillator(lat)
+        psi = gaussian_packet(lat)
+        ts = [0.5 * k for k in range(n_times)]
+        want = [f.values for f in evolve(psi, H, ts)]
+        for times in (iter(ts), tuple(ts), np.array(ts)):
+            got = [f.values for f in evolve(psi, H, times)]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("potential, blocks", [(lambda x: x * x, 2), (SHIFTED_GAUSS, 1)],
+                             ids=["mirror", "full"])
+    def test_one_eigensolve_and_one_expansion_for_all_times(
+            self, monkeypatch, potential, blocks):
         spies = {name: Mock(wraps=getattr(qschrodinger, name))
-                 for name in ("stationary_states", "expand")}
+                 for name in ("eigh_tridiagonal", "_expand_block")}
         for name, spy in spies.items():
             monkeypatch.setattr(qschrodinger, name, spy)
         lat = default_lattice()
-        evolve(gaussian_packet(lat), oscillator(lat), [0.5 * k for k in range(1, 41)])
-        assert [spy.call_count for spy in spies.values()] == [1, 1]
+        H = build_hamiltonian(potential, 1.0, 1.0, lat)
+        out = list(evolve(gaussian_packet(lat), H, [0.5 * k for k in range(1, 41)]))
+        assert len(out) == 40
+        assert [spy.call_count for spy in spies.values()] == [blocks, blocks]
+
+    @pytest.fixture(scope="class")
+    def mirror_750(self):
+        lat = build_lattice(0.99, -150, 600)
+        H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
+        assert H.n_odd == 750
+        h = H.n_odd // 2
+        d = H.di[h:].copy()
+        d[0] += H.sym_e[h - 1]
+        floor = traced_peak(lambda: eigh_tridiagonal(d, H.sym_e[h:]))
+        return H, sample(lambda x: math.exp(-((x - 1.0) ** 2)), lat), floor
+
+    @staticmethod
+    def evolve_peak(psi, H, n_times):
+        times = [0.01 * k for k in range(n_times)]
+
+        def consume():  # one state alive at a time, as a caller writing each
+            for _ in evolve(psi, H, times):
+                pass
+
+        return traced_peak(consume)
+
+    def test_few_times_evolve_within_one_half_block_solve(self, mirror_750):
+        # 2 T < n_odd/2: the even block's parts at all times (16 T h bytes,
+        # 29 KiB here) replace its eigenvectors (1.07 MiB) before the odd
+        # block is solved, so one half-block solve sets the peak.  The slack
+        # covers those parts and one state's arrays; keeping the even
+        # eigenvectors across the odd solve costs 1.5 times the floor.
+        H, psi, floor = mirror_750
+        assert self.evolve_peak(psi, H, 5) <= floor + 128 * 1024
+
+    def test_many_times_evolve_peak_does_not_grow_with_their_number(self, mirror_750):
+        # 2 T >= n_odd/2: the even block's eigenvectors are kept, the parts
+        # are computed one time at a time.  The 1 KiB covers allocator
+        # noise of tens of bytes; a copy of the 4000 times alone is 31 KiB.
+        H, psi, floor = mirror_750
+        peaks = [self.evolve_peak(psi, H, n_times) for n_times in (375, 4000)]
+        assert max(peaks) <= 1.5 * floor
+        assert peaks[1] <= peaks[0] + 1024
 
     def test_evolve_validation(self, monkeypatch):
         # a lattice mismatch is refused before any eigensolve
