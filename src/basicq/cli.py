@@ -77,13 +77,14 @@ def _parse_format(text: str) -> str:
 # Options shared between commands: name -> (converter that validates,
 # default, help).  A subparser registers the names its handler reads.
 _SHARED = {
-    "q": (_positive("q"), 0.9, "deformation parameter (default 0.9)"),
+    "q": (_positive("q"), l2q.DEFAULT_Q, f"deformation parameter (default {l2q.DEFAULT_Q})"),
     "tol": (_positive("tol"), qcalculus.DEFAULT_TOL,
             f"series truncation tolerance (default {qcalculus.DEFAULT_TOL:g})"),
     "hbar": (_positive("hbar"), 1.0, "reduced Planck constant (default 1)"),
     "mass": (_positive("mass"), 1.0, "particle mass (default 1)"),
-    "lattice": (_parse_lattice, (-15, 60, 1.0),
-                "lattice exponent window and scale M_MIN:M_MAX:A (default -15:60:1.0)"),
+    "lattice": (_parse_lattice, (l2q.DEFAULT_M_MIN, l2q.DEFAULT_M_MAX, 1.0),
+                "lattice exponent window and scale M_MIN:M_MAX:A "
+                f"(default {l2q.DEFAULT_M_MIN}:{l2q.DEFAULT_M_MAX}:1.0)"),
     "format": (_parse_format, "csv", "csv or json (default csv)"),
 }
 
@@ -335,9 +336,9 @@ def cmd_evolve(args) -> int:
     # evolve solves every block at the call, before any file is written, so
     # no serialization garbage is resident across an eigensolve and a failed
     # solve leaves no snapshot behind.  For few snapshots it also computes
-    # the even block's part of each and drops that block's eigenvectors
-    # before the odd block is solved.  Its states are then synthesized one
-    # at a time, each as the loop below writes it.
+    # each block's part of each and drops that block's eigenvectors before
+    # the next block is solved or any snapshot written.  Its states are then
+    # synthesized one at a time, each as the loop below writes it.
     states = evolve(psi, H, times)
     written, norm_rows = [], []
 

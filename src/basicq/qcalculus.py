@@ -271,7 +271,7 @@ def _parts(v):
     return np.asarray(v, dtype=float), 0.0
 
 
-def _sum_series(first, step, tol, max_terms, what):
+def _sum_series(first, step, tol, what):
     """Sum ``t_0 + t_1 + ...`` under the 3-consecutive-terms rule.
 
     ``first()`` returns ``t_0`` and ``step(n, t_n)`` returns ``t_{n+1}``, both
@@ -280,14 +280,14 @@ def _sum_series(first, step, tol, max_terms, what):
     ``(sum, terms_used)``, counting the trailing negligible terms.  A term
     that overflows or is not finite raises ConvergenceError, and so do a
     converged sum that is not finite and a series that has not converged
-    after ``max_terms`` terms.
+    after ``MAX_TERMS`` terms.
     """
     total = 0.0 + 0.0j
     streak = 0
     n = 0
     try:
         t = first()
-        for n in range(max_terms):
+        for n in range(MAX_TERMS):
             if n:
                 t = step(n - 1, t)
             if not (math.isfinite(t.real) and math.isfinite(t.imag)):
@@ -307,7 +307,7 @@ def _sum_series(first, step, tol, max_terms, what):
         raise ConvergenceError(
             f"{what}: term overflow at index {n} (divergent tail?)") from None
     raise ConvergenceError(
-        f"{what}: no convergence after {max_terms} terms "
+        f"{what}: no convergence after {MAX_TERMS} terms "
         f"(last |term| = {abs(t):.3e}, |sum| = {abs(total):.3e})"
     )
 
@@ -329,7 +329,7 @@ def _accumulate(op, first, t, first_line=False):
     return out if first_line else out[1:]
 
 
-def _sum_blocks(terms, rows, first, tol, max_terms, what):
+def _sum_blocks(terms, rows, first, tol, what):
     """Sum ``rows`` series at once under the rule of :func:`_sum_series`.
 
     ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
@@ -354,12 +354,12 @@ def _sum_blocks(terms, rows, first, tol, max_terms, what):
     n0, size = 0, max(1, first)
     with np.errstate(all="ignore"):
         while idx.size:
-            if n0 >= max_terms:
+            if n0 >= MAX_TERMS:
                 j = idx[0]
                 raise ConvergenceError(
-                    f"{what}: no convergence after {max_terms} terms (last |term| = "
+                    f"{what}: no convergence after {MAX_TERMS} terms (last |term| = "
                     f"{last[j]:.3e}, |sum| = {math.hypot(sum_re[j], sum_im[j]):.3e})")
-            n1 = min(n0 + max(1, min(size, _BLOCK_VALUES // idx.size)), max_terms)
+            n1 = min(n0 + max(1, min(size, _BLOCK_VALUES // idx.size)), MAX_TERMS)
             tr, ti = terms(n0, n1, idx)
             width = tr.shape[0]
             if width == 0:
@@ -433,7 +433,7 @@ def _lattice_points(qc, sgn, size):
     return points
 
 
-def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
+def _lattice_sum(f, qc, a, sgn, tol, what):
     """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum.
 
     A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
@@ -447,7 +447,7 @@ def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
             p = qc ** (sgn * (2 * n + 3))
             return complex(p * f(p * a))
 
-        return _sum_series(lambda: step(-1, None), step, tol, max_terms, what)[0]
+        return _sum_series(lambda: step(-1, None), step, tol, what)[0]
 
     flat = np.asarray(a, dtype=float).ravel()
 
@@ -468,7 +468,7 @@ def _lattice_sum(f, qc, a, sgn, tol, max_terms, what):
         return p * np.broadcast_to(np.asarray(v.real, dtype=float), x.shape), None
 
     first = _STREAK + (math.ceil(math.log(tol) / math.log(qc * qc)) if 0.0 < tol < 1.0 else 0)
-    re, im, _ = _sum_blocks(terms, flat.size, first, tol, max_terms, what)
+    re, im, _ = _sum_blocks(terms, flat.size, first, tol, what)
     return SplitComplex(re.reshape(a.shape), im.reshape(a.shape))
 
 
@@ -486,7 +486,7 @@ def _finite_result(v, what):
     return v
 
 
-def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
+def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL):
     """Jackson q-integral of ``f`` over ``[0, a]``.
 
     ``int_0^a f d_q x = a (q^-1 - q) sum_{n>=0} q^{2n+1} f(q^{2n+1} a)``.
@@ -507,8 +507,8 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
     q : float or QParam
         Deformation parameter; must not be classical (the lattice collapses
         at ``q = 1``).
-    tol, max_terms
-        Truncation rule parameters.
+    tol : float, optional
+        Truncation tolerance (3-consecutive-terms rule).
 
     Raises
     ------
@@ -528,13 +528,13 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TE
         raise ValueError("q_integral_finite requires q != 1 (geometric lattice collapses)")
     qc = qp.canonical
     pref = a * (1.0 / qc - qc)
-    total = _lattice_sum(f, qc, a, 1, tol, max_terms, "q_integral_finite")
+    total = _lattice_sum(f, qc, a, 1, tol, "q_integral_finite")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         value = pref * total
     return _finite_result(_real_if_real(value), "q_integral_finite")
 
 
-def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
+def q_integral_halfline(f, q, tol: float = DEFAULT_TOL):
     """Improper Jackson q-integral of ``f`` over ``[0, inf)``.
 
     ``(q^-1 - q) sum_{n=-inf}^{inf} q^{2n+1} f(q^{2n+1})``; the two tails are
@@ -547,24 +547,22 @@ def q_integral_halfline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TER
         raise ValueError("q_integral_halfline requires q != 1 (geometric lattice collapses)")
     qc = qp.canonical
     pref = 1.0 / qc - qc
-    inner = _lattice_sum(f, qc, 1.0, 1, tol, max_terms, "q_integral_halfline (x->0 tail)")
-    outer = _lattice_sum(f, qc, 1.0, -1, tol, max_terms,
-                         "q_integral_halfline (x->inf tail)")
+    inner = _lattice_sum(f, qc, 1.0, 1, tol, "q_integral_halfline (x->0 tail)")
+    outer = _lattice_sum(f, qc, 1.0, -1, tol, "q_integral_halfline (x->inf tail)")
     return _finite_result(_real_if_real(pref * (inner + outer)), "q_integral_halfline")
 
 
-def q_integral_fullline(f, q, tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS):
+def q_integral_fullline(f, q, tol: float = DEFAULT_TOL):
     """Jackson q-integral over the full line: mirrored half-line sums.
 
     ``int_-inf^inf f d_q x = int_0^inf f(x) d_q x + int_0^inf f(-x) d_q x``.
     """
-    plus = q_integral_halfline(f, q, tol=tol, max_terms=max_terms)
-    minus = q_integral_halfline(lambda x: f(-x), q, tol=tol, max_terms=max_terms)
+    plus = q_integral_halfline(f, q, tol=tol)
+    minus = q_integral_halfline(lambda x: f(-x), q, tol=tol)
     return _finite_result(plus + minus, "q_integral_fullline")
 
 
-def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q",
-                                  tol: float = DEFAULT_TOL) -> float:
+def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q") -> float:
     """Residual of q-integration by parts on ``[0, a]``.
 
     variant "shifted-q":
@@ -583,7 +581,7 @@ def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q",
             f"variant must be 'shifted-q' or 'shifted-qinv', got {variant!r}")
     qp = as_qparam(q)
     qc = qp.canonical
-    lhs = q_integral_finite(lambda x: f(x) * jackson_derivative(g, x, qp), a, qp, tol=tol)
+    lhs = q_integral_finite(lambda x: f(x) * jackson_derivative(g, x, qp), a, qp)
     if variant == "shifted-q":
         shifted = lambda x: f(qc * x)
         gshift = lambda x: g(qc * x)
@@ -592,5 +590,5 @@ def integration_by_parts_residual(f, g, a, q, variant: str = "shifted-q",
         gshift = lambda x: g(x / qc)
     boundary = shifted(a) * g(a) - f(0.0) * g(0.0)
     rhs_int = q_integral_finite(
-        lambda x: jackson_derivative(shifted, x, qp) * gshift(x), a, qp, tol=tol)
+        lambda x: jackson_derivative(shifted, x, qp) * gshift(x), a, qp)
     return abs(lhs - (boundary - rhs_int))

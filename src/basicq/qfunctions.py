@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcalculus import DEFAULT_TOL, MAX_TERMS, SplitComplex, jackson_derivative
+from .qcalculus import DEFAULT_TOL, SplitComplex, jackson_derivative
 from .qcalculus import _accumulate, _sum_blocks, _sum_series
 from .qnum import _TABLE_SIZE, _bracket_table, as_qparam, basic_number
 
@@ -160,8 +160,7 @@ def _series(kind, z, qp, tol, representation):
     else:
         qc, ratio = qp.canonical, lambda s, d: (w * s) / d
         step = lambda k, t: t * ratio(*series.shifted(qc, qc * qc, k + 1))
-    value, n = _sum_series(lambda: z if series.odd else 1.0 + 0j, step, tol, MAX_TERMS,
-                           "q_" + kind)
+    value, n = _sum_series(lambda: z if series.odd else 1.0 + 0j, step, tol, "q_" + kind)
     return QSpecialValue(value, n)
 
 
@@ -221,7 +220,7 @@ def _sum_arrays(kind, z, qp, tol, representation):
     log_terms = np.arange(1, len(logs) + 1) * log_w + logs
     below = np.flatnonzero(log_terms < np.log(tol)) if 0.0 < tol < 1.0 else []
     first = int(below[0]) + 4 if len(below) else 16
-    re, im, used = _sum_blocks(terms, zr.size, first, tol, MAX_TERMS, "q_" + kind)
+    re, im, used = _sum_blocks(terms, zr.size, first, tol, "q_" + kind)
     if series.odd:
         zero = (zr == 0) & (zi == 0)
         re[zero], im[zero], used[zero] = 0.0, 0.0, 1
@@ -273,21 +272,21 @@ def q_cos(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     return _series("cos", z, as_qparam(q), tol, representation)
 
 
-def _values(kind, qp, tol, scale=1.0):
+def _values(kind, qp, scale=1.0):
     """``t ->`` the physics series ``kind`` at ``scale * t``, a complex for a
     scalar ``t`` and a SplitComplex for an ndarray ``t``; ``scale * t`` is
     taken in CPython's arithmetic either way."""
 
     def f(t):
         if not isinstance(t, np.ndarray):
-            return _series(kind, scale * t, qp, tol, "physics").value
+            return _series(kind, scale * t, qp, DEFAULT_TOL, "physics").value
         z = np.asarray(SplitComplex(scale) * t) if isinstance(scale, complex) else scale * t
-        return SplitComplex(_series(kind, z, qp, tol, "physics").value)
+        return SplitComplex(_series(kind, z, qp, DEFAULT_TOL, "physics").value)
 
     return f
 
 
-def q_pythagoras_residual(x, q, tol: float = DEFAULT_TOL):
+def q_pythagoras_residual(x, q):
     """Residual ``|S_q(x/q) S_q(x) + C_q(x/q) C_q(x) - 1|``.
 
     The deformed replacement for ``sin^2 + cos^2 = 1``; one factor in each
@@ -297,11 +296,11 @@ def q_pythagoras_residual(x, q, tol: float = DEFAULT_TOL):
     """
     qp = as_qparam(q)
     qc = qp.canonical
-    s, c = _values("sin", qp, tol), _values("cos", qp, tol)
+    s, c = _values("sin", qp), _values("cos", qp)
     return abs(s(x / qc) * s(x) + c(x / qc) * c(x) - 1.0)
 
 
-def trig_derivative_residual(x, a, q, which: str = "sin", tol: float = DEFAULT_TOL):
+def trig_derivative_residual(x, a, q, which: str = "sin"):
     """Relative residual of the deformed trig derivative relations at ``x != 0``.
 
     ``which="sin"`` checks ``D S_q(ax) = a C_q(ax)``; ``which="cos"`` checks
@@ -315,13 +314,13 @@ def trig_derivative_residual(x, a, q, which: str = "sin", tol: float = DEFAULT_T
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
     qp = as_qparam(q)
     other = "cos" if which == "sin" else "sin"
-    rhs = (a if which == "sin" else -a) * _values(other, qp, tol, a)(x)
-    lhs = jackson_derivative(_values(which, qp, tol, a), x, qp)
+    rhs = (a if which == "sin" else -a) * _values(other, qp, a)(x)
+    lhs = jackson_derivative(_values(which, qp, a), x, qp)
     scale = abs(lhs) + abs(rhs) + abs(a)
     return abs(lhs - rhs) / scale
 
 
-def wave_equation_residual(u: str, a, x, q, tol: float = DEFAULT_TOL):
+def wave_equation_residual(u: str, a, x, q):
     """Relative residual of ``D^2 u + a^2 u = 0`` at ``x != 0``.
 
     ``u`` selects the solution family: ``"sin"`` for ``S_q(ax)``, ``"cos"``
@@ -340,7 +339,7 @@ def wave_equation_residual(u: str, a, x, q, tol: float = DEFAULT_TOL):
     if u not in ("sin", "cos", "exp"):
         raise ValueError(f"u must be 'sin', 'cos' or 'exp', got {u!r}")
     qp = as_qparam(q)
-    f = _values(u, qp, tol, 1j * a if u == "exp" else a)
+    f = _values(u, qp, 1j * a if u == "exp" else a)
     fx = f(x)
     if qp.classical:
         # Five-point second difference at h ~ eps^(1/6): the three-point

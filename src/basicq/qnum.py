@@ -162,7 +162,7 @@ def basic_factorial(n: int, q) -> float:
     return out
 
 
-def q_shifted_factorial(a: float, q, n, tol: float = 1e-18) -> float:
+def q_shifted_factorial(a: float, q, n: int) -> float:
     """q-shifted factorial ``(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)``.
 
     Parameters
@@ -171,36 +171,18 @@ def q_shifted_factorial(a: float, q, n, tol: float = 1e-18) -> float:
         First argument of the Pochhammer symbol.
     q : float or QParam
         Base; evaluated at the canonical representative in ``(0, 1]``.
-    n : int or math.inf
-        Number of factors; ``math.inf`` requests the infinite product,
-        truncated once ``|a| q^k`` falls below ``tol`` (factor within
-        ``tol`` of 1).
-    tol : float, optional
-        Truncation tolerance for the infinite product.
+    n : int
+        Number of factors.
 
     Raises
     ------
     ValueError
-        If ``n`` is a negative integer, or the infinite product is requested
-        on the classical branch (base 1: the product does not converge).
+        If ``n`` is not a non-negative integer.
     """
     a = float(a)
-    qp = as_qparam(q)
-    qc = qp.canonical
-    if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
-        if qp.classical:
-            raise ValueError("infinite q-shifted factorial requires q != 1 (base in (0,1))")
-        out = 1.0
-        k = 0
-        factor_scale = abs(a)
-        while factor_scale * qc**k > tol:
-            out *= 1.0 - a * qc**k
-            k += 1
-            if k > 10_000_000:  # unreachable for qc < 1; guards pathological tol
-                raise ValueError("q_shifted_factorial: truncation did not terminate")
-        return out
+    qc = as_qparam(q).canonical
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"q_shifted_factorial requires integer or inf n, got {n!r}")
+        raise ValueError(f"q_shifted_factorial requires an integer n, got {n!r}")
     if n < 0:
         raise ValueError(f"q_shifted_factorial requires n >= 0, got {n}")
     out = 1.0

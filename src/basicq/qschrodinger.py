@@ -49,10 +49,10 @@ state.  Time evolution is purely spectral, hence exactly unitary in the
 q-metric: :func:`evolve` solves each block once, expands the initial state
 on it once, and synthesizes every requested time from those coefficients
 times the phases ``exp(-i E_n t / hbar)``, so no rounding carries from one
-time to the next.  It works one block at a time: when the even block's
-parts of the state at all T requested times take less room than its
-eigenvectors (2T < N/2), they are computed and the eigenvectors dropped
-before the odd block is solved, so a split ``evolve`` peaks at 4N^2 bytes;
+time to the next.  It works one block at a time: a block whose parts of the
+state at all T requested times take less room than its eigenvectors (2T <
+N/2 for a half block) has them computed and its eigenvectors dropped before
+anything else is solved or returned, so a split ``evolve`` peaks at 4N^2;
 otherwise it keeps them, and peaks at 6N^2 as :func:`stationary_states`.
 """
 
@@ -220,10 +220,14 @@ def _mirrored(a: np.ndarray) -> bool:
 
 
 def _eigh(d: np.ndarray, e: np.ndarray, k: int):
-    """Lowest ``k`` eigenpairs of the symmetric tridiagonal matrix (d, e)."""
+    """Lowest ``k`` eigenpairs of the symmetric tridiagonal matrix (d, e).
+
+    A partial solve bisects to ``2 * tiny``, to relative accuracy; bisection
+    to the default eps * ||T|| loses the low eigenvalues of wide bands."""
     if k == len(d):
         return eigh_tridiagonal(d, e)
-    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
 
 
 def _orthonormalize_clusters(evals: np.ndarray, evecs: np.ndarray):
@@ -401,10 +405,10 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     the other, so a lattice mismatch or a failed solve raises there.  A
     block's part of the state at time ``t`` is ``U (c exp(-i E t / hbar))``,
     with ``c_n = <psi_n, psi>`` the expansion of ``psi`` on the block, taken
-    once.  Before the next block is solved, a block whose parts at all of
-    ``times`` take fewer bytes than its eigenvectors ``U`` has them computed
-    and drops ``U``; every other block keeps ``U`` and computes each part as
-    the returned iterator reaches its time, so one state is alive at a time.
+    once.  A block whose parts at all of ``times`` take fewer bytes than its
+    eigenvectors ``U`` has them computed and drops ``U`` before anything else
+    is solved or returned; every other block keeps ``U`` and computes each
+    part as the iterator reaches its time, so one state is alive at a time.
     Only the phases depend on ``t``, so the coefficient magnitudes, hence
     the q-norm and every spectral observable, hold to rounding at every
     time, however many are asked for.  The state's physical content is its
@@ -422,15 +426,11 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
         # Popped, so a solved block's bands are freed too.
         parity, ev, U = _solve_block(H, problems.pop(0))
         ys = _block_parts(psi, H.lattice, parity, U, ev, H.hbar, times)
-        # Not the last block, and its complex parts are smaller than U.
-        if problems and 16 * len(times) * len(U) < U.nbytes:
-            Y = np.empty((len(times), len(U)), dtype=complex)
-            for i, y in enumerate(ys):
-                Y[i] = y
-            ys = iter(Y)
+        if 16 * len(times) * len(U) < U.nbytes:
+            ys = iter(np.fromiter(ys, dtype=(complex, len(U)), count=len(times)))
         parities.append(parity)
         parts.append(ys)
-        del U, ys  # a dropped U is freed before the next block is solved
+        del U, ys  # a dropped U is freed before the next solve or the return
 
     def states():
         for ys in zip(*parts):

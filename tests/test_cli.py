@@ -370,6 +370,17 @@ def test_solve_respects_lattice_flag(capsys, tmp_path):
     assert doc["q"] == 0.8
 
 
+def test_solve_low_eigenvalues_where_the_matrix_norm_is_large(capsys, tmp_path):
+    # eps * ||T|| is 1.2e4 here; the reference is a 50-digit Sturm-count
+    # bisection over the solver's own block bands
+    code, _, err = run(capsys, "solve", "--potential", "x^2", "--q", "0.9",
+                       "--lattice=-30:200:1", "--k", "3", "--output", str(tmp_path))
+    assert code == 0, err
+    got = json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]
+    ref = [0.7041620381132054, 2.108526167598889, 3.5009062684326806]
+    assert got == pytest.approx(ref, rel=1e-6)
+
+
 def test_lattice_space_and_equals_forms_agree(capsys, tmp_path):
     outputs = []
     for form in (["--lattice", "-5:30:1.0"], ["--lattice=-5:30:1.0"]):

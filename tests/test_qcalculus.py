@@ -214,12 +214,12 @@ def test_fullline_odd_integrand_cancels():
 def test_halfline_diverges_without_decay():
     # constant integrand: outer tail terms do not shrink
     with pytest.raises(ConvergenceError):
-        q_integral_halfline(lambda x: 1.0, 0.5, max_terms=3000)
+        q_integral_halfline(lambda x: 1.0, 0.5)
 
 
 def test_truncation_flags_nonfinite_terms():
     with pytest.raises(ConvergenceError):
-        q_integral_finite(lambda x: math.inf if x > 0.8 else 1.0, 1.0, 0.9, max_terms=500)
+        q_integral_finite(lambda x: math.inf if x > 0.8 else 1.0, 1.0, 0.9)
 
 
 def test_overflowing_sum_of_finite_terms_raises():
@@ -228,10 +228,11 @@ def test_overflowing_sum_of_finite_terms_raises():
         q_integral_finite(lambda x: x, 1e308, 0.9)
 
 
-def test_max_terms_cap_raises():
-    with pytest.raises(ConvergenceError):
+def test_max_terms_cap_raises(monkeypatch):
+    monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
+    with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
         # tol = 0 can never satisfy the negligible-term rule
-        q_integral_finite(lambda x: x, 1.0, 0.9, tol=0.0, max_terms=50)
+        q_integral_finite(lambda x: x, 1.0, 0.9, tol=0.0)
 
 
 # -- fundamental theorem and integration by parts ----------------------------
@@ -316,19 +317,20 @@ def test_array_of_upper_limits_in_small_blocks_matches_scalar(monkeypatch):
 def test_block_lattice_sum_matches_scalar_on_both_tails(sgn):
     # the half-line tails share the lattice sum; sgn -1 walks outward
     qc = 0.9
-    scalar = _lattice_sum(lambda x: x * math.exp(-x * x), qc, 1.0, sgn, 1e-14, 10**6, "t")
+    scalar = _lattice_sum(lambda x: x * math.exp(-x * x), qc, 1.0, sgn, 1e-14, "t")
     block = _lattice_sum(lambda x: x * _pygauss(x), qc, np.array([1.0, 1.5]), sgn,
-                         1e-14, 10**6, "t")
+                         1e-14, "t")
     assert _bits(complex(block.re[0], block.im[0])) == _bits(scalar)
 
 
-def test_array_of_upper_limits_raises_like_the_scalar_call():
+def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
     with pytest.raises(ValueError, match="a > 0"):
         q_integral_finite(lambda x: x, np.array([1.0, 0.0]), 0.9)
     with pytest.raises(ConvergenceError, match="non-finite term at index 0"):
         q_integral_finite(lambda x: x, np.array([1.0, np.nan]), 0.9)
+    monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
     with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
-        q_integral_finite(lambda x: x, np.array([1.0]), 0.9, tol=0.0, max_terms=50)
+        q_integral_finite(lambda x: x, np.array([1.0]), 0.9, tol=0.0)
 
 
 def test_split_complex_arithmetic_is_cpythons():

@@ -284,7 +284,9 @@ class TestSpectrum:
         w = lat.w[lat.odd_indices]
 
         def solve(d, e, kb):
-            select = {} if kb == len(d) else {"select": "i", "select_range": (0, kb - 1)}
+            select = {} if kb == len(d) else {"select": "i", "select_range": (0, kb - 1),
+                                              "lapack_driver": "stebz",
+                                              "tol": 2 * np.finfo(float).tiny}
             evals, evecs = eigh_tridiagonal(d, e, **select)
             start = 0
             for i in range(1, kb + 1):
@@ -367,6 +369,20 @@ class TestSpectrum:
         for k in (H.n_odd, 6):
             err = np.abs(stationary_states(H, k).eigenvalues[:6] - ref)
             assert np.max(err) <= bound, (k, err / bound)
+
+    @pytest.mark.parametrize("m_range, bound", [((-15, 60), 1e-12), ((-30, 200), 1e-6)])
+    def test_partial_solve_relatively_accurate_to_the_block_bands(self, m_range, bound):
+        # a partial solve bisects to a relative tolerance.  At m_max 200
+        # eps * ||T|| is 1.2e4, and bisection to it gave -1346.04 three
+        # times; on the default lattice it was off by 1.1e-10
+        H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, build_lattice(0.9, *m_range))
+        ref = []
+        for _, d, e, k in qschrodinger._problems(H, 3):
+            guess = eigh_tridiagonal(d, e, eigvals_only=True)[:k]
+            ref += sturm_eigenvalues(d, e, guess, 1e-17)
+        ref = np.sort(ref)[:3]
+        got = stationary_states(H, 3).eigenvalues
+        assert np.max(np.abs(got - ref) / ref) <= bound, np.abs(got - ref) / ref
 
     def test_no_matrix_sized_temporary_past_the_eigensolver_peak(self):
         # a full solve's eigenvectors plus workspace set the peak; after it
@@ -583,6 +599,23 @@ class TestEvolution:
         # eigenvectors across the odd solve costs 1.5 times the floor.
         H, psi, floor = mirror_750
         assert self.evolve_peak(psi, H, 5) <= floor + 128 * 1024
+
+    def test_few_times_evolve_returns_holding_no_eigenvectors(self, mirror_750):
+        # the last block's parts (16 T h bytes) are computed and its
+        # eigenvectors (8 h^2 bytes, 1.07 MiB) dropped before evolve returns
+        H, psi, _ = mirror_750
+        h = H.n_odd // 2
+        times = [0.3, 0.6]
+        list(evolve(psi, H, times))  # first-call allocations are not evolve's own
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            states = evolve(psi, H, times)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        del states
+        assert held < 0.5 * 8 * h * h, held
 
     def test_many_times_evolve_peak_does_not_grow_with_their_number(self, mirror_750):
         # 2 T >= n_odd/2: the even block's eigenvectors are kept, the parts
