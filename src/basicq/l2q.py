@@ -20,13 +20,15 @@ to ``+a q^{m_min}``; consecutive same-sign points have ratio exactly ``q``
 walking toward zero.  This makes second-difference operators on the odd
 sublattice tridiagonal.
 
-Neighbor map.  Every difference stencil here reads same-branch
-neighbors through one map: the neighbor ``k`` steps toward zero of the
-point at index ``j`` sits at index ``j - sign * k`` (``k < 0`` walks away
-from zero), because the order makes a same-branch step one index step.  On
-the full lattice one step is one exponent, on the odd sublattice two.  Past
-the inner end that index lands on the mirror point ``-x`` of the other
-branch; past the outer end it leaves the array.
+Band layout.  In that order the negative branch runs outer to inner at
+indices ``0 ... nb-1`` and the positive branch inner to outer after it
+(``nb = n_branch``; ``h = n_odd // 2`` on the odd sublattice), so the
+same-branch neighbor toward zero is the next index on the left half and the
+previous one on the right, and each branch's innermost point sits at the
+middle, ``nb - 1`` and ``nb``.  A stencil that reads one neighbor either
+side is thus two coefficient arrays, toward and away from zero, and its
+superdiagonal is the toward array on the left half and the away array on
+the right (its subdiagonal the other way round).
 
 Band storage.  Since a stencil only reaches the neighbors one step either
 side, every operator built from it is tridiagonal in its support's
@@ -160,27 +162,12 @@ def _freeze(arr):
     return arr
 
 
-def _neighbor(sign, m, k, lattice: QLattice, stride: int = 1):
-    """Same-branch neighbor ``k`` points toward zero, at exponent ``m + stride k``.
-
-    ``sign`` and ``m`` list the points in lattice order, ``stride`` exponents
-    apart on each branch (1 on the full lattice, 2 on the odd sublattice);
-    ``k < 0`` walks away from zero.  Returns the neighbor indices
-    ``j - sign k`` and the mask of points whose neighbor lies inside
-    ``[m_min, m_max]``.  Where the mask is False the index is past the
-    branch end: the mirror point at the inner end, off the array at the
-    outer end.
-    """
-    target = m + stride * k
-    inside = (target >= lattice.m_min) & (target <= lattice.m_max)
-    return np.arange(len(m)) - sign * k, inside
-
-
 def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
     """Construct the two-sided lattice.
 
     ``q`` is canonicalized into (0, 1); the classical value is rejected
-    because the geometric lattice degenerates at ``q = 1``.
+    because the geometric lattice degenerates at ``q = 1``, and so is a
+    window whose ``a q^m`` or weights leave float range (0 is never a point).
 
     Examples
     --------
@@ -204,9 +191,14 @@ def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
     # toward zero; positive branch with m descending continues away from zero.
     m_all = np.concatenate([ms, ms[::-1]])
     s_all = np.concatenate([-np.ones_like(ms), np.ones_like(ms)])
-    mag = a * qc ** m_all.astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        mag = a * qc ** m_all.astype(float)
+        w_all = a * (1.0 / qc - qc) * qc ** m_all.astype(float)
+    if not np.all((0 < mag) & (mag < np.inf) & (0 < w_all) & (w_all < np.inf)):
+        raise ValueError(
+            f"lattice window m in [{m_min}, {m_max}] leaves float range at q = {qc!r}: "
+            "a point |x| or its weight is 0 or infinite")
     x = s_all * mag
-    w_all = a * (1.0 / qc - qc) * qc ** m_all.astype(float)
     w = np.where(m_all % 2 != 0, w_all, 0.0)
     return QLattice(q=qc, m_min=m_min, m_max=m_max, a=float(a),
                     sign=_freeze(s_all), m=_freeze(m_all),
@@ -368,23 +360,6 @@ class OperatorMatrix:
         return _from_odd(psi.lattice, out) if odd else LatticeFunction(psi.lattice, out)
 
 
-def _off_diagonals(n: int, *entries):
-    """Sub- and superdiagonal of an ``n``-point operator from its entries.
-
-    Each entry is ``(row, col, coeff)`` arrays with ``|col - row| = 1``;
-    column ``row + 1`` is the upper band at ``row``, column ``row - 1`` the
-    lower band at ``row - 1``.  Entries are added in the order given, so a
-    slot that several entries share rounds one way.
-    """
-    lo = np.zeros(n - 1)
-    up = np.zeros(n - 1)
-    for row, col, coeff in entries:
-        right = col > row
-        up[row[right]] += coeff[right]
-        lo[col[~right]] += coeff[~right]
-    return lo, up
-
-
 def position_matrix(lattice: QLattice) -> OperatorMatrix:
     """Diagonal coordinate-multiplication operator on the full lattice."""
     off = np.zeros(lattice.size - 1)
@@ -400,18 +375,15 @@ def derivative_matrix(lattice: QLattice) -> OperatorMatrix:
     basic-anti-Hermitian; multiply by ``-i hbar`` for the momentum.
     """
     qc = lattice.q
-    rows = np.arange(lattice.size)
-    iup, has_up = _neighbor(lattice.sign, lattice.m, 1, lattice)
-    idown, has_down = _neighbor(lattice.sign, lattice.m, -1, lattice)
-    inner = ~has_up
+    nb = lattice.n_branch
+    inner = lattice.m == lattice.m_max
     c = 1.0 / ((qc - 1.0 / qc) * lattice.x)
     di = np.where(inner, c * (1.0 + qc), 0.0)
-    # Stencil order: up neighbor, inner-end fill, down neighbor.
-    lo, up = _off_diagonals(
-        lattice.size,
-        (rows[has_up], iup[has_up], c[has_up]),
-        (rows[inner], idown[inner], -c[inner] * qc),
-        (rows[has_down], idown[has_down], -c[has_down]))
+    # Toward zero the stencil reads c, away from zero -c, plus the fill's
+    # -c q at the inner end; no neighbor past the middle or the ends.
+    away = np.where(inner, -c * qc + -c, -c)
+    lo = np.concatenate([away[1:nb], [0.0], c[nb + 1:]])
+    up = np.concatenate([c[:nb - 1], [0.0], away[nb:-1]])
     return OperatorMatrix(lattice, lo, di, up, "all")
 
 

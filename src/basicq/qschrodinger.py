@@ -20,8 +20,9 @@ This closure is the one choice that is simultaneously (i) exact for
 constant and linear functions, (ii) symmetric under the integration
 weights, so the spectrum is exactly real, and (iii) coupling the two
 branches at the origin, so the classical limit recovers both parity sectors
-instead of a doubled even spectrum.  In the lattice order the mirror point
-``-x0`` sits where the toward-zero neighbor would, at ``j - sign``.
+instead of a doubled even spectrum.  In the band layout of :mod:`basicq.l2q`
+the two innermost odd points are the middle pair, ``h - 1`` and ``h``, so
+the closure fills the toward-zero slot that couples them.
 
 The solver conjugates the bands by the square-root weights itself,
 W^{1/2} H W^{-1/2}, which turns q-Hermiticity into real symmetric
@@ -72,8 +73,6 @@ from .l2q import (
     QLattice,
     _check_same_lattice,
     _from_odd,
-    _neighbor,
-    _off_diagonals,
     inner_product,
     q_norm,
     sample,
@@ -175,8 +174,6 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     n = len(idx)
     x = lattice.x[idx]
     w = lattice.w[idx]
-    sgn = lattice.sign[idx]
-    ms = lattice.m[idx]
 
     v = np.empty(n)
     for j, xi in enumerate(x):
@@ -188,22 +185,20 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
         v[j] = val.real
 
     kin = -hbar * hbar / (2.0 * mass)
-    j = np.arange(n)
-    toward, has_toward = _neighbor(sgn, ms, 1, lattice, stride=2)
-    away, has_away = _neighbor(sgn, ms, -1, lattice, stride=2)
-    inner = ~has_toward  # innermost odd point of each branch
+    h = n // 2  # the innermost odd points are h - 1 and h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         K = 1.0 / ((qc - 1.0 / qc) ** 2 * x * x)
         di = kin * (-(qc + 1.0 / qc)) * K + v
-        di[inner] += kin * K[inner] / qc * (1.0 + qc * qc) / 2.0
+        di[h - 1:h + 1] += kin * K[h - 1:h + 1] / qc * (1.0 + qc * qc) / 2.0
         # Toward zero (m + 2) the coefficient couples to the neighbor, or at
-        # the inner end to the mirror point, both at index j - s; away from
-        # zero (m - 2) past the outer end there is nothing (zero fill).
-        c_toward = np.where(has_toward, kin * K / qc,
-                            kin * K / qc * (1.0 - qc * qc) / 2.0)
-        c_away = kin * K * qc
-    lo, up = _off_diagonals(n, (j, toward, c_toward),
-                            (j[has_away], away[has_away], c_away[has_away]))
+        # the inner end to the mirror point; away from zero (m - 2) past the
+        # outer end there is nothing (zero fill).  + 0.0 turns the -0.0
+        # coupling where x * x overflows into 0.0.
+        toward = kin * K / qc
+        toward[h - 1:h + 1] = toward[h - 1:h + 1] * (1.0 - qc * qc) / 2.0
+        away = kin * K * qc
+    lo = np.concatenate([away[1:h], toward[h:]]) + 0.0
+    up = np.concatenate([toward[:h], away[h:-1]]) + 0.0
     if not all(np.all(np.isfinite(band)) for band in (lo, di, up)):
         raise ValueError(
             "Hamiltonian bands are not finite at the innermost |x| = %.3g: "

@@ -415,6 +415,28 @@ def test_solve_non_finite_hamiltonian_is_configuration_failure(capsys, tmp_path)
     assert "m_max = 600" in err
 
 
+@pytest.mark.parametrize("potential", ["1", "x^2"])
+def test_lattice_past_float_range_is_configuration_failure(tmp_path, potential):
+    # q^-1100 overflows; before any numpy warning reaches stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "basicq", "solve", "--potential", potential, "--q", "0.5",
+         "--lattice=-1100:10:1", "--k", "1", "--output", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "basicq: invalid configuration: lattice window m in [-1100, 10] leaves float "
+        "range at q = 0.5: a point |x| or its weight is 0 or infinite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_underflowing_to_zero_is_configuration_failure(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--potential", "x^2", "--q", "0.5",
+                         "--lattice=-15:1100:1", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("basicq: invalid configuration: lattice window m in [-15, 1100]")
+
+
 def test_solve_bad_lattice_string(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--potential", "x^2",
                        "--lattice", "abc", "--output", str(tmp_path))

@@ -6,6 +6,7 @@ import gc
 import io
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -113,6 +114,27 @@ class TestLatticeGeometry:
             build_lattice(0.9, -2, 4, 0.0)
         with pytest.raises(ValueError):
             build_lattice(0.9, 2, 2, 1.0)  # no odd exponent in range
+
+    @pytest.mark.parametrize("q, m_min, m_max", [
+        (0.5, -15, 1075),  # q^1075 underflows: x = 0 at the inner end
+        (0.5, -1024, 10),  # q^-1024 overflows: |x| = inf at the outer end
+        (1e-200, -1, 1),  # |x| finite, the weight (1/q - q) q^-1 overflows
+    ])
+    def test_window_past_float_range_rejected(self, q, m_min, m_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and nothing is printed
+            with pytest.raises(ValueError) as exc:
+                build_lattice(q, m_min, m_max)
+        assert str(exc.value) == (
+            f"lattice window m in [{m_min}, {m_max}] leaves float range at q = {q!r}: "
+            "a point |x| or its weight is 0 or infinite")
+
+    def test_window_at_the_float_range_edges_builds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lat = build_lattice(0.5, -1023, 1074)
+        assert lat.x[-1] == 2.0 ** 1023 and lat.w_all[0] == 1.5 * 2.0 ** 1023
+        assert lat.x[lat.n_branch] == 5e-324 and lat.w_all[lat.n_branch] > 0
 
     def test_compatibility(self):
         a = build_lattice(0.9, -2, 4, 1.0)

@@ -204,6 +204,58 @@ class TestAssembly:
             gap = np.max(np.abs(kin[r] - prod[r]))
             assert gap <= 1e-13 * np.max(np.abs(kin[r])), (r, gap)
 
+    @pytest.mark.parametrize("q", [0.5, 0.8, 0.9, 0.99])
+    @pytest.mark.parametrize("m_min, m_max", [
+        (0, 1), (-1, 2), (1, 2), (2, 9), (-3, 4), (-2, 5), (-15, 60)])
+    def test_bands_match_pointwise_stencils_at_every_branch_end(self, q, m_min, m_max):
+        # Both stencils rebuilt point by point from (sign, exponent): the
+        # neighbor by exponent, the mirror point by sign, the derivative's
+        # inner-end fill summed with its away-from-zero term.  Exact, so the
+        # closure and edge rows are pinned as well as the interior.
+        lat = build_lattice(q, m_min, m_max)
+        qc = lat.q
+        D = np.zeros((lat.size, lat.size))
+        for j in range(lat.size):
+            s, m = int(lat.sign[j]), int(lat.m[j])
+            c = 1.0 / ((qc - 1.0 / qc) * lat.x[j])
+            if m < m_max:
+                D[j, lat.index_of(s, m + 1)] += c
+            else:
+                D[j, j] += c * (1.0 + qc)
+                D[j, lat.index_of(s, m - 1)] += -c * qc
+            if m > m_min:
+                D[j, lat.index_of(s, m - 1)] += -c
+        for op, s in ((derivative_matrix(lat), 1.0), (momentum_matrix(lat, 0.7), -0.7j)):
+            assert np.array_equal(op.di, s * np.diag(D))
+            assert np.array_equal(op.up, s * np.diag(D, 1))
+            assert np.array_equal(op.lo, s * np.diag(D, -1))
+
+        hbar, mass = 0.8, 1.3
+        V = lambda x: x * x + 0.3 * x  # noqa: E731  (no mirror symmetry)
+        H = build_hamiltonian(V, mass, hbar, lat)
+        odd = lat.odd_indices
+        at = {int(i): r for r, i in enumerate(odd)}
+        kin = -hbar * hbar / (2.0 * mass)
+        M = np.zeros((len(odd), len(odd)))
+        for r, j in enumerate(odd):
+            s, m, x = int(lat.sign[j]), int(lat.m[j]), lat.x[j]
+            K = 1.0 / ((qc - 1.0 / qc) ** 2 * x * x)
+            M[r, r] = kin * (-(qc + 1.0 / qc)) * K + complex(V(x)).real
+            if m + 2 <= m_max:
+                M[r, at[lat.index_of(s, m + 2)]] = kin * K / qc
+            else:
+                M[r, r] += kin * K / qc * (1.0 + qc * qc) / 2.0
+                M[r, at[lat.index_of(-s, m)]] = kin * K / qc * (1.0 - qc * qc) / 2.0
+            if m - 2 >= m_min:
+                M[r, at[lat.index_of(s, m - 2)]] = kin * K * qc
+        up, lo = np.diag(M, 1), np.diag(M, -1)
+        root = np.sqrt(lat.w[odd])
+        sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
+        assert np.array_equal(H.di, np.diag(M))
+        assert np.array_equal(H.up, up)
+        assert np.array_equal(H.lo, lo)
+        assert np.array_equal(H.sym_e, sym_e)
+
 
 # -- free particle -----------------------------------------------------------
 
