@@ -183,8 +183,8 @@ def _finite(values, option):
 
 def _expr_fn(text: str, q: float):
     # One QParam for every point, not one built per evaluate call.
-    ast, qp = exprparse.parse(text), as_qparam(q)
-    return lambda x: exprparse.evaluate(ast, x, qp)
+    expr, qp = exprparse.parse(text), as_qparam(q)
+    return lambda x: exprparse.evaluate(expr, x, qp)
 
 
 def cmd_eval(args) -> int:
@@ -306,15 +306,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    H = _hamiltonian(args)
-    psi = l2q.sample(_expr_fn(args.psi0, args.q), H.lattice)
-    nrm = l2q.q_norm(psi)
-    if not (math.isfinite(nrm) and nrm > 0):
-        print(f"basicq: error: initial state has q-norm {nrm!r}, cannot normalize",
-              file=sys.stderr)
-        return 1
-    psi = (1.0 / nrm) * psi
-
+    # The time grid is checked before H is built or psi0 sampled, so a bad
+    # grid is a usage error whatever the expressions hold.
     steps = args.steps
     if steps < 1:
         raise UsageError(f"--steps must be >= 1, got {steps}")
@@ -331,6 +324,15 @@ def cmd_evolve(args) -> int:
     for done in range(0, steps, snap_every):
         t = t + dt * min(snap_every, steps - done)
         times.append(t)
+
+    H = _hamiltonian(args)
+    psi = l2q.sample(_expr_fn(args.psi0, args.q), H.lattice)
+    nrm = l2q.q_norm(psi)
+    if not (math.isfinite(nrm) and nrm > 0):
+        print(f"basicq: error: initial state has q-norm {nrm!r}, cannot normalize",
+              file=sys.stderr)
+        return 1
+    psi = (1.0 / nrm) * psi
 
     outdir = _out_dir(args)
     # evolve solves every block at the call, before any file is written, so

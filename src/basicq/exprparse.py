@@ -20,26 +20,17 @@ offset into the source text.
 from __future__ import annotations
 
 import cmath
-import operator
 import re
-from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import EvaluationError, ParseError
-from .qnum import as_qparam
+from .qnum import QParam, as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
 
-__all__ = [
-    "Expression",
-    "Num",
-    "Var",
-    "Param",
-    "Unary",
-    "Binary",
-    "Call",
-    "KNOWN_FUNCTIONS",
-    "parse",
-    "evaluate",
-]
+__all__ = ["KNOWN_FUNCTIONS", "parse", "evaluate"]
+
+# A compiled (sub)expression: its complex value at a point x and parameter qp.
+_Compiled = Callable[[complex, QParam], complex]
 
 # name -> (arity, implementation of (qp, *args)); every value is complex.
 _FUNCTIONS = {
@@ -57,49 +48,10 @@ _FUNCTIONS = {
 
 KNOWN_FUNCTIONS = {name: arity for name, (arity, _) in _FUNCTIONS.items()}
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "^": operator.pow}
-
-
-@dataclass(frozen=True)
-class Expression:
-    """Base AST node; ``offset`` is the 0-based source position."""
-
-    offset: int = field(compare=False)
-
-
-@dataclass(frozen=True)
-class Num(Expression):
-    value: float = 0.0
-
-
-@dataclass(frozen=True)
-class Var(Expression):
-    """The free variable x."""
-
-
-@dataclass(frozen=True)
-class Param(Expression):
-    """The ambient deformation parameter q."""
-
-
-@dataclass(frozen=True)
-class Unary(Expression):
-    operand: Expression = None
-
-
-@dataclass(frozen=True)
-class Binary(Expression):
-    op: str = ""
-    left: Expression = None
-    right: Expression = None
-
-
-@dataclass(frozen=True)
-class Call(Expression):
-    name: str = ""
-    args: tuple = ()
-
+# operator -> implementation of (qp, a, b), the same form as above.
+_OPERATORS = {"+": lambda qp, a, b: a + b, "-": lambda qp, a, b: a - b,
+              "*": lambda qp, a, b: a * b, "/": lambda qp, a, b: a / b,
+              "^": lambda qp, a, b: a ** b}
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -152,16 +104,18 @@ class _Tokens:
         return self.next()
 
 
-def parse(text: str) -> Expression:
-    """Parse ``text`` into an AST.
+def parse(text: str) -> _Compiled:
+    """Parse ``text`` into a compiled expression ``(x, qp) -> complex``.
 
-    Raises :class:`~basicq.errors.ParseError` with a character offset on any
+    Each grammar node becomes a closure as it is parsed, so evaluating the
+    result walks no tree; :func:`evaluate` calls it at one point.  Raises
+    :class:`~basicq.errors.ParseError` with a character offset on any
     syntax problem; never returns partially-consumed input.
 
     Examples
     --------
-    >>> parse("x^2")
-    Binary(offset=1, op='^', left=Var(offset=0), right=Num(offset=2, value=2.0))
+    >>> evaluate(parse("x^2 - q"), 3, 0.5)
+    (8.5+0j)
     """
     if not text or text.isspace():
         raise ParseError("empty expression", 0)
@@ -173,42 +127,66 @@ def parse(text: str) -> Expression:
     return node
 
 
-def _parse_expr(toks: _Tokens) -> Expression:
+def _apply(fn, offset: int, operands) -> _Compiled:
+    """Node applying ``fn`` to its operands' values, in order.
+
+    Arithmetic failures (division by zero, 0 to a negative power, overflow)
+    raise :class:`~basicq.errors.EvaluationError` at ``offset``; failures
+    inside an operand keep that operand's offset.
+    """
+    def node(x, qp):
+        args = [f(x, qp) for f in operands]
+        try:
+            return fn(qp, *args)
+        except ZeroDivisionError:
+            raise EvaluationError("division by zero", offset) from None
+        except OverflowError:
+            raise EvaluationError("overflow", offset) from None
+        except ValueError as exc:
+            raise EvaluationError(str(exc), offset) from None
+    return node
+
+
+def _parse_expr(toks: _Tokens) -> _Compiled:
     node = _parse_term(toks)
     while toks.peek()[0] in ("+", "-"):
         op, _, off = toks.next()
-        node = Binary(off, op, node, _parse_term(toks))
+        node = _apply(_OPERATORS[op], off, (node, _parse_term(toks)))
     return node
 
 
-def _parse_term(toks: _Tokens) -> Expression:
+def _parse_term(toks: _Tokens) -> _Compiled:
     node = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op, _, off = toks.next()
-        node = Binary(off, op, node, _parse_factor(toks))
+        node = _apply(_OPERATORS[op], off, (node, _parse_factor(toks)))
     return node
 
 
-def _parse_factor(toks: _Tokens) -> Expression:
+def _parse_factor(toks: _Tokens) -> _Compiled:
     if toks.peek()[0] == "-":
-        _, _, off = toks.next()
-        return Unary(off, _parse_power(toks))
+        toks.next()
+        operand = _parse_power(toks)
+        # 0 - v, not -v: negating a real v would give it a -0.0 imaginary
+        # part, which puts sqrt(-1) on the -i side of the cut.
+        return lambda x, qp: 0.0 - operand(x, qp)
     return _parse_power(toks)
 
 
-def _parse_power(toks: _Tokens) -> Expression:
+def _parse_power(toks: _Tokens) -> _Compiled:
     node = _parse_primary(toks)
     if toks.peek()[0] == "^":
         _, _, off = toks.next()
-        node = Binary(off, "^", node, _parse_factor(toks))
+        node = _apply(_OPERATORS["^"], off, (node, _parse_factor(toks)))
     return node
 
 
-def _parse_primary(toks: _Tokens) -> Expression:
+def _parse_primary(toks: _Tokens) -> _Compiled:
     kind, text, off = toks.peek()
     if kind == "number":
         toks.next()
-        return Num(off, float(text))
+        value = complex(float(text))
+        return lambda x, qp: value
     if kind == "(":
         toks.next()
         node = _parse_expr(toks)
@@ -217,9 +195,9 @@ def _parse_primary(toks: _Tokens) -> Expression:
     if kind == "ident":
         toks.next()
         if text == "x":
-            return Var(off)
+            return lambda x, qp: x
         if text == "q":
-            return Param(off)
+            return lambda x, qp: complex(qp.q)
         if text not in KNOWN_FUNCTIONS:
             known = ", ".join(sorted(KNOWN_FUNCTIONS))
             raise ParseError(
@@ -236,46 +214,17 @@ def _parse_primary(toks: _Tokens) -> Expression:
             raise ParseError(
                 f"{text} expects {arity} argument{'s' if arity != 1 else ''}, "
                 f"got {len(args)}", off)
-        return Call(off, text, tuple(args))
+        return _apply(_FUNCTIONS[text][1], off, tuple(args))
     raise ParseError("expected primary (number, x, q, function call, or '(')", off)
 
 
-def evaluate(e: Expression, x, q) -> complex:
-    """Evaluate the AST at point ``x`` with deformation ``q``.
+def evaluate(e: _Compiled, x, q) -> complex:
+    """Evaluate the compiled expression ``e`` at point ``x`` with deformation ``q``.
 
     The ``q`` leaf yields the parameter as given (not canonicalized); the
     deformed functions Eq/Sq/Cq use the same series code as qfunctions.
-    Arithmetic failures (division by zero, 0 to a negative power, overflow)
-    raise :class:`~basicq.errors.EvaluationError` at the node's offset.
+    Arithmetic failures raise :class:`~basicq.errors.EvaluationError` at the
+    offset of the operator or call that failed.
     """
     qp = as_qparam(q)
-    xv = complex(x)
-
-    def ev(node) -> complex:
-        if isinstance(node, Num):
-            return complex(node.value)
-        if isinstance(node, Var):
-            return xv
-        if isinstance(node, Param):
-            return complex(qp.q)
-        if isinstance(node, Unary):
-            # 0 - v, not -v: negating a real v would give it a -0.0
-            # imaginary part, which puts sqrt(-1) on the -i side of the cut.
-            return 0.0 - ev(node.operand)
-        if isinstance(node, Binary):
-            fn, args = _OPERATORS[node.op], [ev(node.left), ev(node.right)]
-        elif isinstance(node, Call):
-            fn, args = _FUNCTIONS[node.name][1], [qp] + [ev(a) for a in node.args]
-        else:
-            raise EvaluationError(f"unknown node {type(node).__name__}",
-                                  getattr(node, "offset", 0))
-        try:
-            return fn(*args)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero", node.offset) from None
-        except OverflowError:
-            raise EvaluationError("overflow", node.offset) from None
-        except ValueError as exc:
-            raise EvaluationError(str(exc), node.offset) from None
-
-    return ev(e)
+    return e(complex(x), qp)

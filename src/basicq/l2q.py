@@ -259,9 +259,13 @@ def _check_same_lattice(a: QLattice, b: QLattice):
 def sample(f, lattice: QLattice) -> LatticeFunction:
     """Evaluate ``f`` at every lattice point (0 is not one).
 
-    Non-finite samples are rejected (the function must belong to the space).
+    Non-finite samples are rejected (the function must belong to the space):
+    the ValueError names the first such point in lattice order.
     """
     vals = np.array([complex(f(xi)) for xi in lattice.x])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"non-finite sample at x = {float(lattice.x[bad.argmax()])!r}")
     return LatticeFunction(lattice, vals)
 
 

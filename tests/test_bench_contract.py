@@ -71,14 +71,14 @@ def test_traced_commands_keep_integer_counters(capsys, tmp_path, monkeypatch):
     json.dumps(metrics)
 
 
-def test_import_basicq_lists_scipy_linalg_in_importtime():
+def test_import_basicq_lists_scipy_linalg_in_importtime(child_env):
     # bench/run.py reads import.scipy_linalg_s from this output and turns a
     # missing line into NaN, which makes its last line invalid JSON.  So
     # `import basicq` keeps loading scipy.linalg until a benchmark change
     # reports an absent import as 0; this test goes with that change, which
     # unblocks the lazy scipy import (ROADMAP item 1).
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import basicq"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     names = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
     assert "scipy.linalg" in names

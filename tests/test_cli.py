@@ -416,12 +416,12 @@ def test_solve_non_finite_hamiltonian_is_configuration_failure(capsys, tmp_path)
 
 
 @pytest.mark.parametrize("potential", ["1", "x^2"])
-def test_lattice_past_float_range_is_configuration_failure(tmp_path, potential):
+def test_lattice_past_float_range_is_configuration_failure(tmp_path, potential, child_env):
     # q^-1100 overflows; before any numpy warning reaches stderr
     proc = subprocess.run(
         [sys.executable, "-m", "basicq", "solve", "--potential", potential, "--q", "0.5",
          "--lattice=-1100:10:1", "--k", "1", "--output", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -552,6 +552,24 @@ def test_evolve_bad_grid(capsys, tmp_path):
         assert err.startswith("basicq: usage error:")
 
 
+@pytest.mark.parametrize("potential, psi0", [("0", "0"), ("1/0", "gauss(x)")])
+def test_evolve_checks_the_grid_before_the_expressions(capsys, tmp_path, potential, psi0):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "evolve", "--potential", potential, "--psi0", psi0,
+                            "--steps", "0", "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "basicq: usage error: --steps must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_evolve_names_the_point_of_a_non_finite_initial_state(capsys, tmp_path):
+    x0 = float(l2q.default_lattice().x[0])
+    code, out, err = run(capsys, "evolve", "--potential", "x^2",
+                         "--psi0", "1e300*x*1e300", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"basicq: invalid configuration: non-finite sample at x = {x0!r}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--potential", "x^2", "--k", "1"],
     ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"],
@@ -665,9 +683,9 @@ def test_no_subcommand_is_usage_failure(capsys):
     assert code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "basicq", "eval", "--fn", "Sq", "--points", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"

@@ -8,14 +8,7 @@ import math
 import pytest
 
 from basicq import EvaluationError, ParseError, evaluate, parse, q_cos, q_exp, q_sin
-from basicq.exprparse import (
-    Binary,
-    Call,
-    KNOWN_FUNCTIONS,
-    Num,
-    Unary,
-    Var,
-)
+from basicq.exprparse import KNOWN_FUNCTIONS
 
 
 def val(text, x=0.0, q=0.9):
@@ -67,7 +60,7 @@ def test_unary_minus_binds_before_power():
 
 def test_sqrt_of_negative_is_on_upper_side_of_cut():
     # negation must not leave a -0.0 imaginary part for cmath.sqrt to see
-    assert val("sqrt(-1)") == 1j
+    assert repr(val("sqrt(-1)")) == "1j"  # exactly 0.0 + 1.0j, no -0.0 part
     assert val("sqrt(-4)") == 2j
 
 
@@ -160,20 +153,42 @@ def test_evaluation_error_offset_points_at_operator():
         pytest.fail("expected EvaluationError")
 
 
-# -- AST and precedence -------------------------------------------------------
+# Every failure's exact message and offset, at q = 0.9; the message ends with
+# the offset, so a node that reports the wrong position fails here.
+_FAILURES = [
+    ("1/x", 0.0, EvaluationError, "division by zero", 1),
+    ("2 + 1/x", 0.0, EvaluationError, "division by zero", 5),
+    ("x^(0-1)", 0.0, EvaluationError, "division by zero", 1),
+    ("pow(0, 0-1)", 0.0, EvaluationError, "division by zero", 0),
+    ("exp(1000*x)", 1.0, EvaluationError, "overflow", 0),
+    ("10^400", 0.0, EvaluationError, "overflow", 2),
+    ("2*exp(x)^400", 3.0, EvaluationError, "overflow", 8),
+    ("sin(1e300*1e300)", 0.0, EvaluationError, "math domain error", 0),
+    ("x^^2", 0.0, ParseError,
+     "expected primary (number, x, q, function call, or '(')", 2),
+    ("sin x", 0.0, ParseError, "expected '(' after function 'sin'", 4),
+    ("1..2", 0.0, ParseError, "unexpected trailing input '.2'", 2),
+    (".e5", 0.0, ParseError, "malformed number starting with '.'", 0),
+    ("x @ 2", 0.0, ParseError, "unexpected character '@'", 2),
+    ("(x", 0.0, ParseError, "expected ')'", 2),
+    ("pow(x)", 0.0, ParseError, "pow expects 2 arguments, got 1", 0),
+    ("foo(x)", 0.0, ParseError,
+     "unknown identifier 'foo'; known functions: Cq, Eq, Sq, abs, cos, exp, "
+     "gauss, pow, sin, sqrt; variables: x, q", 0),
+    ("", 0.0, ParseError, "empty expression", 0),
+]
 
-def test_ast_shape():
-    e = parse("-x^2 + sin(3*x)")
-    assert isinstance(e, Binary) and e.op == "+"
-    left = e.left
-    assert isinstance(left, Unary)
-    power = left.operand
-    assert isinstance(power, Binary) and power.op == "^"
-    assert isinstance(power.left, Var)
-    assert isinstance(power.right, Num) and power.right.value == 2.0
-    call = e.right
-    assert isinstance(call, Call) and call.name == "sin" and len(call.args) == 1
 
+@pytest.mark.parametrize("text,x,kind,message,offset", _FAILURES,
+                         ids=[repr(t) for t, *_ in _FAILURES])
+def test_failure_message_and_offset(text, x, kind, message, offset):
+    with pytest.raises(kind) as info:
+        val(text, x=x)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
+# -- precedence ---------------------------------------------------------------
 
 # Each text against the same expression written in Python, with q = 0.9.
 _PRECEDENCE = [
@@ -189,6 +204,7 @@ _PRECEDENCE = [
     ("gauss(x/2)", lambda x, q: math.exp(-(x / 2) ** 2)),
     ("-(x+1)", lambda x, q: -(x + 1)),
     ("1/(x+2)^2", lambda x, q: 1 / (x + 2) ** 2),
+    ("-x^2 + sin(3*x)", lambda x, q: -(x**2) + math.sin(3 * x)),
 ]
 
 

@@ -187,6 +187,11 @@ class TestInnerProduct:
         lat = build_lattice(0.9, -2, 4, 1.0)
         with pytest.raises(ValueError):
             sample(lambda x: math.inf, lat)
+        # the message names the first non-finite point in lattice order
+        x0 = float(lat.x[lat.x > 0][0])
+        with pytest.raises(ValueError) as exc:
+            sample(lambda x: math.nan if x > 0 else x, lat)
+        assert str(exc.value) == f"non-finite sample at x = {x0!r}"
 
     def test_arithmetic(self):
         lat = build_lattice(0.9, -2, 4, 1.0)
