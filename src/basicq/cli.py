@@ -12,11 +12,6 @@ command takes only the shared options it reads, besides its own and
     verify          --q --format
     solve, evolve   --q --hbar --mass --lattice
 
-A shared option comes from its flag, else from the environment variable
-BASICQ_<NAME> (BASICQ_Q, BASICQ_TOL, BASICQ_HBAR, BASICQ_MASS,
-BASICQ_LATTICE, BASICQ_FORMAT), else from the built-in default.  A command
-reads no variable for an option it does not take.
-
 Exit codes: 0 success, 1 computation failure (evaluation or convergence),
 2 usage, parse, or configuration failure.  Output is deterministic: the
 same invocation produces byte-identical files.
@@ -75,7 +70,8 @@ def _parse_format(text: str) -> str:
 
 
 # Options shared between commands: name -> (converter that validates,
-# default, help).  A subparser registers the names its handler reads.
+# default, help).  A subparser registers the names its handler reads; a
+# converter's ValueError becomes argparse's usage error (exit 2).
 _SHARED = {
     "q": (_positive("q"), l2q.DEFAULT_Q, f"deformation parameter (default {l2q.DEFAULT_Q})"),
     "tol": (_positive("tol"), qcalculus.DEFAULT_TOL,
@@ -87,30 +83,6 @@ _SHARED = {
                 f"(default {l2q.DEFAULT_M_MIN}:{l2q.DEFAULT_M_MAX}:1.0)"),
     "format": (_parse_format, "csv", "csv or json (default csv)"),
 }
-
-
-def _resolve_shared(args, env) -> None:
-    """Replace each registered shared option on ``args`` by its value.
-
-    The flag wins, then ``BASICQ_<NAME>``, then the default; only the
-    chosen source is converted.  ``args.explicit`` gets the names that
-    came from a flag or the environment.
-    """
-    args.explicit = set()
-    for name in args.shared:
-        conv, default, _ = _SHARED[name]
-        text, source = getattr(args, name), "--" + name
-        if text is None:
-            source = "BASICQ_" + name.upper()
-            text = env.get(source)
-        if text is None:
-            setattr(args, name, default)
-            continue
-        try:
-            setattr(args, name, conv(text))
-        except ValueError as exc:
-            raise UsageError(f"bad {source} value {text!r}: {exc}") from None
-        args.explicit.add(name)
 
 
 def _canon(v):
@@ -237,8 +209,8 @@ def cmd_qint(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sweep = (args.q,) if "q" in args.explicit else verify_mod.DEFAULT_SWEEP
-    report = verify_mod.run_verify(sweep, tol_override=args.force_tolerance)
+    sweep = verify_mod.DEFAULT_SWEEP if args.q is None else (args.q,)
+    report = verify_mod.run_verify(sweep)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -361,12 +333,22 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _argtype(conv):
+    def convert(text):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _add_shared(sp, handler, *names):
     for name in names:
-        sp.add_argument("--" + name, default=None, help=_SHARED[name][2])
+        conv, default, help_text = _SHARED[name]
+        sp.add_argument("--" + name, type=_argtype(conv), default=default, help=help_text)
     sp.add_argument("--output", default=None,
                     help="output file (tables) or directory (solve/evolve)")
-    sp.set_defaults(handler=handler, shared=names)
+    sp.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,9 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shared(sp, cmd_qint, "q", "tol", "format")
 
     sp = sub.add_parser("verify", help="run the identity suite and report")
-    sp.add_argument("--force-tolerance", type=float, default=None,
-                    help="override every identity tolerance (report-format demo)")
-    _add_shared(sp, cmd_verify, "q", "format")
+    sweep = ", ".join(map(str, verify_mod.DEFAULT_SWEEP))
+    sp.add_argument("--q", type=_argtype(_SHARED["q"][0]), default=None,
+                    help=f"deformation parameter (default: sweep {sweep})")
+    _add_shared(sp, cmd_verify, "format")
 
     sp = sub.add_parser("solve", help="stationary states of a potential")
     sp.add_argument("--potential", required=True)
@@ -447,7 +430,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        _resolve_shared(args, os.environ)
         return args.handler(args)
     except UsageError as exc:
         print(f"basicq: usage error: {exc}", file=sys.stderr)

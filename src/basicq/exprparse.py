@@ -23,7 +23,7 @@ import cmath
 import re
 from typing import Callable
 
-from .errors import EvaluationError, ParseError
+from .errors import ConvergenceError, EvaluationError, ParseError
 from .qnum import QParam, as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
 
@@ -131,8 +131,9 @@ def _apply(fn, offset: int, operands) -> _Compiled:
     """Node applying ``fn`` to its operands' values, in order.
 
     Arithmetic failures (division by zero, 0 to a negative power, overflow)
-    raise :class:`~basicq.errors.EvaluationError` at ``offset``; failures
-    inside an operand keep that operand's offset.
+    and an Eq/Sq/Cq series that does not converge raise
+    :class:`~basicq.errors.EvaluationError` at ``offset``; failures inside an
+    operand keep that operand's offset.
     """
     def node(x, qp):
         args = [f(x, qp) for f in operands]
@@ -142,7 +143,7 @@ def _apply(fn, offset: int, operands) -> _Compiled:
             raise EvaluationError("division by zero", offset) from None
         except OverflowError:
             raise EvaluationError("overflow", offset) from None
-        except ValueError as exc:
+        except (ValueError, ConvergenceError) as exc:
             raise EvaluationError(str(exc), offset) from None
     return node
 
@@ -223,8 +224,9 @@ def evaluate(e: _Compiled, x, q) -> complex:
 
     The ``q`` leaf yields the parameter as given (not canonicalized); the
     deformed functions Eq/Sq/Cq use the same series code as qfunctions.
-    Arithmetic failures raise :class:`~basicq.errors.EvaluationError` at the
-    offset of the operator or call that failed.
+    Arithmetic failures and Eq/Sq/Cq series that do not converge raise
+    :class:`~basicq.errors.EvaluationError` at the offset of the operator or
+    call that failed.
     """
     qp = as_qparam(q)
     return e(complex(x), qp)

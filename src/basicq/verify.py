@@ -278,12 +278,8 @@ _IDENTITIES = (
 )
 
 
-def run_verify(q_values=DEFAULT_SWEEP, tol_override: float | None = None) -> VerifyReport:
-    """Run the full identity suite over ``q_values``.
-
-    ``tol_override`` replaces every identity's tolerance (useful to
-    demonstrate the failure-report format with an unattainable value).
-    """
+def run_verify(q_values=DEFAULT_SWEEP) -> VerifyReport:
+    """Run the full identity suite over ``q_values``."""
     qs = tuple(float(q) for q in q_values)
     if not qs:
         raise ValueError("q_values must be nonempty")
@@ -293,8 +289,6 @@ def run_verify(q_values=DEFAULT_SWEEP, tol_override: float | None = None) -> Ver
     qps = tuple(qnum.as_qparam(q) for q in qs)
     results = []
     for name, detail, tol, needs_deform, residuals in _IDENTITIES:
-        if tol_override is not None:
-            tol = tol_override
         eligible = [qp for qp in qps if not (needs_deform and qp.classical)]
         if not eligible:
             results.append(IdentityResult(name, detail, float("nan"), tol, "SKIP"))

@@ -269,13 +269,6 @@ def test_verify_single_q_json(capsys):
     assert statuses == {"PASS"}
 
 
-def test_verify_forced_tolerance_fails(capsys):
-    code, out, err = run(capsys, "verify", "--force-tolerance", "1e-30")
-    assert code == 1
-    assert "FAIL" in out
-    assert "verify failed" in err  # failure summary lands on stderr
-
-
 # -- solve -------------------------------------------------------------------
 
 # A mirror potential is solved as two parity blocks, the shifted well whole;
@@ -615,6 +608,7 @@ def test_help_lists_only_the_shared_options_a_command_reads(capsys, command, sha
     *[(c, f, v) for c in ("eval", "qderiv", "qint", "verify")
       for f, v in (("--hbar", "2"), ("--mass", "2"), ("--lattice", "-5:30:1"))],
     ("evolve", "--dt", "0.3"),
+    ("verify", "--force-tolerance", "1e-30"),
 ])
 def test_option_a_command_does_not_read_is_rejected(capsys, tmp_path, command, flag, value):
     code, _, err = run(capsys, *_BASE_ARGV[command], flag, value,
@@ -624,58 +618,19 @@ def test_option_a_command_does_not_read_is_rejected(capsys, tmp_path, command, f
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("variable, value, argv", [
-    ("BASICQ_FORMAT", "xml", ("solve", "--potential", "x^2", "--k", "1")),
-    ("BASICQ_TOL", "banana", ("verify", "--q", "0.9")),
-    ("BASICQ_HBAR", "-1", ("qint", "--expr", "x")),
-])
-def test_env_of_an_option_a_command_does_not_read_is_ignored(
-        capsys, monkeypatch, tmp_path, variable, value, argv):
-    def outputs(name):
-        root = tmp_path / name
-        root.mkdir()
-        code, _, err = run(capsys, *argv, "--output", str(root / "out"))
+def test_basicq_environment_variables_are_not_read(capsys, monkeypatch, tmp_path):
+    def solve_files(name):
+        code, _, err = run(capsys, *_BASE_ARGV["solve"], "--output", str(tmp_path / name))
         assert code == 0, err
-        return {str(f.relative_to(root)): f.read_bytes()
-                for f in sorted(root.rglob("*")) if f.is_file()}
+        return {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
 
-    plain = outputs("plain")
-    monkeypatch.setenv(variable, value)
-    assert outputs("env") == plain
-
-
-def test_env_of_an_unread_option_keeps_golden_output(capsys, monkeypatch):
-    monkeypatch.setenv("BASICQ_LATTICE", "abc")
-    code, out, _ = run(capsys, "eval", "--fn", "Sq", "--points", "0")
+    plain = solve_files("plain")
+    for name in ("Q", "TOL", "HBAR", "MASS", "LATTICE", "FORMAT"):
+        monkeypatch.setenv("BASICQ_" + name, "banana")
+    code, out, _ = run(capsys, *_BASE_ARGV["eval"])
     assert code == 0
     assert out == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"
-
-
-def test_env_override_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("BASICQ_Q", "0.5")
-    _, out_env, _ = run(capsys, "eval", "--fn", "Eq", "--points", "1")
-    val_env = float(out_env.strip().splitlines()[-1].split(",")[1])
-    assert val_env == pytest.approx(q_exp(1.0, 0.5).value.real, rel=1e-14)
-    # explicit flag wins over the environment
-    _, out_flag, _ = run(capsys, "eval", "--fn", "Eq", "--points", "1", "--q", "0.9")
-    val_flag = float(out_flag.strip().splitlines()[-1].split(",")[1])
-    assert val_flag == pytest.approx(q_exp(1.0, 0.9).value.real, rel=1e-14)
-
-
-def test_env_bad_value_is_usage_failure(capsys, monkeypatch):
-    monkeypatch.setenv("BASICQ_Q", "banana")
-    code, _, err = run(capsys, "eval", "--fn", "Eq", "--points", "1")
-    assert code == 2
-    assert err != ""
-
-
-def test_env_lattice_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("BASICQ_LATTICE", "-3:20:1.0")
-    code, _, _ = run(capsys, "solve", "--potential", "x^2", "--k", "1",
-                     "--output", str(tmp_path))
-    assert code == 0
-    doc = json.loads((tmp_path / "spectrum.json").read_text())
-    assert doc["lattice"] == {"m_min": -3, "m_max": 20, "a": 1.0}
+    assert solve_files("env") == plain
 
 
 def test_no_subcommand_is_usage_failure(capsys):

@@ -1,0 +1,41 @@
+"""The output-diff tool under ``tools/``: what it records and what it reports."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("diff_outputs",
+                                                  ROOT / "tools" / "diff_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_records_exit_code_stdout_and_written_files():
+    code, out, files = _load_tool().outputs(ROOT, ["solve", "--potential", "x^2", "--k", "1"])
+    assert code == 0
+    assert out.decode().split() == ["./spectrum.json", "./eigfunc_000.csv"]
+    assert sorted(files) == ["eigfunc_000.csv", "spectrum.json"]
+    assert all(len(digest) == 64 for digest in files.values())
+
+
+def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
+    tool = _load_tool()
+    records = {"old": (0, b"same", {}), "new": (0, b"same", {})}
+
+    def outputs(tree, argv):
+        return records[tree] if argv == ["verify", "--help"] else (0, b"", {})
+
+    monkeypatch.setattr(tool, "outputs", outputs)
+    monkeypatch.setattr(tool, "workload_commands", lambda seed, rounds: [])
+    assert tool.main(["old", "new"]) == 0
+    records["new"] = (2, b"other", {})
+    assert tool.main(["old", "new"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",
+                          "1 of 7 commands differ"]

@@ -164,6 +164,10 @@ _FAILURES = [
     ("10^400", 0.0, EvaluationError, "overflow", 2),
     ("2*exp(x)^400", 3.0, EvaluationError, "overflow", 8),
     ("sin(1e300*1e300)", 0.0, EvaluationError, "math domain error", 0),
+    ("Eq(1e300*x)", 1.0, EvaluationError,
+     "q_exp: non-finite term at index 2 (divergent tail?)", 0),
+    ("2 + Sq(1e300*x)", 1.0, EvaluationError,
+     "q_sin: non-finite term at index 1 (divergent tail?)", 4),
     ("x^^2", 0.0, ParseError,
      "expected primary (number, x, q, function call, or '(')", 2),
     ("sin x", 0.0, ParseError, "expected '(' after function 'sin'", 4),

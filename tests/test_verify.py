@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import sys
 
@@ -53,15 +55,6 @@ def test_classical_only_skips_deformation_bound_identities():
     assert by_name["fock-algebra"].status == "PASS"
     # a SKIP is not a failure
     assert report.all_pass
-
-
-def test_tolerance_override_forces_failures():
-    report = run_verify(q_values=(0.9,), tol_override=1e-30)
-    assert not report.all_pass
-    assert len(report.failures) > 5
-    for r in report.results:
-        if r.status != "SKIP":
-            assert r.tolerance == 1e-30
 
 
 def test_rejects_bad_q_values():
@@ -177,8 +170,19 @@ def test_small_q_passes_every_row(q):
 def test_unrepresentable_q_fails_its_rows_and_exits_1(capsys):
     assert cli.main(["verify", "--q", "1e-60"]) == 1
     captured = capsys.readouterr()
-    assert "verify failed: " in captured.err
     assert "Traceback" not in captured.err
+    # The report itself: a failed row's unknown residual is an empty CSV
+    # cell and a JSON null, and stderr names the failed rows in order.
+    rows = list(csv.DictReader(captured.out.splitlines()[1:]))
+    failed = [r["identity"] for r in rows if r["status"] == "FAIL"]
+    assert len(failed) == 12
+    assert {r["max_residual"] for r in rows if r["status"] == "FAIL"} == {""}
+    assert captured.err == f"basicq: verify failed: {', '.join(failed)}\n"
+    assert cli.main(["verify", "--q", "1e-60", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_pass"] is False
+    assert [r["identity"] for r in doc["results"] if r["status"] == "FAIL"] == failed
+    assert {r["max_residual"] for r in doc["results"] if r["status"] == "FAIL"} == {None}
 
 
 # -- the array rows against the per-point generators they replaced -----------

@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Compare what the ``basicq`` CLI of two source trees prints and writes.
+
+    python3 tools/diff_outputs.py OLD_TREE NEW_TREE [--rounds 4] [--seed 17]
+
+A tree is a checkout holding the package under ``src/``.  The commands are
+the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
+``bench/workloads.py`` generates them, plus ``basicq --help`` and each
+command's ``--help``.  Each command runs as ``python -m basicq`` in a fresh
+temporary directory, once against each tree (``PYTHONPATH=<tree>/src``, no
+``BASICQ_*`` variable), so ``solve`` and ``evolve`` write their files there.
+The exit code, the standard output and the SHA-256 of every written file
+are compared.  Each command whose record differs is printed with the parts
+that differ, and the exit status is 1 when any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("eval", "qderiv", "qint", "verify", "solve", "evolve")
+PARTS = ("exit code", "stdout", "files")
+
+
+def workload_commands(seed: int, rounds: int) -> list:
+    """The argument vectors of every workload's first ``rounds`` rounds."""
+    sys.dont_write_bytecode = True  # import bench/ without writing into it
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    return [c.argv for name in workloads.WORKLOADS
+            for c in workloads.generate(name, seed, rounds)]
+
+
+def outputs(tree, argv) -> tuple:
+    """``(exit code, stdout bytes, {written file: SHA-256})`` of one command."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BASICQ_")}
+    env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "basicq", *argv], cwd=cwd, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        files = {f.relative_to(cwd).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+                 for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
+    return proc.returncode, proc.stdout, files
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", help="source tree to compare against")
+    p.add_argument("new", help="source tree under test")
+    p.add_argument("--rounds", type=int, default=4, help="rounds per workload (default 4)")
+    p.add_argument("--seed", type=int, default=17, help="workload seed (default 17)")
+    args = p.parse_args(argv)
+    commands = [["--help"], *([c, "--help"] for c in COMMANDS),
+                *workload_commands(args.seed, args.rounds)]
+    differing = 0
+    for cmd in commands:
+        old, new = outputs(args.old, cmd), outputs(args.new, cmd)
+        parts = [part for part, a, b in zip(PARTS, old, new) if a != b]
+        if parts:
+            differing += 1
+            print(f"differs ({', '.join(parts)}): {shlex.join(['basicq', *cmd])}", flush=True)
+    print(f"{differing} of {len(commands)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
