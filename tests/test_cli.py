@@ -259,6 +259,15 @@ def test_verify_default_exits_zero(capsys):
         assert line.endswith("PASS")
 
 
+def test_verify_without_q_sweeps_the_default_and_says_so(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["q_values"] == [0.5, 0.8, 0.9, 0.95, 0.99]
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "(default: sweep 0.5, 0.8, 0.9, 0.95, 0.99)" in " ".join(out.split())
+
+
 def test_verify_single_q_json(capsys):
     code, out, _ = run(capsys, "verify", "--q", "0.9", "--format", "json")
     assert code == 0
@@ -615,6 +624,25 @@ def test_option_a_command_does_not_read_is_rejected(capsys, tmp_path, command, f
                        "--output", str(tmp_path / "out"))
     assert code == 2
     assert "unrecognized arguments" in err
+    assert not any(tmp_path.iterdir())
+
+
+# A bad shared value is argparse's usage error, naming the flag and the
+# converter's reason.
+@pytest.mark.parametrize("command, flag, value, reason", [
+    ("eval", "--q", "-1", "q must be finite and positive, got -1.0"),
+    ("eval", "--tol", "0", "tol must be finite and positive, got 0.0"),
+    ("solve", "--hbar", "inf", "hbar must be finite and positive, got inf"),
+    ("evolve", "--mass", "nan", "mass must be finite and positive, got nan"),
+    ("solve", "--lattice", "5:1:1", "lattice needs m_min < m_max, got 5:1"),
+    ("qint", "--format", "xml", "format must be csv or json"),
+])
+def test_bad_shared_value_is_usage_error_naming_its_flag(
+        capsys, tmp_path, command, flag, value, reason):
+    code, out, err = run(capsys, *_BASE_ARGV[command], flag, value,
+                         "--output", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"basicq {command}: error: argument {flag}: {reason}"
     assert not any(tmp_path.iterdir())
 
 
