@@ -531,6 +531,45 @@ class TestExpansion:
         got = synthesize(c, spec)
         assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("window", [(-15, 60), (-15, 54)], ids=["h38", "h35"])
+    @pytest.mark.parametrize("potential, k", [
+        (lambda x: x * x, None),      # split, full solve: F-ordered stevd vectors
+        (lambda x: x * x, 5),         # split, partial solve: stebz + stein
+        (lambda x: x * x, 1),         # one column: a matrix-vector product
+        (SHIFTED_GAUSS, None),        # unsplit, full solve
+        (SHIFTED_GAUSS, 5),           # unsplit, partial solve
+    ], ids=["split-full", "split-partial", "split-one", "unsplit-full", "unsplit-partial"])
+    def test_products_are_numpy_matmul_bit_for_bit(self, window, potential, k):
+        # expand and synthesize run on scipy's BLAS; each block's product must
+        # be the value numpy's @ gives, bit for bit.  The blocks (38 and 76,
+        # 35 and 70 rows) include sizes at which BLAS asked for U times the
+        # (re, im) columns, the other operand order, differs from @ in its
+        # last rows.
+        lat = build_lattice(0.9, *window)
+        H = build_hamiltonian(potential, 1.0, 1.0, lat)
+        spec = stationary_states(H, H.n_odd if k is None else k)
+        psi = decaying_test_function(lat, np.random.default_rng(5))
+        idx = lat.odd_indices
+        z = lat.w[idx] * psi.values[idx]
+        h = len(z) // 2
+        rng = np.random.default_rng(6)
+        n_pairs = len(spec.eigenvalues)
+        coeffs = rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)
+        want_c = np.empty(n_pairs, dtype=complex)
+        want_vals = np.zeros(len(idx), dtype=complex)
+        for parity, cols, U in spec.blocks:
+            zb = z if parity is None else z[h:] + parity * z[:h][::-1]
+            want_c[cols] = (U.T @ zb.view(float).reshape(-1, 2)).view(complex)[:, 0]
+            y = (U @ coeffs[cols].view(float).reshape(-1, 2)).view(complex)[:, 0]
+            if parity is None:
+                want_vals = y
+            else:
+                want_vals[h:] += y
+                want_vals[:h][::-1] += parity * y
+        assert np.array_equal(expand(psi, spec).view(np.uint64), want_c.view(np.uint64))
+        got = synthesize(coeffs, spec).values[idx]
+        assert np.array_equal(got.view(np.uint64), want_vals.view(np.uint64))
+
 
 # -- evolution ---------------------------------------------------------------
 
@@ -577,23 +616,26 @@ class TestEvolution:
         odd = lat.odd_indices
         assert np.max(np.abs(back.values[odd] - psi.values[odd])) < 1e-10
 
-    @pytest.mark.parametrize("potential, n_times", [
-        (lambda x: x * x, 5),         # the even block's parts computed at the call
-        (lambda x: x * x, 40),        # 2 T >= n_odd/2: the even block's U kept
-        (SHIFTED_GAUSS, 5),           # one full block
-    ], ids=["mirror-5", "mirror-40", "full-5"])
-    def test_each_time_is_synthesized_from_the_initial_expansion(self, potential, n_times):
-        lat = default_lattice()
+    @pytest.mark.parametrize("potential, n_times, window", [
+        (lambda x: x * x, 5, None),   # the even block's parts computed at the call
+        (lambda x: x * x, 40, None),  # 2 T >= n_odd/2: the even block's U kept
+        (SHIFTED_GAUSS, 5, None),     # one full block
+        # half blocks of h = 375; 187 is the most times with 2 T < h
+        *((lambda x: x * x, n, (0.99, -150, 600)) for n in (1, 5, 11, 187)),
+    ], ids=["mirror-5", "mirror-40", "full-5", *(f"mirror750-{n}" for n in (1, 5, 11, 187))])
+    def test_each_time_is_synthesized_from_the_initial_expansion(self, potential, n_times,
+                                                                 window):
+        lat = default_lattice() if window is None else build_lattice(*window)
         H = build_hamiltonian(potential, 0.7, 1.3, lat)
         psi = gaussian_packet(lat)
-        ts = [0.0, 0.25, 1.0, 7.5, -3.0, *(0.3 * k for k in range(n_times - 5))]
+        ts = [0.0, 0.25, 1.0, 7.5, -3.0, *(0.3 * k for k in range(n_times - 5))][:n_times]
         out = list(evolve(psi, H, ts))
         assert len(out) == len(ts)
         spec = stationary_states(H, H.n_odd)
         c = expand(psi, spec)
         for t, got in zip(ts, out):
             want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
         assert list(evolve(psi, H, [])) == []
 
     @pytest.mark.parametrize("n_times", [10, 30])
@@ -668,6 +710,15 @@ class TestEvolution:
             tracemalloc.stop()
         del states
         assert held < 0.5 * 8 * h * h, held
+
+    def test_few_times_evolve_peak_at_the_branch_edge(self, mirror_750):
+        # At T = 187 the even block's parts are about the size of U = 8 h^2
+        # bytes, and so are the odd block's: with the odd block's U, three
+        # of them set the peak (3.04 U).  A product of all 187 times at once
+        # adds its coefficient and result matrices, each again U's size.
+        H, psi, _ = mirror_750
+        h = H.n_odd // 2
+        assert self.evolve_peak(psi, H, 187) <= 3.2 * 8 * h * h
 
     def test_many_times_evolve_peak_does_not_grow_with_their_number(self, mirror_750):
         # 2 T >= n_odd/2: the even block's eigenvectors are kept, the parts
