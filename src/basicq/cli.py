@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
 from .qnum import as_qparam
 from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
@@ -451,5 +452,20 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the ``basicq`` command: ``python -m basicq``, this
+    module run as a script and the installed console script.
+
+    Every module the CLI needs is imported by now, and nothing it imported
+    is freed before exit, so ``gc.freeze()`` moves that heap (numpy's and
+    scipy's module graphs, about 40k container objects) out of the
+    collector's reach: neither a full collection during the command nor the
+    interpreter's collection at exit walks it again.  :func:`main` and
+    ``import basicq`` leave the collector as they find it.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -104,8 +104,6 @@ __all__ = [
     "free_particle_wave",
 ]
 
-DEGENERACY_GAP = 1e-10
-
 
 @dataclass(eq=False)
 class SpectrumResult:
@@ -237,17 +235,6 @@ def _eigh(d: np.ndarray, e: np.ndarray, k: int):
                             lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
 
 
-def _orthonormalize_clusters(evals: np.ndarray, evecs: np.ndarray):
-    """Safety net for clustered eigenvalues: re-orthogonalize inside clusters."""
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] >= DEGENERACY_GAP:
-            if i - start > 1:
-                block, _ = np.linalg.qr(evecs[:, start:i])
-                evecs[:, start:i] = block
-            start = i
-
-
 def _fix_signs(U: np.ndarray, parity):
     """Make each embedded eigenfunction's first significant component positive.
 
@@ -300,7 +287,6 @@ def _solve_block(H: Hamiltonian, problem) -> tuple:
             "max |offdiag| = %.3e)" % (
                 exc, H.n_odd, float(np.min(H.di)), float(np.max(H.di)),
                 float(np.max(np.abs(H.sym_e))))) from exc
-    _orthonormalize_clusters(ev, U)
     # Read only now, so nothing of size n but the bands is alive across a
     # full solve.
     w = H.lattice.w[H.lattice.odd_indices]
@@ -320,11 +306,12 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     odd weights equal their own reversal bit for bit, the problem is solved
     as an even and an odd block of half the size (see the module
     docstring); each block gives its lowest ``min(k, n_odd/2)`` pairs, and
-    the lowest ``k`` of both are kept (ties to the even one).  Within
-    near-degenerate clusters (gap below 1e-10) of one block the vectors are
-    re-orthogonalized explicitly.  Each eigenfunction's first significant
-    component (the first above ``1e-8`` times its largest magnitude) is
-    made positive.
+    the lowest ``k`` of both are kept (ties to the even one).  The vectors
+    are LAPACK's (``stevd`` for a full block, ``stein`` for a partial one),
+    orthonormal to working precision within clusters of equal or nearly
+    equal eigenvalues too, so none is re-orthogonalized.  Each
+    eigenfunction's first significant component (the first above ``1e-8``
+    times its largest magnitude) is made positive.
     """
     n = H.n_odd
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:

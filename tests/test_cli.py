@@ -1,18 +1,19 @@
 """End-to-end tests for the command-line interface.
 
 Commands run in-process through ``main(argv)`` so exit codes and streams
-are observable; one test goes through ``python -m`` to cover the module
-entry point.
+are observable; a few go through ``python -m`` to cover the process entry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -666,9 +667,47 @@ def test_no_subcommand_is_usage_failure(capsys):
     assert code == 2
 
 
-def test_module_entry_point(child_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "basicq", "eval", "--fn", "Sq", "--points", "0"],
-        capture_output=True, text=True, env=child_env)
+# -- process entry -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--fn", "Sq", "--points", "0"], 0),
+    (["eval", "--fn", "Sq", "--points", "0", "--q", "-1"], 2),
+    (["qint", "--expr", "Eq(x)", "--halfline", "--q", "0.5"], 1),
+], ids=["success", "usage-failure", "computation-failure"])
+def test_module_entry_point(capsys, child_env, argv, code):
+    # python -m basicq prints, writes to stderr and exits as main(argv) does
+    proc = subprocess.run([sys.executable, "-m", "basicq", *argv],
+                          capture_output=True, text=True, env=child_env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code
+
+
+def test_process_entry_freezes_the_import_time_heap(child_env):
+    # import basicq freezes nothing; cli.run() does, before the command runs
+    script = (
+        "import atexit, gc, sys\n"
+        "from basicq import cli\n"
+        "print('after import', gc.get_freeze_count(), file=sys.stderr)\n"
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['basicq', 'eval', '--fn', 'Sq', '--points', '0']\n"
+        "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"
+    assert proc.stderr == "after import 0\nat exit True\n"
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    for argv in (["eval", "--fn", "Sq", "--points", "0"], ["eval", "--q", "-1"],
+                 ["qint", "--expr", "Eq(x)", "--halfline", "--q", "0.5"]):
+        run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {
+        "basicq": "basicq.cli:run"}

@@ -17,8 +17,9 @@ def _load_tool():
 
 
 def test_outputs_records_exit_code_stdout_and_written_files():
-    code, out, files = _load_tool().outputs(ROOT, ["solve", "--potential", "x^2", "--k", "1"])
-    assert code == 0
+    code, out, err, files = _load_tool().outputs(ROOT,
+                                                 ["solve", "--potential", "x^2", "--k", "1"])
+    assert (code, err) == (0, b"")
     assert out.decode().split() == ["./spectrum.json", "./eigfunc_000.csv"]
     assert sorted(files) == ["eigfunc_000.csv", "spectrum.json"]
     assert all(len(digest) == 64 for digest in files.values())
@@ -26,16 +27,19 @@ def test_outputs_records_exit_code_stdout_and_written_files():
 
 def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
     tool = _load_tool()
-    records = {"old": (0, b"same", {}), "new": (0, b"same", {})}
+    records = {"old": (0, b"same", b"", {}), "new": (0, b"same", b"", {})}
 
     def outputs(tree, argv):
-        return records[tree] if argv == ["verify", "--help"] else (0, b"", {})
+        return records[tree] if argv == ["verify", "--help"] else (0, b"", b"", {})
 
     monkeypatch.setattr(tool, "outputs", outputs)
     monkeypatch.setattr(tool, "workload_commands", lambda seed, rounds: [])
     assert tool.main(["old", "new"]) == 0
-    records["new"] = (2, b"other", {})
+    records["new"] = (2, b"other", b"", {})
     assert tool.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",
                           "1 of 7 commands differ"]
+    records["new"] = (0, b"same", b"warning", {})
+    assert tool.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == "differs (stderr): basicq verify --help"

@@ -320,12 +320,29 @@ class TestSpectrum:
         for f, g in zip(eigenfunctions(a), eigenfunctions(b)):
             assert np.allclose(f.values, g.values, rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [4, None])
+    def test_clustered_levels_come_out_q_orthonormal(self, k):
+        # The deep double well's levels pair up to rounding (9 clusters below
+        # a gap of 1e-10 in the full solve, 2 in the lowest 4), and the tilt
+        # breaks the mirror symmetry, so one unsplit block holds each pair.
+        # LAPACK's vectors are orthonormal there with no re-orthogonalization:
+        # U^T W U = I to n_odd * eps (measured: 2.4e-15 full, 3.3e-16 partial).
+        lat = default_lattice()
+        H = build_hamiltonian(lambda x: 50 * (x * x - 4) ** 2 + 1e-13 * x, 1.0, 1.0, lat)
+        k = H.n_odd if k is None else k
+        spec = stationary_states(H, k)
+        assert len(qschrodinger._problems(H, k)) == 1
+        assert np.sum(np.diff(spec.eigenvalues) < 1e-10) == (9 if k == H.n_odd else 2)
+        U = spec.vectors
+        gram = U.T @ (lat.w[lat.odd_indices][:, None] * U)
+        assert np.max(np.abs(gram - np.eye(k))) <= H.n_odd * np.finfo(float).eps
+
     @pytest.mark.parametrize("potential", [*EVEN_POTENTIALS[:3], SHIFTED_GAUSS])
     @pytest.mark.parametrize("k", [5, None])
     def test_sign_rule_matches_the_magnitude_reference(self, potential, k):
         # the reference takes |v| as a float array and is the sign rule as
         # first written: the rule on eigh_tridiagonal's output after the
-        # cluster re-orthogonalization and the W^{-1/2} scaling, bit for bit.
+        # W^{-1/2} scaling, bit for bit.
         # A mirror-symmetric H is solved as its even and odd blocks, each
         # vector embedded into the full odd sublattice before the rule reads
         # it; the shifted well is solved whole.
@@ -339,14 +356,7 @@ class TestSpectrum:
             select = {} if kb == len(d) else {"select": "i", "select_range": (0, kb - 1),
                                               "lapack_driver": "stebz",
                                               "tol": 2 * np.finfo(float).tiny}
-            evals, evecs = eigh_tridiagonal(d, e, **select)
-            start = 0
-            for i in range(1, kb + 1):
-                if i == kb or evals[i] - evals[i - 1] >= qschrodinger.DEGENERACY_GAP:
-                    if i - start > 1:
-                        evecs[:, start:i] = np.linalg.qr(evecs[:, start:i])[0]
-                    start = i
-            return evals, evecs
+            return eigh_tridiagonal(d, e, **select)
 
         if potential is SHIFTED_GAUSS:
             evals, evecs = solve(H.di, H.sym_e, k)

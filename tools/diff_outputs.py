@@ -9,9 +9,11 @@ the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
 command's ``--help``.  Each command runs as ``python -m basicq`` in a fresh
 temporary directory, once against each tree (``PYTHONPATH=<tree>/src``, no
 ``BASICQ_*`` variable), so ``solve`` and ``evolve`` write their files there.
-The exit code, the standard output and the SHA-256 of every written file
-are compared.  Each command whose record differs is printed with the parts
-that differ, and the exit status is 1 when any command differs.
+The exit code, the standard output, the standard error (with the tree's
+``src`` path written as ``<src>``, so a warning's file name matches) and
+the SHA-256 of every written file are compared.  Each command whose record
+differs is printed with the parts that differ, and the exit status is 1
+when any command differs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("eval", "qderiv", "qint", "verify", "solve", "evolve")
-PARTS = ("exit code", "stdout", "files")
+PARTS = ("exit code", "stdout", "stderr", "files")
 
 
 def workload_commands(seed: int, rounds: int) -> list:
@@ -40,15 +42,18 @@ def workload_commands(seed: int, rounds: int) -> list:
 
 
 def outputs(tree, argv) -> tuple:
-    """``(exit code, stdout bytes, {written file: SHA-256})`` of one command."""
+    """``(exit code, stdout bytes, stderr bytes, {written file: SHA-256})`` of
+    one command."""
+    src = Path(tree).resolve() / "src"
     env = {k: v for k, v in os.environ.items() if not k.startswith("BASICQ_")}
-    env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
+    env["PYTHONPATH"] = str(src)
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-m", "basicq", *argv], cwd=cwd, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                              capture_output=True)
         files = {f.relative_to(cwd).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                  for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
-    return proc.returncode, proc.stdout, files
+    return (proc.returncode, proc.stdout, proc.stderr.replace(bytes(src), b"<src>"),
+            files)
 
 
 def main(argv=None) -> int:
