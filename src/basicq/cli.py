@@ -13,8 +13,12 @@ command takes only the shared options it reads, besides its own and
     solve, evolve   --q --hbar --mass --lattice
 
 Exit codes: 0 success, 1 computation failure (evaluation or convergence),
-2 usage, parse, or configuration failure.  Output is deterministic: the
-same invocation produces byte-identical files.
+2 usage, parse, or configuration failure.  argparse checks every option
+before a command runs, so a usage error is its usage line and one
+``basicq <command>: error: ...`` line: eval takes exactly one of --points
+and --range, qint at most one of --upper, --halfline and --fullline, and a
+number may be negative in any spelling.  Output is deterministic: the same
+invocation produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ __all__ = ["main", "run"]
 SCHEMA_VERSION = 1
 
 
-class UsageError(Exception):
-    pass
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _positive(name: str):
@@ -50,6 +57,13 @@ def _positive(name: str):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
         return value
     return conv
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _parse_lattice(text: str):
@@ -128,30 +142,20 @@ _MAX_POINTS = 10**6
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"--range expects start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad --range value {text!r}: {exc}") from None
+        raise ValueError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = map(float, parts)
     if step == 0 or not all(math.isfinite(v) for v in (start, stop, step)):
-        raise UsageError(f"bad --range value {text!r}")
+        raise ValueError(f"needs finite bounds and a nonzero step, got {text!r}")
     if (stop - start) * step < 0:
-        raise UsageError(f"--range step walks away from stop in {text!r}")
+        raise ValueError(f"step walks away from stop in {text!r}")
     # Inclusive endpoint: 0:2:0.1 yields 21 points despite float rounding.
     n = int(round(min((stop - start) / step, _MAX_POINTS + 1)))
     direction = 1.0 if step > 0 else -1.0
     while n > 0 and (start + n * step - stop) * direction > abs(step) * 1e-9:
         n -= 1
     if n >= _MAX_POINTS:
-        raise UsageError(f"--range {text!r} holds more than {_MAX_POINTS} points")
+        raise ValueError(f"{text!r} holds more than {_MAX_POINTS} points")
     return [start + i * step for i in range(n + 1)]
-
-
-def _finite(values, option):
-    for x in values:
-        if not math.isfinite(x):
-            raise UsageError(f"bad {option} value {x!r}: not finite")
-    return values
 
 
 def _expr_fn(text: str, q: float):
@@ -163,16 +167,8 @@ def _expr_fn(text: str, q: float):
 def cmd_eval(args) -> int:
     fnmap = {"Eq": qfunctions.q_exp, "Sq": qfunctions.q_sin, "Cq": qfunctions.q_cos}
     fn = fnmap[args.fn]
-    if args.points is not None and args.range is not None:
-        raise UsageError("--points and --range are mutually exclusive")
-    if args.points is not None:
-        points = _finite(args.points, "--points")
-    elif args.range is not None:
-        points = _parse_range(args.range)
-    else:
-        raise UsageError("one of --points or --range is required")
     rows = []
-    for x in points:
+    for x in args.points:
         r = fn(x, args.q, tol=args.tol)
         val = complex(r.value)
         rows.append((x, val.real, val.imag, r.terms_used))
@@ -183,7 +179,7 @@ def cmd_eval(args) -> int:
 def cmd_qderiv(args) -> int:
     f = _expr_fn(args.expr, args.q)
     rows = []
-    for x in _finite(args.points, "--points"):
+    for x in args.points:
         val = complex(qcalculus.jackson_derivative(f, x, args.q))
         rows.append((x, val.real, val.imag))
     _emit_table(("x", "re", "im"), rows, args.format, args.output)
@@ -192,18 +188,12 @@ def cmd_qderiv(args) -> int:
 
 def cmd_qint(args) -> int:
     f = _expr_fn(args.expr, args.q)
-    chosen = [name for name in ("upper", "halfline", "fullline")
-              if getattr(args, name)]
-    if len(chosen) > 1:
-        raise UsageError("--upper, --halfline and --fullline are mutually exclusive")
     if args.halfline:
         val = qcalculus.q_integral_halfline(f, args.q, tol=args.tol)
     elif args.fullline:
         val = qcalculus.q_integral_fullline(f, args.q, tol=args.tol)
     else:
-        upper = args.upper if args.upper is not None else 1.0
-        _finite([upper], "--upper")
-        val = qcalculus.q_integral_finite(f, upper, args.q, tol=args.tol)
+        val = qcalculus.q_integral_finite(f, args.upper, args.q, tol=args.tol)
     val = complex(val)
     _emit_table(("re", "im"), [(val.real, val.imag)], args.format, args.output)
     return 0
@@ -279,17 +269,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    # The time grid is checked before H is built or psi0 sampled, so a bad
-    # grid is a usage error whatever the expressions hold.
-    steps = args.steps
-    if steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {steps}")
+    # A step t/steps that underflows is refused before any expression is read.
+    steps, snap_every = args.steps, args.snap_every or args.steps
     dt = args.t / steps
-    if not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"bad evolution grid: t={args.t!r} steps={steps}")
-    snap_every = args.snap_every if args.snap_every is not None else steps
-    if snap_every < 1:
-        raise UsageError(f"--snap-every must be >= 1, got {snap_every}")
+    if dt == 0:
+        raise ValueError(f"time step t/steps underflows to 0: t={args.t!r} steps={steps}")
 
     # Snapshot times accumulate one chunk of steps at a time; the last chunk
     # may be short.
@@ -355,25 +339,28 @@ def _add_shared(sp, handler, *names):
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="basicq",
                                 description="Symmetric q-deformed calculus toolkit")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eval", help="tabulate a deformed special function")
     sp.add_argument("--fn", required=True, choices=("Eq", "Sq", "Cq"))
-    sp.add_argument("--points", type=float, nargs="+", default=None)
-    sp.add_argument("--range", type=str, default=None, metavar="START:STOP:STEP")
+    points = sp.add_mutually_exclusive_group(required=True)
+    points.add_argument("--points", type=_argtype(_finite_float), nargs="+")
+    points.add_argument("--range", type=_argtype(_parse_range), dest="points",
+                        metavar="START:STOP:STEP")
     _add_shared(sp, cmd_eval, "q", "tol", "format")
 
     sp = sub.add_parser("qderiv", help="Jackson derivative of an expression")
     sp.add_argument("--expr", required=True)
-    sp.add_argument("--points", type=float, nargs="+", required=True)
+    sp.add_argument("--points", type=_argtype(_finite_float), nargs="+", required=True)
     _add_shared(sp, cmd_qderiv, "q", "format")
 
     sp = sub.add_parser("qint", help="q-integral of an expression")
     sp.add_argument("--expr", required=True)
-    sp.add_argument("--upper", type=float, default=None,
-                    help="finite upper limit (default 1 when no mode is chosen)")
-    sp.add_argument("--halfline", action="store_true")
-    sp.add_argument("--fullline", action="store_true")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--upper", type=_argtype(_finite_float), default=1.0,
+                      help="finite upper limit (default 1)")
+    mode.add_argument("--halfline", action="store_true")
+    mode.add_argument("--fullline", action="store_true")
     _add_shared(sp, cmd_qint, "q", "tol", "format")
 
     sp = sub.add_parser("verify", help="run the identity suite and report")
@@ -390,9 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evolve", help="evolve an initial state in time")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--psi0", required=True, help="initial wavefunction expression")
-    sp.add_argument("--t", type=float, default=1.0, help="total evolution time (default 1)")
-    sp.add_argument("--steps", type=int, default=100, help="number of steps (default 100)")
-    sp.add_argument("--snap-every", type=int, default=None,
+    sp.add_argument("--t", type=_argtype(_positive("t")), default=1.0,
+                    help="total evolution time (default 1)")
+    sp.add_argument("--steps", type=_argtype(_count), default=100,
+                    help="number of steps (default 100)")
+    sp.add_argument("--snap-every", type=_argtype(_count), default=None,
                     help="steps between snapshots (default: final state only)")
     _add_shared(sp, cmd_evolve, "q", "hbar", "mass", "lattice")
     return p
@@ -403,20 +392,36 @@ def _build_parser() -> argparse.ArgumentParser:
 _DASH_VALUE_OPTIONS = ("--lattice", "--range", "--expr", "--potential", "--psi0")
 
 
+def _negative_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return tok.startswith("-")
+
+
 def _join_dash_values(argv):
     """Rewrite ``--range -10:10:0.5`` as ``--range=-10:10:0.5``.
 
-    argparse takes a token that starts with '-' and is not a plain number
-    for an option, so such a value of an option in ``_DASH_VALUE_OPTIONS``
-    would otherwise parse only in the ``=`` form.  A token starting with
-    '--' stays an option, so a missing value is still a usage error.
+    argparse takes a token that starts with '-' for an option unless it
+    reads as ``-2`` or ``-.5``.  So a value of an option in
+    ``_DASH_VALUE_OPTIONS``, and any negative number ``float`` reads
+    (``-1e-3``), is joined to the option it follows; in the list of
+    ``--points``, which the ``=`` form cannot hold, it gets a leading space,
+    which ``float`` ignores.  A token starting with '--' stays an option.
     """
-    out = []
+    out, listing = [], False
     for tok in argv:
-        if out and out[-1] in _DASH_VALUE_OPTIONS and re.match(r"-[^-]", tok):
-            out[-1] = out[-1] + "=" + tok
-        else:
-            out.append(tok)
+        prev = out[-1] if out else ""
+        if listing and _negative_number(tok):
+            tok = " " + tok
+        elif prev.startswith("--") and "=" not in prev and (
+                _negative_number(tok) or prev in _DASH_VALUE_OPTIONS and re.match(r"-[^-]", tok)):
+            out[-1] = prev + "=" + tok
+            continue
+        elif tok.startswith("-"):
+            listing = tok == "--points"
+        out.append(tok)
     return out
 
 
@@ -427,14 +432,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"basicq: usage error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"basicq: parse error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnum import as_qparam
+from .qnum import as_int, as_qparam
 
 __all__ = [
     "QLattice",
@@ -178,9 +178,8 @@ def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
     qp = as_qparam(q)
     if qp.classical:
         raise ValueError("build_lattice requires q != 1 (no geometric lattice classically)")
-    for name, val in (("m_min", m_min), ("m_max", m_max)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ValueError(f"{name} must be an integer, got {val!r}")
+    m_min = as_int(m_min, "m_min must be an integer, got {!r}")
+    m_max = as_int(m_max, "m_max must be an integer, got {!r}")
     if m_min >= m_max:
         raise ValueError(f"m_min must be < m_max, got {m_min} >= {m_max}")
     if not (a > 0) or not math.isfinite(a):

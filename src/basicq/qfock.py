@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import as_qparam, basic_factorial, basic_number
+from .qnum import as_int, as_qparam, basic_factorial, basic_number
 
 __all__ = [
     "LadderTriple",
@@ -73,8 +73,7 @@ def build_ladder(dim: int, q) -> LadderTriple:
     >>> float(t.a[0, 1]), float(t.a[1, 2])
     (1.0, 1.4142135623730951)
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    dim = as_int(dim, "dim must be an integer >= 2, got {!r}", minimum=2)
     qp = as_qparam(q)
     a = np.zeros((dim, dim))
     for n in range(1, dim):
@@ -156,8 +155,7 @@ def fock_state(n: int, t: LadderTriple) -> np.ndarray:
     result doubles as a consistency check of the ``sqrt([n])`` amplitudes;
     it equals the coordinate vector ``e_n`` up to rounding (1e-13).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    n = as_int(n, "n must be a non-negative integer, got {!r}", minimum=0)
     if n >= t.dim:
         raise ValueError(f"n={n} out of range for dim={t.dim}")
     vec = np.zeros(t.dim)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -81,6 +82,22 @@ class QParam:
 def as_qparam(q) -> QParam:
     """Coerce a float (or QParam) to a QParam."""
     return q if isinstance(q, QParam) else QParam(float(q))
+
+
+def as_int(value, message: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int, where ``operator.index`` takes it (a numpy
+    integer too), it is not a bool and it is at least ``minimum`` if one is
+    given; otherwise raises ``ValueError(message.format(value))``.
+    """
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or n >= minimum:
+                return n
+    raise ValueError(message.format(value))
 
 
 def basic_number(x: float, q) -> float:
@@ -148,8 +165,7 @@ def basic_factorial(n: int, q) -> float:
     q : float or QParam
         Deformation parameter.
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise ValueError(f"basic_factorial requires an integer n, got {n!r}")
+    n = as_int(n, "basic_factorial requires an integer n, got {!r}")
     if n < 0:
         raise ValueError(f"basic_factorial requires n >= 0, got {n}")
     qp = as_qparam(q)
@@ -181,8 +197,7 @@ def q_shifted_factorial(a: float, q, n: int) -> float:
     """
     a = float(a)
     qc = as_qparam(q).canonical
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"q_shifted_factorial requires an integer n, got {n!r}")
+    n = as_int(n, "q_shifted_factorial requires an integer n, got {!r}")
     if n < 0:
         raise ValueError(f"q_shifted_factorial requires n >= 0, got {n}")
     out = 1.0
@@ -205,8 +220,7 @@ def basic_factorial_via_shifted(n: int, q) -> float:
         On the classical branch (the route needs a base strictly inside
         ``(0, 1)``) or for negative ``n``.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"basic_factorial_via_shifted requires an integer n, got {n!r}")
+    n = as_int(n, "basic_factorial_via_shifted requires an integer n, got {!r}")
     if n < 0:
         raise ValueError(f"basic_factorial_via_shifted requires n >= 0, got {n}")
     qp = as_qparam(q)

@@ -90,6 +90,7 @@ from .l2q import (
     sample,
 )
 from .qfunctions import q_exp
+from .qnum import as_int
 
 __all__ = [
     "Hamiltonian",
@@ -314,8 +315,7 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     times its largest magnitude) is made positive.
     """
     n = H.n_odd
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    k = as_int(k, "k must be a non-negative integer, got {!r}", minimum=0)
     if k > n:
         raise ValueError(f"k={k} exceeds odd-sublattice size {n}")
     if k == 0:

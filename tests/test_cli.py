@@ -96,18 +96,20 @@ def test_eval_range_of_more_than_a_million_points_is_a_usage_error(capsys, spec)
 
 
 def test_range_point_limit_is_inclusive():
-    from basicq.cli import UsageError, _parse_range
+    from basicq.cli import _parse_range
 
     assert len(_parse_range("0:999999:1")) == 10**6
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError) as exc:
         _parse_range("0:1000000:1")
+    assert str(exc.value) == "'0:1000000:1' holds more than 1000000 points"
 
 
 def test_eval_points_and_range_conflict(capsys):
     code, _, err = run(capsys, "eval", "--fn", "Sq", "--points", "1",
                        "--range", "0:1:0.5")
     assert code == 2
-    assert "mutually exclusive" in err
+    assert err.splitlines()[-1] == (
+        "basicq eval: error: argument --range: not allowed with argument --points")
 
 
 def test_eval_requires_some_points(capsys):
@@ -142,7 +144,26 @@ def test_non_finite_points_are_usage_failure(capsys, command, value):
     code, out, err = run(capsys, *command, "--points", "1", value)
     assert code == 2
     assert out == ""
-    assert err == f"basicq: usage error: bad --points value {value}: not finite\n"
+    assert err.splitlines()[-1] == (
+        f"basicq {command[0]}: error: argument --points: expected a finite number, got {value}")
+
+
+# argparse reads a token starting with '-' as a number only in the forms -2
+# and -.5; every other spelling float() reads is a number too.
+@pytest.mark.parametrize("exponent, decimal", [
+    (["eval", "--fn", "Eq", "--points", "-1e-3"], ["eval", "--fn", "Eq", "--points", "-0.001"]),
+    (["qderiv", "--expr", "x^2", "--points", "-1e-3"],
+     ["qderiv", "--expr", "x^2", "--points", "-0.001"]),
+    (["eval", "--fn", "Eq", "--points", "0.5", "-2.5e1"],
+     ["eval", "--fn", "Eq", "--points", "0.5", "-25"]),
+    (["eval", "--fn", "Sq", "--points", "-1.5", "-1E-3", "2"],
+     ["eval", "--fn", "Sq", "--points", "-1.5", "-0.001", "2"]),
+])
+def test_negative_number_in_exponent_form_reads_as_its_decimal_spelling(
+        capsys, exponent, decimal):
+    got = run(capsys, *exponent)
+    assert got[0] == 0, got[2]
+    assert got == run(capsys, *decimal)
 
 
 # -- qderiv ------------------------------------------------------------------
@@ -214,7 +235,15 @@ def test_qint_halfline(capsys):
 def test_qint_mode_conflict(capsys):
     code, _, err = run(capsys, "qint", "--expr", "x", "--halfline", "--fullline")
     assert code == 2
-    assert "mutually exclusive" in err
+    assert err.splitlines()[-1] == (
+        "basicq qint: error: argument --fullline: not allowed with argument --halfline")
+
+
+def test_qint_negative_upper_in_exponent_form_reaches_the_library(capsys):
+    code, out, err = run(capsys, "qint", "--expr", "x", "--upper", "-1e-3")
+    assert (code, out) == (2, "")
+    assert err == ("basicq: invalid configuration: q_integral_finite requires "
+                   "upper limit a > 0, got -0.001\n")
 
 
 def test_qint_divergent_integrand_is_computation_failure(capsys):
@@ -244,7 +273,8 @@ def test_qint_non_finite_upper_is_usage_failure(capsys, value):
     code, out, err = run(capsys, "qint", "--expr", "x", "--upper", value)
     assert code == 2
     assert out == ""
-    assert err == f"basicq: usage error: bad --upper value {value}: not finite\n"
+    assert err.splitlines()[-1] == (
+        f"basicq qint: error: argument --upper: expected a finite number, got {value}")
 
 
 # -- verify ------------------------------------------------------------------
@@ -548,11 +578,12 @@ def test_evolve_whose_eigensolve_fails_leaves_no_snapshot(capsys, tmp_path, monk
 
 
 def test_evolve_bad_grid(capsys, tmp_path):
-    for grid in (("--t", "-1"), ("--steps", "0")):
+    for grid, reason in ((("--t", "-1"), "--t: t must be finite and positive, got -1.0"),
+                         (("--steps", "0"), "--steps: expected an integer >= 1, got 0")):
         code, _, err = run(capsys, "evolve", "--potential", "x^2",
                            "--psi0", "gauss(x)", *grid, "--output", str(tmp_path))
         assert code == 2
-        assert err.startswith("basicq: usage error:")
+        assert err.splitlines()[-1] == f"basicq evolve: error: argument {reason}"
 
 
 @pytest.mark.parametrize("potential, psi0", [("0", "0"), ("1/0", "gauss(x)")])
@@ -561,7 +592,15 @@ def test_evolve_checks_the_grid_before_the_expressions(capsys, tmp_path, potenti
     code, stdout, err = run(capsys, "evolve", "--potential", potential, "--psi0", psi0,
                             "--steps", "0", "--output", str(out))
     assert (code, stdout) == (2, "")
-    assert err == "basicq: usage error: --steps must be >= 1, got 0\n"
+    assert err.splitlines()[-1] == (
+        "basicq evolve: error: argument --steps: expected an integer >= 1, got 0")
+    assert not out.exists()
+    # t/steps underflowing to 0 is refused before the expressions are read too
+    code, stdout, err = run(capsys, "evolve", "--potential", potential, "--psi0", psi0,
+                            "--t", "5e-324", "--steps", "2", "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("basicq: invalid configuration: time step t/steps underflows to 0: "
+                   "t=5e-324 steps=2\n")
     assert not out.exists()
 
 
@@ -647,6 +686,56 @@ def test_bad_shared_value_is_usage_error_naming_its_flag(
     assert not any(tmp_path.iterdir())
 
 
+# Every command-specific misuse is argparse's usage error too: the one-of and
+# exclusion groups, and each option's converter naming the flag.
+_EVOLVE = ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--fn", "Eq"], "one of the arguments --points --range is required"),
+    (["eval", "--fn", "Eq", "--points", "1", "--range", "0:1:1"],
+     "argument --range: not allowed with argument --points"),
+    (["eval", "--fn", "Eq", "--range", "0:1:1", "--points", "1"],
+     "argument --points: not allowed with argument --range"),
+    (["eval", "--fn", "Eq", "--points", "0", "-inf"],
+     "argument --points: expected a finite number, got -inf"),
+    (["eval", "--fn", "Eq", "--range", "0:1"],
+     "argument --range: expected start:stop:step, got '0:1'"),
+    (["eval", "--fn", "Eq", "--range", "0:a:1"],
+     "argument --range: could not convert string to float: 'a'"),
+    (["eval", "--fn", "Eq", "--range", "0:1:0"],
+     "argument --range: needs finite bounds and a nonzero step, got '0:1:0'"),
+    (["eval", "--fn", "Eq", "--range", "0:nan:1"],
+     "argument --range: needs finite bounds and a nonzero step, got '0:nan:1'"),
+    (["eval", "--fn", "Eq", "--range", "1:0:1"],
+     "argument --range: step walks away from stop in '1:0:1'"),
+    (["eval", "--fn", "Eq", "--range", "0:1e6:1"],
+     "argument --range: '0:1e6:1' holds more than 1000000 points"),
+    (["qderiv", "--expr", "x", "--points", "nan"],
+     "argument --points: expected a finite number, got nan"),
+    (["qint", "--expr", "x", "--upper", "-inf"],
+     "argument --upper: expected a finite number, got -inf"),
+    (["qint", "--expr", "x", "--upper", "2", "--halfline"],
+     "argument --halfline: not allowed with argument --upper"),
+    (["qint", "--expr", "x", "--fullline", "--upper", "2"],
+     "argument --upper: not allowed with argument --fullline"),
+    (["qint", "--expr", "x", "--halfline", "--fullline"],
+     "argument --fullline: not allowed with argument --halfline"),
+    (_EVOLVE + ["--steps", "0"], "argument --steps: expected an integer >= 1, got 0"),
+    (_EVOLVE + ["--steps", "2.5"],
+     "argument --steps: invalid literal for int() with base 10: '2.5'"),
+    (_EVOLVE + ["--snap-every", "-1"], "argument --snap-every: expected an integer >= 1, got -1"),
+    (_EVOLVE + ["--t", "0"], "argument --t: t must be finite and positive, got 0.0"),
+    (_EVOLVE + ["--t", "-1e-3"], "argument --t: t must be finite and positive, got -0.001"),
+    (_EVOLVE + ["--t", "inf"], "argument --t: t must be finite and positive, got inf"),
+])
+def test_command_misuse_is_usage_error_naming_its_flag(capsys, tmp_path, argv, error):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"basicq {argv[0]}: error: {error}"
+    assert not any(tmp_path.iterdir())
+
+
 def test_basicq_environment_variables_are_not_read(capsys, monkeypatch, tmp_path):
     def solve_files(name):
         code, _, err = run(capsys, *_BASE_ARGV["solve"], "--output", str(tmp_path / name))
@@ -663,8 +752,9 @@ def test_basicq_environment_variables_are_not_read(capsys, monkeypatch, tmp_path
 
 
 def test_no_subcommand_is_usage_failure(capsys):
-    code, _, err = run(capsys, )
-    assert code == 2
+    code, out, err = run(capsys, )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "basicq: error: the following arguments are required: command"
 
 
 # -- process entry -------------------------------------------------------------

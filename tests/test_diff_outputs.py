@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
+
+from basicq.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +42,18 @@ def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
     assert tool.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",
-                          "1 of 7 commands differ"]
+                          "1 of 33 commands differ"]
     records["new"] = (0, b"same", b"warning", {})
     assert tool.main(["old", "new"]) == 1
     assert capsys.readouterr().out.splitlines()[-2] == "differs (stderr): basicq verify --help"
+
+
+def test_every_misuse_command_is_refused_before_it_writes(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for argv in _load_tool().MISUSE:
+        assert main(list(argv)) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"basicq( \w+)?: (error|invalid configuration): .+",
+                            err.splitlines()[-1]), argv
+    assert not any(tmp_path.iterdir())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from basicq import (
@@ -13,7 +15,12 @@ from basicq import (
     basic_factorial,
     basic_factorial_via_shifted,
     basic_number,
+    build_hamiltonian,
+    build_ladder,
+    build_lattice,
+    fock_state,
     q_shifted_factorial,
+    stationary_states,
 )
 
 # High-precision references (50-digit arithmetic, rounded to double).
@@ -200,3 +207,47 @@ def test_both_factorial_routes_overflow_to_inf(q):
     # [k] past k = 15 overflows, yet past float range both routes give inf
     assert basic_factorial(60, q) == math.inf
     assert basic_factorial_via_shifted(60, q) == math.inf
+
+
+def _lattice(m_min, m_max):
+    lat = build_lattice(0.9, m_min, m_max)
+    return json.dumps({"m_min": lat.m_min, "m_max": lat.m_max}), lat.x.tolist()
+
+
+def _ladder(dim):
+    t = build_ladder(dim, 0.9)
+    return type(t.dim), t.a.tolist()
+
+
+def _lowest(k):
+    H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, build_lattice(0.9, -15, 60))
+    return stationary_states(H, k).eigenvalues.tolist()
+
+
+# Every integer argument of the library: its value, a call taking it, and
+# the refusal of a value that is not an integer.
+_INTEGER_ARGUMENTS = {
+    "basic_factorial": (5, lambda n: basic_factorial(n, 0.9),
+                        "basic_factorial requires an integer n, got {!r}"),
+    "q_shifted_factorial": (5, lambda n: q_shifted_factorial(0.5, 0.9, n),
+                            "q_shifted_factorial requires an integer n, got {!r}"),
+    "basic_factorial_via_shifted": (5, lambda n: basic_factorial_via_shifted(n, 0.9),
+                                    "basic_factorial_via_shifted requires an integer n, got {!r}"),
+    "build_ladder": (4, _ladder, "dim must be an integer >= 2, got {!r}"),
+    "fock_state": (2, lambda n: fock_state(n, build_ladder(4, 0.9)).tolist(),
+                   "n must be a non-negative integer, got {!r}"),
+    "build_lattice m_min": (-15, lambda m: _lattice(m, 60), "m_min must be an integer, got {!r}"),
+    "build_lattice m_max": (60, lambda m: _lattice(-15, m), "m_max must be an integer, got {!r}"),
+    "stationary_states": (2, _lowest, "k must be a non-negative integer, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+@pytest.mark.parametrize("site", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_take_numpy_integers_and_refuse_bools_and_floats(site, int_type):
+    value, call, refusal = _INTEGER_ARGUMENTS[site]
+    assert call(int_type(value)) == call(value)
+    for bad in (True, float(value)):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == refusal.format(bad)

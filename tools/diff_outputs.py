@@ -5,10 +5,12 @@
 
 A tree is a checkout holding the package under ``src/``.  The commands are
 the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
-``bench/workloads.py`` generates them, plus ``basicq --help`` and each
-command's ``--help``.  Each command runs as ``python -m basicq`` in a fresh
-temporary directory, once against each tree (``PYTHONPATH=<tree>/src``, no
-``BASICQ_*`` variable), so ``solve`` and ``evolve`` write their files there.
+``bench/workloads.py`` generates them, plus ``basicq --help``, each
+command's ``--help`` and the ``MISUSE`` commands, one for each way the CLI
+refuses its arguments, so a change to any usage error shows.  Each command
+runs as ``python -m basicq`` in a fresh temporary directory, once against
+each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*`` variable), so
+``solve`` and ``evolve`` write their files there.
 The exit code, the standard output, the standard error (with the tree's
 ``src`` path written as ``<src>``, so a warning's file name matches) and
 the SHA-256 of every written file are compared.  Each command whose record
@@ -30,6 +32,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("eval", "qderiv", "qint", "verify", "solve", "evolve")
 PARTS = ("exit code", "stdout", "stderr", "files")
+_EVOLVE = ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"]
+# Commands the CLI refuses with exit 2: no command, a missing or unknown
+# option, each group, and a bad value of each option that checks one.
+MISUSE = (
+    [],
+    ["eval"],
+    ["eval", "--fn", "Tq", "--points", "1"],
+    ["eval", "--fn", "Eq"],
+    ["eval", "--fn", "Eq", "--points", "1", "--range", "0:1:0.5"],
+    ["eval", "--fn", "Eq", "--points", "1", "nan"],
+    ["eval", "--fn", "Eq", "--points", "-inf"],
+    ["eval", "--fn", "Eq", "--range", "0:1"],
+    ["eval", "--fn", "Eq", "--range", "0:a:1"],
+    ["eval", "--fn", "Eq", "--range", "0:1:0"],
+    ["eval", "--fn", "Eq", "--range", "1:0:1"],
+    ["eval", "--fn", "Eq", "--range", "0:1e6:1"],
+    ["eval", "--fn", "Eq", "--points", "1", "--q", "-1e-3"],
+    ["eval", "--fn", "Eq", "--points", "1", "--hbar", "2"],
+    ["qderiv", "--expr", "x", "--points", "inf"],
+    ["qderiv", "--expr", "x", "--points"],
+    ["qint", "--expr", "x", "--upper", "nan"],
+    ["qint", "--expr", "x", "--upper", "2", "--halfline"],
+    ["qint", "--expr", "x", "--halfline", "--fullline"],
+    ["qint", "--expr", "x", "--format", "xml"],
+    ["solve", "--potential", "x^2", "--lattice", "5:1:1"],
+    [*_EVOLVE, "--steps", "0"],
+    [*_EVOLVE, "--steps", "2.5"],
+    [*_EVOLVE, "--snap-every", "0"],
+    [*_EVOLVE, "--t", "-1"],
+    [*_EVOLVE, "--t", "5e-324", "--steps", "2"],
+)
 
 
 def workload_commands(seed: int, rounds: int) -> list:
@@ -63,7 +96,7 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=4, help="rounds per workload (default 4)")
     p.add_argument("--seed", type=int, default=17, help="workload seed (default 17)")
     args = p.parse_args(argv)
-    commands = [["--help"], *([c, "--help"] for c in COMMANDS),
+    commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE,
                 *workload_commands(args.seed, args.rounds)]
     differing = 0
     for cmd in commands:
