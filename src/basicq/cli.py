@@ -35,7 +35,6 @@ import sys
 
 from . import exprparse, l2q, qcalculus, qfunctions, verify as verify_mod
 from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
-from .qnum import as_qparam
 from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
 __all__ = ["main", "run"]
@@ -135,7 +134,8 @@ def _write_out(text: str, path: str | None):
             fh.write(text)
 
 
-# Points a --range may hold: a million scalar series take about a minute.
+# Points a --range may hold (a million scalar series take about a minute),
+# and snapshots an evolve may write.
 _MAX_POINTS = 10**6
 
 
@@ -158,10 +158,10 @@ def _parse_range(text: str):
     return [start + i * step for i in range(n + 1)]
 
 
-def _expr_fn(text: str, q: float):
-    # One QParam for every point, not one built per evaluate call.
-    expr, qp = exprparse.parse(text), as_qparam(q)
-    return lambda x: exprparse.evaluate(expr, x, qp)
+def _expr_fn(text: str, q: float) -> exprparse.BoundExpression:
+    # One QParam for every point, not one built per evaluate call; sample and
+    # build_hamiltonian hand it the whole lattice at once.
+    return exprparse.BoundExpression(exprparse.parse(text), q)
 
 
 def cmd_eval(args) -> int:
@@ -269,9 +269,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    # A step t/steps that underflows is refused before any expression is read.
+    # A time grid past float range or of more snapshots than a --range has
+    # points, and a step t/steps that underflows, are refused before any
+    # expression is read.
     steps, snap_every = args.steps, args.snap_every or args.steps
-    dt = args.t / steps
+    try:
+        dt = args.t / steps
+    except OverflowError:
+        raise ValueError("steps is past float range") from None
+    if -(-steps // snap_every) >= _MAX_POINTS:
+        raise ValueError(f"steps={steps} snap_every={snap_every} asks for more than "
+                         f"{_MAX_POINTS} snapshots")
     if dt == 0:
         raise ValueError(f"time step t/steps underflows to 0: t={args.t!r} steps={steps}")
 

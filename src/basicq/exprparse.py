@@ -15,43 +15,96 @@ Known functions: exp, sin, cos, sqrt, abs, gauss (= exp(-t^2)), the
 deformed family Eq, Sq, Cq (evaluated with the ambient deformation
 parameter), and two-argument pow.  Errors carry a 0-based character
 offset into the source text.
+
+Array evaluation.  Every compiled node also evaluates over an array of
+points at once, in the arithmetic of :class:`~basicq.qcalculus.SplitComplex`
+(CPython's complex product and quotient on float64 parts), so each element
+is bit for bit the value at that point.  Unary minus is ``0.0 - v`` there
+too, an integral power ``|n| < 100`` is CPython's repeated squaring, and
+``exp``/``gauss`` use complex128 ``np.exp``, which matches ``cmath.exp`` up
+to real parts of 700.  Anything else has no array form: a non-integral,
+large or array-valued exponent, sqrt, sin, cos, pow and Eq/Sq/Cq.  Such a
+node, a non-finite value at any node, or a failure makes :func:`evaluate`
+evaluate point by point instead, so values and errors are those of the
+point loop.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, ParseError
+from .qcalculus import SplitComplex
 from .qnum import QParam, as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
 
-__all__ = ["KNOWN_FUNCTIONS", "parse", "evaluate"]
+__all__ = ["KNOWN_FUNCTIONS", "BoundExpression", "parse", "evaluate"]
 
-# A compiled (sub)expression: its complex value at a point x and parameter qp.
-_Compiled = Callable[[complex, QParam], complex]
 
-# name -> (arity, implementation of (qp, *args)); every value is complex.
+class _Node(NamedTuple):
+    """A compiled (sub)expression: its complex value at a point ``x`` with
+    parameter ``qp``, and its values over an array of points held as a
+    SplitComplex (a complex where they do not depend on ``x``)."""
+
+    point: Callable[[complex, QParam], complex]
+    array: Callable[[SplitComplex, QParam], "SplitComplex | complex"]
+
+
+class _NoArrayForm(Exception):
+    """An array step that would not give the point-by-point values."""
+
+
+def _exp(z):
+    """``cmath.exp`` over a SplitComplex, as complex128 ``np.exp``."""
+    if np.any(z.re > 700.0):  # np.exp scales from 708.4 on, cmath.exp does not
+        raise _NoArrayForm
+    return SplitComplex(np.exp(np.asarray(z)))
+
+
+def _power(a, b):
+    """``a ** b`` over a SplitComplex ``a`` for a constant integral exponent
+    ``|n| < 100``, by CPython's repeated squaring; for ``n <= 0`` its
+    reciprocal of the power ``-n``."""
+    if not (type(b) is complex and b.imag == 0.0 and b.real.is_integer()
+            and abs(b.real) < 100):
+        raise _NoArrayForm
+    n = int(b.real)
+    r, p, bit = complex(1.0, 0.0), a, 1
+    while abs(n) >= bit:
+        if abs(n) & bit:
+            r = r * p
+        bit <<= 1
+        p = p * p
+    return r if n > 0 else complex(1.0, 0.0) / _finite(r)
+
+
+# name -> (arity, implementation of (qp, *args) at a point, the same over an
+# array of points or None where there is no bit-exact array form); every
+# value is complex.
 _FUNCTIONS = {
-    "exp": (1, lambda qp, z: cmath.exp(z)),
-    "sin": (1, lambda qp, z: cmath.sin(z)),
-    "cos": (1, lambda qp, z: cmath.cos(z)),
-    "sqrt": (1, lambda qp, z: cmath.sqrt(z)),
-    "abs": (1, lambda qp, z: complex(abs(z))),
-    "gauss": (1, lambda qp, z: cmath.exp(-z * z)),
-    "Eq": (1, lambda qp, z: q_exp(z, qp).value),
-    "Sq": (1, lambda qp, z: q_sin(z, qp).value),
-    "Cq": (1, lambda qp, z: q_cos(z, qp).value),
-    "pow": (2, lambda qp, z, p: z ** p),
+    "exp": (1, lambda qp, z: cmath.exp(z), lambda qp, z: _exp(z)),
+    "sin": (1, lambda qp, z: cmath.sin(z), None),
+    "cos": (1, lambda qp, z: cmath.cos(z), None),
+    "sqrt": (1, lambda qp, z: cmath.sqrt(z), None),
+    "abs": (1, lambda qp, z: complex(abs(z)), lambda qp, z: SplitComplex(abs(z), 0.0)),
+    "gauss": (1, lambda qp, z: cmath.exp(-z * z), lambda qp, z: _exp(-z * z)),
+    "Eq": (1, lambda qp, z: q_exp(z, qp).value, None),
+    "Sq": (1, lambda qp, z: q_sin(z, qp).value, None),
+    "Cq": (1, lambda qp, z: q_cos(z, qp).value, None),
+    "pow": (2, lambda qp, z, p: z ** p, None),
 }
 
-KNOWN_FUNCTIONS = {name: arity for name, (arity, _) in _FUNCTIONS.items()}
+KNOWN_FUNCTIONS = {name: arity for name, (arity, _, _) in _FUNCTIONS.items()}
 
-# operator -> implementation of (qp, a, b), the same form as above.
-_OPERATORS = {"+": lambda qp, a, b: a + b, "-": lambda qp, a, b: a - b,
-              "*": lambda qp, a, b: a * b, "/": lambda qp, a, b: a / b,
-              "^": lambda qp, a, b: a ** b}
+# operator -> the two implementations, in the same form as above.
+_ADD, _SUB = (lambda qp, a, b: a + b), (lambda qp, a, b: a - b)
+_MUL, _DIV = (lambda qp, a, b: a * b), (lambda qp, a, b: a / b)
+_OPERATORS = {"+": (_ADD, _ADD), "-": (_SUB, _SUB), "*": (_MUL, _MUL), "/": (_DIV, _DIV),
+              "^": (lambda qp, a, b: a ** b, lambda qp, a, b: _power(a, b))}
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -104,13 +157,14 @@ class _Tokens:
         return self.next()
 
 
-def parse(text: str) -> _Compiled:
-    """Parse ``text`` into a compiled expression ``(x, qp) -> complex``.
+def parse(text: str) -> _Node:
+    """Parse ``text`` into a compiled expression for :func:`evaluate`.
 
-    Each grammar node becomes a closure as it is parsed, so evaluating the
-    result walks no tree; :func:`evaluate` calls it at one point.  Raises
-    :class:`~basicq.errors.ParseError` with a character offset on any
-    syntax problem; never returns partially-consumed input.
+    Each grammar node is compiled as it is parsed, so evaluating the result
+    walks no tree; :func:`evaluate` calls it at one point or over a whole
+    array of points.  Raises :class:`~basicq.errors.ParseError` with a
+    character offset on any syntax problem; never returns
+    partially-consumed input.
 
     Examples
     --------
@@ -127,16 +181,32 @@ def parse(text: str) -> _Compiled:
     return node
 
 
-def _apply(fn, offset: int, operands) -> _Compiled:
-    """Node applying ``fn`` to its operands' values, in order.
+def _finite(v):
+    """``v``, where every element is finite; else no array form."""
+    if type(v) is SplitComplex:
+        if not (np.isfinite(v.re).all() and np.isfinite(v.im).all()):
+            raise _NoArrayForm
+    elif not cmath.isfinite(v):
+        raise _NoArrayForm
+    return v
 
-    Arithmetic failures (division by zero, 0 to a negative power, overflow)
-    and an Eq/Sq/Cq series that does not converge raise
+
+def _apply(fns, offset: int, operands) -> _Node:
+    """Node applying ``fns`` (point and array implementation) to its
+    operands' values, in order.
+
+    At a point, arithmetic failures (division by zero, 0 to a negative
+    power, overflow) and an Eq/Sq/Cq series that does not converge raise
     :class:`~basicq.errors.EvaluationError` at ``offset``; failures inside an
-    operand keep that operand's offset.
+    operand keep that operand's offset.  Over an array, operands that do not
+    depend on ``x`` take the point implementation once.
     """
-    def node(x, qp):
-        args = [f(x, qp) for f in operands]
+    fn, array_fn = fns
+    points = tuple(f.point for f in operands)
+    arrays = tuple(f.array for f in operands)
+
+    def point(x, qp):
+        args = [f(x, qp) for f in points]
         try:
             return fn(qp, *args)
         except ZeroDivisionError:
@@ -145,10 +215,18 @@ def _apply(fn, offset: int, operands) -> _Compiled:
             raise EvaluationError("overflow", offset) from None
         except (ValueError, ConvergenceError) as exc:
             raise EvaluationError(str(exc), offset) from None
-    return node
+
+    def array(x, qp):
+        args = [f(x, qp) for f in arrays]
+        impl = fn if all(type(a) is complex for a in args) else array_fn
+        if impl is None:
+            raise _NoArrayForm
+        return _finite(impl(qp, *args))
+
+    return _Node(point, array)
 
 
-def _parse_expr(toks: _Tokens) -> _Compiled:
+def _parse_expr(toks: _Tokens) -> _Node:
     node = _parse_term(toks)
     while toks.peek()[0] in ("+", "-"):
         op, _, off = toks.next()
@@ -156,7 +234,7 @@ def _parse_expr(toks: _Tokens) -> _Compiled:
     return node
 
 
-def _parse_term(toks: _Tokens) -> _Compiled:
+def _parse_term(toks: _Tokens) -> _Node:
     node = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op, _, off = toks.next()
@@ -164,17 +242,17 @@ def _parse_term(toks: _Tokens) -> _Compiled:
     return node
 
 
-def _parse_factor(toks: _Tokens) -> _Compiled:
+def _parse_factor(toks: _Tokens) -> _Node:
     if toks.peek()[0] == "-":
         toks.next()
-        operand = _parse_power(toks)
+        point, array = _parse_power(toks)
         # 0 - v, not -v: negating a real v would give it a -0.0 imaginary
         # part, which puts sqrt(-1) on the -i side of the cut.
-        return lambda x, qp: 0.0 - operand(x, qp)
+        return _Node(lambda x, qp: 0.0 - point(x, qp), lambda x, qp: 0.0 - array(x, qp))
     return _parse_power(toks)
 
 
-def _parse_power(toks: _Tokens) -> _Compiled:
+def _parse_power(toks: _Tokens) -> _Node:
     node = _parse_primary(toks)
     if toks.peek()[0] == "^":
         _, _, off = toks.next()
@@ -182,12 +260,22 @@ def _parse_power(toks: _Tokens) -> _Compiled:
     return node
 
 
-def _parse_primary(toks: _Tokens) -> _Compiled:
+def _no_array_form(x, qp):
+    raise _NoArrayForm
+
+
+def _leaf(fn) -> _Node:
+    """Node whose value does not depend on ``x`` or is ``x`` itself."""
+    return _Node(fn, fn)
+
+
+def _parse_primary(toks: _Tokens) -> _Node:
     kind, text, off = toks.peek()
     if kind == "number":
         toks.next()
         value = complex(float(text))
-        return lambda x, qp: value
+        leaf = lambda x, qp: value
+        return _Node(leaf, leaf if cmath.isfinite(value) else _no_array_form)
     if kind == "(":
         toks.next()
         node = _parse_expr(toks)
@@ -196,9 +284,9 @@ def _parse_primary(toks: _Tokens) -> _Compiled:
     if kind == "ident":
         toks.next()
         if text == "x":
-            return lambda x, qp: x
+            return _leaf(lambda x, qp: x)
         if text == "q":
-            return lambda x, qp: complex(qp.q)
+            return _leaf(lambda x, qp: complex(qp.q))
         if text not in KNOWN_FUNCTIONS:
             known = ", ".join(sorted(KNOWN_FUNCTIONS))
             raise ParseError(
@@ -215,18 +303,52 @@ def _parse_primary(toks: _Tokens) -> _Compiled:
             raise ParseError(
                 f"{text} expects {arity} argument{'s' if arity != 1 else ''}, "
                 f"got {len(args)}", off)
-        return _apply(_FUNCTIONS[text][1], off, tuple(args))
+        return _apply(_FUNCTIONS[text][1:], off, tuple(args))
     raise ParseError("expected primary (number, x, q, function call, or '(')", off)
 
 
-def evaluate(e: _Compiled, x, q) -> complex:
+def evaluate(e: _Node, x, q):
     """Evaluate the compiled expression ``e`` at point ``x`` with deformation ``q``.
+
+    ``x`` may be an ndarray of points: the result is then a complex array
+    of its shape, bit for bit the value at each point, taken in one pass
+    over the array where every node has an array form (see the module
+    docstring) and point by point otherwise.
 
     The ``q`` leaf yields the parameter as given (not canonicalized); the
     deformed functions Eq/Sq/Cq use the same series code as qfunctions.
     Arithmetic failures and Eq/Sq/Cq series that do not converge raise
     :class:`~basicq.errors.EvaluationError` at the offset of the operator or
-    call that failed.
+    call that failed, at the first point, in array order, that fails.
     """
     qp = as_qparam(q)
-    return e(complex(x), qp)
+    if not isinstance(x, np.ndarray):
+        return e.point(complex(x), qp)
+    try:
+        with np.errstate(all="ignore"):
+            v = e.array(_finite(SplitComplex(x)), qp)
+    except (_NoArrayForm, ArithmeticError, ValueError, ConvergenceError):
+        point = e.point
+        return np.array([point(complex(xi), qp) for xi in x.ravel().tolist()],
+                        dtype=complex).reshape(x.shape)
+    out = np.empty(x.shape, dtype=complex)
+    out.real, out.imag = (v.re, v.im) if type(v) is SplitComplex else (v.real, v.imag)
+    return out
+
+
+class BoundExpression:
+    """A compiled expression at a fixed deformation parameter: a function of
+    ``x`` that takes a point or an array of points, as :func:`evaluate`.
+
+    :func:`~basicq.l2q.sample` and
+    :func:`~basicq.qschrodinger.build_hamiltonian` pass it all their points
+    in one call, where any other function is called point by point.
+    """
+
+    __slots__ = ("expr", "qp")
+
+    def __init__(self, expr: _Node, q):
+        self.expr, self.qp = expr, as_qparam(q)
+
+    def __call__(self, x):
+        return evaluate(self.expr, x, self.qp)

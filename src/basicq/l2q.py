@@ -47,11 +47,13 @@ closes its inner end across the origin through the mirror point instead
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exprparse import BoundExpression
 from .qnum import as_int, as_qparam
 
 __all__ = [
@@ -149,12 +151,13 @@ class QLattice:
                 and self.m_max == other.m_max and self.a == other.a)
 
     @functools.cached_property
-    def _csv_prefixes(self) -> tuple:
-        """The ``sign,m,x,weight,`` cells of each row of :func:`to_csv`,
-        formatted on first use and kept as long as the lattice (its arrays
-        are read-only)."""
-        return tuple("%d,%d,%.17g,%.17g," % row for row in zip(
-            self.sign.tolist(), self.m.tolist(), self.x.tolist(), self.w.tolist()))
+    def _csv_template(self) -> str:
+        """The text of :func:`to_csv` with each row's ``sign,m,x,weight``
+        cells formatted and ``%.17g`` left for its two value cells."""
+        rows = zip(self.sign.tolist(), self.m.tolist(), self.x.tolist(), self.w.tolist())
+        return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
+                + "%d,%d,%.17g,%.17g,%%.17g,%%.17g\n" * self.size
+                % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _freeze(arr):
@@ -258,10 +261,15 @@ def _check_same_lattice(a: QLattice, b: QLattice):
 def sample(f, lattice: QLattice) -> LatticeFunction:
     """Evaluate ``f`` at every lattice point (0 is not one).
 
-    Non-finite samples are rejected (the function must belong to the space):
-    the ValueError names the first such point in lattice order.
+    A :class:`~basicq.exprparse.BoundExpression` is called once with all the
+    points; any other ``f`` is called at each point.  Non-finite samples are
+    rejected (the function must belong to the space): the ValueError names
+    the first such point in lattice order.
     """
-    vals = np.array([complex(f(xi)) for xi in lattice.x])
+    if isinstance(f, BoundExpression):
+        vals = f(lattice.x)
+    else:
+        vals = np.array([complex(f(xi)) for xi in lattice.x])
     bad = ~np.isfinite(vals)
     if bad.any():
         raise ValueError(f"non-finite sample at x = {float(lattice.x[bad.argmax()])!r}")
@@ -469,10 +477,10 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
 def to_csv(psi: LatticeFunction) -> str:
     """Serialize samples as CSV: schema comment, header, one row per point.
 
-    Floats are written with 17 significant digits.
+    Floats are written with 17 significant digits.  The file is one ``%``
+    of the lattice's row template, its header and lattice cells formatted
+    on the first call for that lattice and kept as long as the lattice
+    (its arrays are read-only), with the values of ``psi``.
     """
-    # + 0.0 turns -0.0 into 0.0.
-    rows = zip(psi.lattice._csv_prefixes, (psi.values.real + 0.0).tolist(),
-               (psi.values.imag + 0.0).tolist())
-    return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
-            + "".join("%s%.17g,%.17g\n" % row for row in rows))
+    # + 0.0 turns -0.0 into 0.0; the float view reads re, im point by point.
+    return psi.lattice._csv_template % tuple((psi.values + 0.0).view(float).tolist())

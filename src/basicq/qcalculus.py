@@ -196,11 +196,13 @@ class SplitComplex:
 
     - product ``(ar*br - ai*bi, ar*bi + ai*br)``
     - quotient by a real ``d``: ``r = 0.0/d; ((ar + ai*r)/d, (ai - ar*r)/d)``
+    - quotient by a complex ``b``: Smith's form, top and bottom divided by
+      ``br`` where ``|br| >= |bi|``, else by ``bi``
     - ``abs`` as ``np.hypot``
 
     A real operand (a float or a real array) enters as ``(x, 0.0)``, as
-    CPython promotes it.  Supports ``+``, ``-`` (also unary), ``*``,
-    division by reals and ``abs``; ``np.asarray`` gives the complex array.
+    CPython promotes it.  Supports ``+``, ``-`` (also unary), ``*``, ``/``
+    and ``abs``; ``np.asarray`` gives the complex array.
 
     Examples
     --------
@@ -253,12 +255,28 @@ class SplitComplex:
 
     def __truediv__(self, other):
         if isinstance(other, SplitComplex) or np.iscomplexobj(other):
-            return NotImplemented
+            return _quotient(self.re, self.im, *_parts(other))
         d = np.asarray(other, dtype=float)
         if np.any(d == 0.0):
             raise ZeroDivisionError("complex division by zero")
         r = 0.0 / d
         return SplitComplex((self.re + self.im * r) / d, (self.im - self.re * r) / d)
+
+    def __rtruediv__(self, other):
+        return _quotient(*_parts(other), self.re, self.im)
+
+
+def _quotient(ar, ai, br, bi):
+    """CPython's complex quotient ``a / b``, elementwise on float64 parts."""
+    if np.any((br == 0.0) & (bi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re = abs(br) >= abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return SplitComplex(re, im)
 
 
 def _parts(v):

@@ -61,11 +61,12 @@ on scipy's BLAS, the one its LAPACK solves with.  numpy and scipy each
 ship an OpenBLAS with a buffer pool of its own, so a numpy product would
 leave numpy's pool resident under the next block's solve.  On a 2-core
 Xeon with 2 BLAS threads, an n_odd-3750 ``evolve`` with 5 snapshots peaks
-at 121.6 MB of RSS this way and at 125.6 MB with numpy's products (119.3
-and 119.6 MB with 1 thread).  The call is the one numpy's ``@`` makes, so
-the values are bit for bit those of ``@``.  Parts are not batched over
-times: OpenBLAS blocks a product over many right-hand sides differently,
-and it does not give each time's values bit for bit.
+at 120.2 MB of RSS this way (118.0 MB with 1 thread), its first snapshot's
+CSV text adding about 0.6 MB to the solve's level.  The call is the one
+numpy's ``@`` makes, so the values are bit for bit those of ``@``.  Parts
+are not batched over times: OpenBLAS blocks a product over many
+right-hand sides differently, and it does not give each time's values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, EvaluationError
+from .exprparse import BoundExpression
 from .l2q import (
     LatticeFunction,
     OperatorMatrix,
@@ -167,7 +169,11 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     """Assemble the Hamiltonian for potential ``V`` (a callable of x).
 
     ``V`` must be real on the lattice (a complex value breaks Hermiticity
-    and is rejected), ``mass`` and ``hbar`` positive.
+    and is rejected), ``mass`` and ``hbar`` positive.  A
+    :class:`~basicq.exprparse.BoundExpression` is called once with all the
+    odd points; any other ``V`` is called at each point, in coordinate
+    order, and the first complex or non-finite value is refused before the
+    next point is read.  Both give the same bands and the same errors.
 
     Examples
     --------
@@ -186,14 +192,22 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     x = lattice.x[idx]
     w = lattice.w[idx]
 
-    v = np.empty(n)
-    for j, xi in enumerate(x):
-        val = complex(V(xi))
-        if val.imag != 0.0:
-            raise ValueError(f"complex potential rejected: V({float(xi)!r}) = {val!r}")
-        if not math.isfinite(val.real):
-            raise ValueError(f"non-finite potential value at x = {float(xi)!r}")
-        v[j] = val.real
+    vals = None
+    if isinstance(V, BoundExpression):
+        try:
+            vals = V(x)
+        except EvaluationError:
+            pass  # the point loop raises what it meets first, maybe a complex value
+    if vals is None:
+        v = np.empty(n)
+        for j, xi in enumerate(x):
+            v[j] = _potential_value(xi, complex(V(xi)))
+    else:
+        bad = (vals.imag != 0.0) | ~np.isfinite(vals.real)
+        if bad.any():
+            j = int(bad.argmax())
+            _potential_value(x[j], complex(vals[j]))
+        v = vals.real
 
     kin = -hbar * hbar / (2.0 * mass)
     h = n // 2  # the innermost odd points are h - 1 and h
@@ -219,6 +233,16 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     root = np.sqrt(w)
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
     return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, hbar=hbar, sym_e=sym_e)
+
+
+def _potential_value(xi, val: complex) -> float:
+    """The real part of the potential's value ``val`` at ``xi``; a complex or
+    non-finite value raises ValueError."""
+    if val.imag != 0.0:
+        raise ValueError(f"complex potential rejected: V({float(xi)!r}) = {val!r}")
+    if not math.isfinite(val.real):
+        raise ValueError(f"non-finite potential value at x = {float(xi)!r}")
+    return val.real
 
 
 def _mirrored(a: np.ndarray) -> bool:

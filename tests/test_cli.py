@@ -349,8 +349,8 @@ def test_solve_writes_spectrum_and_eigenfunctions(capsys, tmp_path, potential, k
 def test_solve_writes_one_eigenfunction_at_a_time(capsys, tmp_path, potential):
     # Past the solve, solve holds the spectrum, one (n_odd, k) vectors array
     # and one eigfunc file's text at a time.  The slack, 16 times one file's
-    # size (0.33 MB), covers that text, its row strings, the lattice's cached
-    # row prefixes and the command's own lattice and bands; a list of every
+    # size (0.33 MB), covers that text, its values as floats, the lattice's
+    # cached row template and the command's own lattice and bands; a list of every
     # eigenfunction on the full lattice, complex, would add 4 times the
     # vectors array (1.3 MB here against 0.32 MB).
     argv = ["solve", "--potential", potential, "--q", "0.97", "--lattice=-40:160:1",
@@ -602,6 +602,35 @@ def test_evolve_checks_the_grid_before_the_expressions(capsys, tmp_path, potenti
     assert err == ("basicq: invalid configuration: time step t/steps underflows to 0: "
                    "t=5e-324 steps=2\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("potential, psi0", [("x^2", "gauss(x)"), ("1/0", "x^")])
+@pytest.mark.parametrize("grid, reason", [
+    (("--steps", "1" + "0" * 400), "steps is past float range"),
+    # 10^6 + 2 snapshots with the one at t = 0: one float each is built only
+    # past the check, so a missing check would still fail fast at the parse
+    (("--steps", "1000001", "--snap-every", "1"),
+     "steps=1000001 snap_every=1 asks for more than 1000000 snapshots"),
+    (("--steps", "1000000000", "--snap-every", "1000"),
+     "steps=1000000000 snap_every=1000 asks for more than 1000000 snapshots"),
+])
+def test_evolve_bounds_the_time_grid_before_the_expressions(capsys, tmp_path, potential,
+                                                            psi0, grid, reason):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "evolve", "--potential", potential, "--psi0", psi0,
+                            *grid, "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"basicq: invalid configuration: {reason}\n"
+    assert not out.exists()
+
+
+def test_evolve_may_ask_for_a_million_snapshots(capsys, tmp_path):
+    # the cap counts the snapshot at t = 0: 999999 steps and it pass the grid
+    # checks, up to the potential, which does not parse here
+    code, _, err = run(capsys, "evolve", "--potential", "x^", "--psi0", "0",
+                       "--steps", "999999", "--snap-every", "1", "--output", str(tmp_path))
+    assert code == 2
+    assert err.startswith("basicq: parse error: ")
 
 
 def test_evolve_names_the_point_of_a_non_finite_initial_state(capsys, tmp_path):

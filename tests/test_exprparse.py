@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
+import numpy as np
 import pytest
 
-from basicq import EvaluationError, ParseError, evaluate, parse, q_cos, q_exp, q_sin
-from basicq.exprparse import KNOWN_FUNCTIONS
+from basicq import (EvaluationError, ParseError, build_lattice, evaluate, parse, q_cos,
+                    q_exp, q_sin)
+from basicq.exprparse import KNOWN_FUNCTIONS, _NoArrayForm
+from basicq.qcalculus import SplitComplex
+from basicq.qnum import QParam
 
 
 def val(text, x=0.0, q=0.9):
@@ -217,3 +222,92 @@ def test_parse_matches_python_expression(text, python):
     e = parse(text)
     for x in (0.7, 2.0):
         assert evaluate(e, x, 0.9) == pytest.approx(python(x, 0.9), rel=1e-15)
+
+
+# -- array evaluation ----------------------------------------------------------
+
+# The default lattice and the benchmark's n_odd-750 and 3750 lattices, each
+# built once.
+_LATTICE_KEYS = [(0.9, -15, 60), (0.99, -150, 600), (0.999, -750, 2999)]
+_lattice = functools.cache(lambda key: build_lattice(*key))
+
+# Expressions evaluated over the array in one pass: every node with an array
+# form, alone and composed, with complex values, signed zeros, a non-finite
+# constant leaf that the operation absorbs, and constant subexpressions that
+# have no array form of their own.
+_ARRAY_FORM = [
+    "x", "q", "2.5", "x + 1", "q - x", "2*x", "x*q/2", "x/0.4", "1/x", "-x", "-x^2",
+    "(0-x)*0", "x^0", "x^-0", "x^2", "x^3", "x^-3", "x^99", "x^-99", "x^(1+1)", "2^3*x",
+    "exp(x)", "exp(-x)*x", "abs(x - 1)", "gauss(x)", "gauss((x - 0.3)/0.4)",
+    "-2.5*gauss(x/0.7)", "x^4 - 1.3*x^2", "-x^2 + x^4/3.1", "x/abs(x)*gauss(x)",
+    "(1 + x)/(2 - x)", "x^2/(1 + x^4)", "1e200*x^2",
+    "exp(sqrt(-1)*x)", "x/(sqrt(-1) + x)", "(sqrt(-1)*x + 1)^3", "abs(sqrt(-1)*x + 1)",
+    "(x + sqrt(-1))^-2", "x^2 + Eq(0.5) - pow(2, 0.5)",
+]
+# Expressions that some node evaluates point by point.
+_POINT_FORM = [
+    "x^2.5", "x^100", "x^-100", "2^x", "x^x", "sqrt(x)", "sin(x)", "cos(q*x)",
+    "pow(x, 2)", "Eq(x/5)", "Sq(x/5)", "Cq(x/5)", "exp(704 - abs(x)/1e3)", "1e999*x",
+    "x/1e999", "x*1e300*1e300",
+]
+# Expressions whose point-by-point evaluation fails somewhere on each lattice.
+_FAILING = ["1/(x-x)", "2 + (x-x)^-1", "exp(400*x)", "10^400*x", "Eq(1e300*x)",
+            "sqrt(x) + 1/(x - x)"]
+
+
+def _per_point(e, x, q):
+    return np.array([evaluate(e, xi, q) for xi in x], dtype=complex)
+
+
+# The shapes of the benchmark's potentials and initial states, and one case
+# of each way out of the array form: all that the 7500-point lattice takes.
+_ON_LARGEST = {"x^2", "-x^2", "x^4 - 1.3*x^2", "-2.5*gauss(x/0.7)", "-x^2 + x^4/3.1",
+               "gauss((x - 0.3)/0.4)", "x/abs(x)*gauss(x)", "abs(x - 1)", "x^-99",
+               "x^2.5", "2^x", "sqrt(x)", "exp(704 - abs(x)/1e3)", "1e999*x",
+               "x*1e300*1e300", "1/(x-x)", "10^400*x", "sqrt(x) + 1/(x - x)"}
+
+
+def _on_lattices(texts):
+    """``(text, lattice key)`` pairs: each text on the default lattice; on
+    the 1502-point one too unless it calls an Eq/Sq/Cq series (a series per
+    point); on the 7500-point one if it is in ``_ON_LARGEST``."""
+    default, n750, n3750 = _LATTICE_KEYS
+    return [pytest.param(text, key, id=f"{text}-{key[0]}") for text in texts
+            for key in (default, n750, n3750)
+            if key == default or key == n750 and "q(" not in text or text in _ON_LARGEST]
+
+
+@pytest.mark.parametrize("text, key", _on_lattices(_ARRAY_FORM + _POINT_FORM))
+def test_array_evaluation_is_the_point_values_bit_for_bit(text, key):
+    lat = _lattice(key)
+    e, q = parse(text), key[0]
+    got = evaluate(e, lat.x, q)
+    assert got.dtype == complex and got.shape == lat.x.shape
+    assert np.array_equal(got.view(np.uint64), _per_point(e, lat.x, q).view(np.uint64))
+
+
+@pytest.mark.parametrize("text", _ARRAY_FORM)
+def test_array_form_takes_one_pass(text):
+    # the array closures alone evaluate it; a node that fell back would raise
+    x = _lattice(_LATTICE_KEYS[2]).x
+    with np.errstate(all="ignore"):
+        parse(text).array(SplitComplex(x), QParam(0.999))
+
+
+@pytest.mark.parametrize("text", _POINT_FORM)
+def test_point_form_falls_back(text):
+    x = _lattice(_LATTICE_KEYS[2]).x
+    with np.errstate(all="ignore"), pytest.raises(_NoArrayForm):
+        parse(text).array(SplitComplex(x), QParam(0.999))
+
+
+@pytest.mark.parametrize("text, key", _on_lattices(_FAILING))
+def test_array_evaluation_fails_as_the_point_loop(text, key):
+    lat = _lattice(key)
+    e, q = parse(text), key[0]
+    with pytest.raises(EvaluationError) as point:
+        _per_point(e, lat.x, q)
+    with pytest.raises(EvaluationError) as array:
+        evaluate(e, lat.x, q)
+    assert str(array.value) == str(point.value)
+    assert array.value.offset == point.value.offset

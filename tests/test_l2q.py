@@ -26,8 +26,8 @@ from basicq import (
     q_norm,
     sample,
 )
-from basicq.l2q import basis_function, decaying_test_function, to_csv
-from basicq.qschrodinger import build_hamiltonian
+from basicq.l2q import _from_odd, basis_function, decaying_test_function, to_csv
+from basicq.qschrodinger import build_hamiltonian, evolve, stationary_states
 from basicq.verify import lattice_for_q
 
 
@@ -415,8 +415,8 @@ class TestSerialization:
         assert np.array_equal(cols[:, 4] + 1j * cols[:, 5], psi.values)
 
     def test_csv_matches_per_row_formatting(self):
-        # the lattice columns are cached on each lattice; every file
-        # must equal all six cells formatted row by row
+        # the row template is cached on each lattice; every file must equal
+        # all six cells formatted row by row
         def reference(psi):
             lat, v = psi.lattice, psi.values + 0.0
             rows = zip(lat.sign.tolist(), lat.m.tolist(), lat.x.tolist(), lat.w.tolist(),
@@ -428,6 +428,19 @@ class TestSerialization:
             for f in (gauss2, lambda x: (1 - 2j) * x ** 3, lambda x: -0.0):
                 psi = sample(f, lat)
                 assert to_csv(psi) == reference(psi)
+
+        # Solver eigenvectors embedded on the odd points and an evolved
+        # complex state, on a lattice whose x and weights run from 9e-13 to
+        # 1e18, printed in exponent form.
+        lat = build_lattice(0.5, -70, 30, 1e-3)
+        H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
+        vectors = stationary_states(H, 3).vectors
+        states = [_from_odd(lat, vectors[:, n]) for n in range(3)]
+        states.append(next(evolve(sample(lambda x: math.exp(-(x - 0.3) ** 2), lat), H, [0.7])))
+        assert "e-13," in to_csv(states[0]) and "e+18," in to_csv(states[0])
+        assert np.any(states[-1].values.imag != 0)
+        for psi in states:
+            assert to_csv(psi) == reference(psi)
 
     def test_csv_cache_lives_as_long_as_its_lattice(self):
         lat = build_lattice(0.9, -4, 12, 1.0)

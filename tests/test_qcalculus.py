@@ -336,12 +336,18 @@ def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
 def test_split_complex_arithmetic_is_cpythons():
     rng = np.random.default_rng(7)
     parts = rng.standard_normal((4, 2000)) * 10.0 ** rng.integers(-8, 8, (4, 2000))
+    # a complex divisor takes either of the quotient's branches, and a
+    # signed zero part in either operand keeps its sign as in CPython
+    parts[1, :100] = -0.0
+    parts[3, 100:200] = -0.0
     a, b = SplitComplex(parts[0], parts[1]), SplitComplex(parts[2], parts[3])
     d = parts[2]
-    got = {"mul": a * b, "rmul": d * a, "div": a / d, "add": a + b, "rsub": d - a}
+    got = {"mul": a * b, "rmul": d * a, "div": a / d, "add": a + b, "rsub": d - a,
+           "cdiv": a / b, "rcdiv": 1.5j / b}
     for k in range(parts.shape[1]):
         x, y = complex(parts[0, k], parts[1, k]), complex(parts[2, k], parts[3, k])
-        want = {"mul": x * y, "rmul": d[k] * x, "div": x / d[k], "add": x + y, "rsub": d[k] - x}
+        want = {"mul": x * y, "rmul": d[k] * x, "div": x / d[k], "add": x + y, "rsub": d[k] - x,
+                "cdiv": x / y, "rcdiv": 1.5j / y}
         for op, w in want.items():
             assert _bits(complex(got[op].re[k], got[op].im[k])) == _bits(w), op
         assert abs(a)[k] == abs(x)

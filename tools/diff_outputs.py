@@ -6,8 +6,11 @@
 A tree is a checkout holding the package under ``src/``.  The commands are
 the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
 ``bench/workloads.py`` generates them, plus ``basicq --help``, each
-command's ``--help`` and the ``MISUSE`` commands, one for each way the CLI
-refuses its arguments, so a change to any usage error shows.  Each command
+command's ``--help``, the ``MISUSE`` commands, one for each way the CLI
+refuses its arguments, so a change to any usage error shows, and the
+``EXPRESSIONS`` commands, whose expressions take every grammar node and
+every way out of the array evaluation, onto the lattice and into errors.
+Each command
 runs as ``python -m basicq`` in a fresh temporary directory, once against
 each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*`` variable), so
 ``solve`` and ``evolve`` write their files there.
@@ -62,6 +65,39 @@ MISUSE = (
     [*_EVOLVE, "--snap-every", "0"],
     [*_EVOLVE, "--t", "-1"],
     [*_EVOLVE, "--t", "5e-324", "--steps", "2"],
+    [*_EVOLVE, "--steps", "1" + "0" * 400],
+    # The potential does not parse, so a CLI without the snapshot cap fails
+    # there rather than writing a million snapshots.
+    ["evolve", "--potential", "x^", "--psi0", "gauss(x)", "--steps", "1000001",
+     "--snap-every", "1"],
+)
+# solve, evolve and qint commands whose expressions cover every grammar node,
+# each operation without an array form (non-integral, large or x-dependent
+# powers, sqrt, sin, cos, pow, Eq, Sq, Cq, exp past 700), non-finite values,
+# complex ones and failures, among them in which order a potential's
+# complex value and an evaluation error are reported.
+EXPRESSIONS = (
+    ["solve", "--potential", "x^2.5"],
+    ["solve", "--potential", "1e-60*(x^99 + x^100) + 2^x", "--k", "2"],
+    ["evolve", "--potential", "x^2", "--psi0", "x^-3*gauss(x)", "--snap-every", "50"],
+    ["evolve", "--potential", "0.5*x^2", "--psi0", "pow(x,0.5)*gauss(x)"],
+    ["evolve", "--potential", "x^2", "--psi0", "x/abs(x)*gauss(x)", "--snap-every", "25"],
+    ["evolve", "--potential", "x^2", "--psi0", "exp(144*x)*gauss(10*x)"],
+    ["evolve", "--potential", "x^2", "--psi0", "exp(200*x)"],
+    ["evolve", "--potential", "x^2", "--psi0", "(x-x)^-1"],
+    ["solve", "--potential", "sqrt(-1)*x"],
+    ["solve", "--potential", "sin(x)^2 + cos(q*x) - (x - 1)/(x^2 + 2)", "--k", "3"],
+    ["solve", "--potential", "x^2 + Eq(x) - Sq(x)*Cq(x)", "--q", "0.8"],
+    ["solve", "--potential", "1e200*x^2", "--q", "0.5", "--lattice=-181:40:1"],
+    ["evolve", "--potential", "x^2", "--psi0", "1e200*x^2*gauss(x/1e53)", "--q", "0.5",
+     "--lattice=-181:40:1"],
+    ["solve", "--potential", "sqrt(x) + 1/(x - 0.5)", "--q", "0.5"],
+    ["solve", "--potential", "sqrt(-x) + 1/(x + 0.5)", "--q", "0.5"],
+    ["solve", "--potential", "1/(x-x)"],
+    ["solve", "--potential", "-2*gauss(x/0.5) + 0.1*x/abs(x)", "--q", "0.99",
+     "--lattice=-150:600:1", "--k", "3"],
+    ["qint", "--expr", "x^2.5*gauss(x) + sin(x)*cos(q*x) - Eq(-x^2)", "--upper", "2"],
+    ["qint", "--expr", "x/abs(x)*exp(-x^2)/(1 + x^4) + abs(x)^-0.5*gauss(x)", "--fullline"],
 )
 
 
@@ -96,7 +132,7 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=4, help="rounds per workload (default 4)")
     p.add_argument("--seed", type=int, default=17, help="workload seed (default 17)")
     args = p.parse_args(argv)
-    commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE,
+    commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
                 *workload_commands(args.seed, args.rounds)]
     differing = 0
     for cmd in commands:
