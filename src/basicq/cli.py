@@ -257,14 +257,18 @@ def cmd_solve(args) -> int:
     spath = os.path.join(outdir, "spectrum.json")
     doc = _spectrum_doc(H.lattice, spec.eigenvalues, args)
     _write_out(json.dumps(doc) + "\n", spath)
-    written = [spath]
-    # One eigenfunction embedded on the lattice at a time, as it is written.
-    for n, v in enumerate(spec.vectors.T):
-        fpath = os.path.join(outdir, "eigfunc_%03d.csv" % n)
-        _write_out(l2q.to_csv(l2q._from_odd(H.lattice, v)), fpath)
-        written.append(fpath)
-    for p in written:
-        print(p)
+
+    def fpath(n):
+        return os.path.join(outdir, "eigfunc_%03d.csv" % n)
+
+    # One eigenfunction embedded from its block's column at a time, as it is
+    # written: no (n_odd, k) array is built, and no list of k paths either.
+    k = len(spec.eigenvalues)
+    for n in range(k):
+        _write_out(l2q.to_csv(l2q._from_odd(H.lattice, spec.vector(n))), fpath(n))
+    print(spath)
+    for n in range(k):
+        print(fpath(n))
     return 0
 
 

@@ -78,6 +78,12 @@ DEFAULT_Q = 0.9
 DEFAULT_M_MIN = -15
 DEFAULT_M_MAX = 60
 CSV_SCHEMA_VERSION = 1
+# Points per block of CSV rows: only one block's cells are Python objects at
+# a time, so writing a file allocates no per-point object for the whole
+# lattice.
+CSV_BLOCK_ROWS = 256
+_CSV_HEADER = f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
+_CSV_ROW = "%d,%d,%.17g,%.17g,%%.17g,%%.17g\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +157,18 @@ class QLattice:
                 and self.m_max == other.m_max and self.a == other.a)
 
     @functools.cached_property
-    def _csv_template(self) -> str:
-        """The text of :func:`to_csv` with each row's ``sign,m,x,weight``
-        cells formatted and ``%.17g`` left for its two value cells."""
-        rows = zip(self.sign.tolist(), self.m.tolist(), self.x.tolist(), self.w.tolist())
-        return (f"# schema_version={CSV_SCHEMA_VERSION}\nsign,m,x,weight,re,im\n"
-                + "%d,%d,%.17g,%.17g,%%.17g,%%.17g\n" * self.size
-                % tuple(itertools.chain.from_iterable(rows)))
+    def _csv_templates(self) -> tuple:
+        """The rows of :func:`to_csv` in blocks of ``CSV_BLOCK_ROWS`` points,
+        each block's ``sign,m,x,weight`` cells formatted and ``%.17g`` left
+        for its two value cells."""
+        templates = []
+        for start in range(0, self.size, CSV_BLOCK_ROWS):
+            part = slice(start, start + CSV_BLOCK_ROWS)
+            rows = zip(self.sign[part].tolist(), self.m[part].tolist(),
+                       self.x[part].tolist(), self.w[part].tolist())
+            templates.append(_CSV_ROW * min(CSV_BLOCK_ROWS, self.size - start)
+                             % tuple(itertools.chain.from_iterable(rows)))
+        return tuple(templates)
 
 
 def _freeze(arr):
@@ -477,10 +488,18 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
 def to_csv(psi: LatticeFunction) -> str:
     """Serialize samples as CSV: schema comment, header, one row per point.
 
-    Floats are written with 17 significant digits.  The file is one ``%``
-    of the lattice's row template, its header and lattice cells formatted
-    on the first call for that lattice and kept as long as the lattice
-    (its arrays are read-only), with the values of ``psi``.
+    Floats are written with 17 significant digits.  The rows are written in
+    blocks of ``CSV_BLOCK_ROWS`` points, each one ``%`` of that block's row
+    template with the block's values of ``psi``, and the file is the header
+    and the blocks joined.  The templates hold each row's lattice cells,
+    formatted on the first call for that lattice and kept as long as the
+    lattice (its arrays are read-only); the values of one block at a time
+    are Python floats.
     """
-    # + 0.0 turns -0.0 into 0.0; the float view reads re, im point by point.
-    return psi.lattice._csv_template % tuple((psi.values + 0.0).view(float).tolist())
+    vals = psi.values
+    blocks = [_CSV_HEADER]
+    for b, template in enumerate(psi.lattice._csv_templates):
+        part = vals[b * CSV_BLOCK_ROWS:(b + 1) * CSV_BLOCK_ROWS]
+        # + 0.0 turns -0.0 into 0.0; the float view reads re, im point by point.
+        blocks.append(template % tuple((part + 0.0).view(float).tolist()))
+    return "".join(blocks)

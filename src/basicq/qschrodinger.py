@@ -58,15 +58,21 @@ otherwise it keeps them, and peaks at 6N^2 as :func:`stationary_states`.
 
 Every product on eigenvectors is one real BLAS call per state and block,
 on scipy's BLAS, the one its LAPACK solves with.  numpy and scipy each
-ship an OpenBLAS with a buffer pool of its own, so a numpy product would
-leave numpy's pool resident under the next block's solve.  On a 2-core
-Xeon with 2 BLAS threads, an n_odd-3750 ``evolve`` with 5 snapshots peaks
-at 120.2 MB of RSS this way (118.0 MB with 1 thread), its first snapshot's
-CSV text adding about 0.6 MB to the solve's level.  The call is the one
-numpy's ``@`` makes, so the values are bit for bit those of ``@``.  Parts
-are not batched over times: OpenBLAS blocks a product over many
-right-hand sides differently, and it does not give each time's values bit
-for bit.
+ship an OpenBLAS with a thread pool of its own.  numpy's ``@`` in the same
+call form gives the same values and a 0.3-0.4 MB lower peak, but its
+threads keep spinning after a product and slow the next block's solve on
+scipy's: on a 2-core Xeon with 2 BLAS threads, at n_odd 3750 (h 1875,
+V = x^2) the odd block's ``stevd`` takes 0.27 s instead of 0.20 s after
+numpy products, and an ``evolve`` with 5 snapshots 0.76 s instead of
+0.65 s in-process (medians of 4).  The call is the one numpy's ``@`` makes,
+so the values are bit for bit those of ``@``.  Parts are not batched over
+times: OpenBLAS blocks a product over many right-hand sides differently,
+and it does not give each time's values bit for bit.
+
+On that Xeon such an ``evolve`` peaks at 119.7 MB of RSS (117.4 MB with 1
+BLAS thread), at the odd block's solve: writing the snapshots stays under
+that level, as :func:`basicq.l2q.to_csv` holds one block of rows' values
+as Python objects at a time and the text reuses heap the solve has freed.
 """
 
 from __future__ import annotations
@@ -114,15 +120,16 @@ class SpectrumResult:
 
     The eigenfunctions are kept only as real arrays on the odd points of
     ``lattice``, never as a list of lattice functions: ``vectors`` gives them
-    as columns, and a caller that needs one on the lattice embeds that
-    column (even samples 0).
+    as columns and ``vector(n)`` one of them alone, and a caller that needs
+    one on the lattice embeds that column (even samples 0).
 
     ``blocks`` holds the eigenvectors as ``(parity, cols, U)`` triples: the
     columns of the real matrix ``U`` are the eigenfunctions numbered ``cols``
-    in ``eigenvalues``.  A full solve has one block of parity ``None``, whose
-    ``U`` covers all odd points in coordinate-ascending order.  A parity
-    split has an even (+1) and an odd (-1) block, whose ``U`` holds the right
-    half (x > 0) of each eigenfunction; its left half is ``parity * U[::-1]``.
+    (ascending) in ``eigenvalues``.  A full solve has one block of parity
+    ``None``, whose ``U`` covers all odd points in coordinate-ascending
+    order.  A parity split has an even (+1) and an odd (-1) block, whose
+    ``U`` holds the right half (x > 0) of each eigenfunction; its left half
+    is ``parity * U[::-1]``.
     """
 
     eigenvalues: np.ndarray
@@ -134,16 +141,36 @@ class SpectrumResult:
         """Real ``(n_odd, k)`` array: column n holds eigenfunction n at the
         odd points, coordinate-ascending.  Embedded from ``blocks`` on each
         access."""
-        n = len(self.lattice.odd_indices)
-        h = n // 2
-        V = np.empty((n, len(self.eigenvalues)))
+        V = np.empty((len(self.lattice.odd_indices), len(self.eigenvalues)))
         for parity, cols, U in self.blocks:
-            if parity is None:
-                V[:, cols] = U
-            else:
-                V[h:, cols] = U
-                V[:h, cols] = parity * U[::-1]
+            _embed(V, parity, U, cols)
         return V
+
+    def vector(self, n: int) -> np.ndarray:
+        """Column ``n`` of :attr:`vectors`, embedded from its block's column
+        alone: eigenfunction ``n`` at the odd points, with no ``(n_odd, k)``
+        array built."""
+        for parity, cols, U in self.blocks:
+            j = int(np.searchsorted(cols, n))
+            if j < len(cols) and cols[j] == n:
+                v = np.empty(len(U) if parity is None else 2 * len(U))
+                _embed(v, parity, U[:, j])
+                return v
+        raise IndexError(f"eigenfunction {n} out of range for k = {len(self.eigenvalues)}")
+
+
+def _embed(out: np.ndarray, parity, U: np.ndarray, cols=slice(None)):
+    """Write a block's eigenvectors ``U`` into the columns ``cols`` of
+    ``out``, whose rows are all odd points, coordinate-ascending: a full
+    block's as they are, a half block's ``U`` on the right half and
+    ``parity * U[::-1]`` on the left.  ``out`` and ``U`` are vectors or
+    matrices alike."""
+    if parity is None:
+        out[..., cols] = U
+        return
+    h = len(out) // 2
+    out[h:][..., cols] = U
+    out[:h][..., cols] = parity * U[::-1]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -368,12 +395,12 @@ def _real_times_complex(M: np.ndarray, z) -> np.ndarray:
     so it is not copied either.
 
     The BLAS is scipy's, which the eigensolver has already loaded, not
-    numpy's second OpenBLAS with its own buffer pool (see the module
-    docstring).  The call is the one numpy's ``@`` makes: BLAS forms
-    ``A M^T``, whose transpose is ``M @ z`` (a matrix-vector product for a
-    one-row ``M``), so every value is bit for bit what ``@`` gives.  Asked
-    for ``M A^T`` instead, it differs in the last rows at about half of the
-    sizes below 400.
+    numpy's second OpenBLAS, whose threads keep spinning after a product and
+    slow the next solve (see the module docstring).  The call is the one
+    numpy's ``@`` makes: BLAS forms ``A M^T``, whose transpose is ``M @ z``
+    (a matrix-vector product for a one-row ``M``), so every value is bit for
+    bit what ``@`` gives.  Asked for ``M A^T`` instead, it differs in the
+    last rows at about half of the sizes below 400.
     """
     A = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2).T
     if len(M) == 1:

@@ -347,12 +347,13 @@ def test_solve_writes_spectrum_and_eigenfunctions(capsys, tmp_path, potential, k
 
 @pytest.mark.parametrize("potential", ["x^2", "gauss((x-0.2)/0.4)"])
 def test_solve_writes_one_eigenfunction_at_a_time(capsys, tmp_path, potential):
-    # Past the solve, solve holds the spectrum, one (n_odd, k) vectors array
-    # and one eigfunc file's text at a time.  The slack, 16 times one file's
-    # size (0.33 MB), covers that text, its values as floats, the lattice's
-    # cached row template and the command's own lattice and bands; a list of every
-    # eigenfunction on the full lattice, complex, would add 4 times the
-    # vectors array (1.3 MB here against 0.32 MB).
+    # Past the solve, solve holds the spectrum's blocks and one eigenfunction
+    # at a time: its column embedded on the lattice and its file's text.  The
+    # slack, 8 times one file's size (0.16 MB), covers that text, one row
+    # block's values as floats, the lattice's cached row templates and the
+    # command's own lattice and bands (about 5 files' worth here).  An
+    # (n_odd, k) vectors array alone would add 0.32 MB (16 files), and a
+    # tuple of every row's cells as Python numbers about as much.
     argv = ["solve", "--potential", potential, "--q", "0.97", "--lattice=-40:160:1",
             "--output", str(tmp_path)]
     lat = build_lattice(0.97, -40, 160)
@@ -379,7 +380,7 @@ def test_solve_writes_one_eigenfunction_at_a_time(capsys, tmp_path, potential):
     peak = traced_peak(lambda: main(argv + ["--k", str(n)]))
     capsys.readouterr()
     csv_size = (tmp_path / "eigfunc_000.csv").stat().st_size
-    assert peak <= solver + 8 * n * n + 16 * csv_size
+    assert peak <= solver + 8 * csv_size
 
 
 def test_solve_deterministic_bytes(capsys, tmp_path):

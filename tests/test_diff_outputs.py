@@ -41,7 +41,8 @@ def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
     records["new"] = (2, b"other", b"", {})
     assert tool.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    total = 1 + len(tool.COMMANDS) + len(tool.MISUSE) + len(tool.EXPRESSIONS)
+    total = (1 + len(tool.COMMANDS) + len(tool.MISUSE) + len(tool.EXPRESSIONS)
+             + len(tool.OUTPUTS))
     assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",
                           f"1 of {total} commands differ"]
     records["new"] = (0, b"same", b"warning", {})

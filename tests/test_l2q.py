@@ -26,7 +26,13 @@ from basicq import (
     q_norm,
     sample,
 )
-from basicq.l2q import _from_odd, basis_function, decaying_test_function, to_csv
+from basicq.l2q import (
+    CSV_BLOCK_ROWS,
+    _from_odd,
+    basis_function,
+    decaying_test_function,
+    to_csv,
+)
 from basicq.qschrodinger import build_hamiltonian, evolve, stationary_states
 from basicq.verify import lattice_for_q
 
@@ -415,7 +421,7 @@ class TestSerialization:
         assert np.array_equal(cols[:, 4] + 1j * cols[:, 5], psi.values)
 
     def test_csv_matches_per_row_formatting(self):
-        # the row template is cached on each lattice; every file must equal
+        # the row templates are cached on each lattice; every file must equal
         # all six cells formatted row by row
         def reference(psi):
             lat, v = psi.lattice, psi.values + 0.0
@@ -441,6 +447,31 @@ class TestSerialization:
         assert np.any(states[-1].values.imag != 0)
         for psi in states:
             assert to_csv(psi) == reference(psi)
+
+        # The rows are written in blocks of CSV_BLOCK_ROWS points.  A lattice
+        # has an even number of rows (two branches), so past a block edge by
+        # as little as it can be is one point per branch.  Lattices under one
+        # block, of one and two whole blocks, one point per branch past each,
+        # and the benchmark's 7500 rows, each with a sampled complex state,
+        # two embedded eigenvectors (from half blocks for the even potential,
+        # from one full block otherwise) and an evolved state.
+        sizes = []
+        for q, m_min, m_max, V in ((0.9, -15, 60, lambda x: x * x),
+                                   (0.97, -40, 87, lambda x: x * x + 0.3 * x),
+                                   (0.97, -40, 88, lambda x: x * x),
+                                   (0.98, -60, 195, lambda x: x * x),
+                                   (0.98, -60, 196, lambda x: x * x + 0.3 * x),
+                                   (0.999, -750, 2999, lambda x: x * x)):
+            lat = build_lattice(q, m_min, m_max)
+            sizes.append(lat.size)
+            H = build_hamiltonian(V, 1.0, 1.0, lat)
+            spec = stationary_states(H, 2)
+            psi0 = sample(lambda x: (1 - 2j) * math.exp(-(x - 0.3) ** 2), lat)
+            states = [psi0, *(_from_odd(lat, spec.vector(n)) for n in range(2)),
+                      next(evolve(psi0 * (1 / q_norm(psi0)), H, [0.7]))]
+            for psi in states:
+                assert to_csv(psi) == reference(psi)
+        assert CSV_BLOCK_ROWS == 256 and sizes == [152, 256, 258, 512, 514, 7500]
 
     def test_csv_cache_lives_as_long_as_its_lattice(self):
         lat = build_lattice(0.9, -4, 12, 1.0)

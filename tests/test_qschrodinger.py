@@ -522,6 +522,20 @@ class TestExpansion:
             assert np.array_equal(f.values[lat.odd_indices], spec.vectors[:, n])
             assert not np.any(np.delete(f.values, lat.odd_indices))
 
+    @pytest.mark.parametrize("potential, k", [
+        (lambda x: x * x, 5), (lambda x: x * x, None), (SHIFTED_GAUSS, 5)],
+        ids=["split", "split-full", "unsplit"])
+    def test_vector_is_one_column_of_vectors(self, potential, k):
+        lat = default_lattice()
+        H = build_hamiltonian(potential, 1.0, 1.0, lat)
+        spec = stationary_states(H, H.n_odd if k is None else k)
+        V = spec.vectors
+        for n in range(V.shape[1]):
+            assert np.array_equal(spec.vector(n), V[:, n])
+        for n in (-1, V.shape[1]):
+            with pytest.raises(IndexError):
+                spec.vector(n)
+
     def test_expand_is_inner_product_and_ignores_even_samples(self):
         lat = default_lattice()
         spec = stationary_states(oscillator(lat), 8)

@@ -9,11 +9,12 @@ the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
 command's ``--help``, the ``MISUSE`` commands, one for each way the CLI
 refuses its arguments, so a change to any usage error shows, and the
 ``EXPRESSIONS`` commands, whose expressions take every grammar node and
-every way out of the array evaluation, onto the lattice and into errors.
-Each command
-runs as ``python -m basicq`` in a fresh temporary directory, once against
-each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*`` variable), so
-``solve`` and ``evolve`` write their files there.
+every way out of the array evaluation, onto the lattice and into errors,
+and the ``OUTPUTS`` commands, which write every eigenfunction and write
+files on lattices under one CSV row block and off a multiple of it.
+Each command runs as ``python -m basicq`` in a fresh temporary directory,
+once against each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*``
+variable), so ``solve`` and ``evolve`` write their files there.
 The exit code, the standard output, the standard error (with the tree's
 ``src`` path written as ``<src>``, so a warning's file name matches) and
 the SHA-256 of every written file are compared.  Each command whose record
@@ -100,6 +101,22 @@ EXPRESSIONS = (
     ["qint", "--expr", "x/abs(x)*exp(-x^2)/(1 + x^4) + abs(x)^-0.5*gauss(x)", "--fullline"],
 )
 
+# solve and evolve commands where the file writing splits: every
+# eigenfunction of a parity-split and of a whole spectrum, and lattices of
+# 72 rows (under one block of l2q.CSV_BLOCK_ROWS = 256), 258 (one point per
+# branch past a block) and 602 (three blocks, the last part-filled).
+OUTPUTS = (
+    ["solve", "--potential", "x^2", "--k", "76"],
+    ["solve", "--potential", "x^2 + 0.3*x", "--k", "76"],
+    ["solve", "--potential", "x^2", "--q", "0.8", "--lattice=-5:30:1", "--k", "3"],
+    [*_EVOLVE, "--q", "0.8", "--lattice=-5:30:1", "--snap-every", "50"],
+    ["solve", "--potential", "x^2 + 0.3*x", "--q", "0.97", "--lattice=-40:88:1", "--k", "3"],
+    [*_EVOLVE, "--q", "0.97", "--lattice=-40:88:1", "--snap-every", "50"],
+    ["solve", "--potential", "x^2", "--q", "0.98", "--lattice=-60:240:1", "--k", "3"],
+    ["evolve", "--potential", "x^2 + 0.3*x", "--psi0", "gauss(x)", "--q", "0.98",
+     "--lattice=-60:240:1", "--snap-every", "50"],
+)
+
 
 def workload_commands(seed: int, rounds: int) -> list:
     """The argument vectors of every workload's first ``rounds`` rounds."""
@@ -133,7 +150,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=17, help="workload seed (default 17)")
     args = p.parse_args(argv)
     commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
-                *workload_commands(args.seed, args.rounds)]
+                *OUTPUTS, *workload_commands(args.seed, args.rounds)]
     differing = 0
     for cmd in commands:
         old, new = outputs(args.old, cmd), outputs(args.new, cmd)
