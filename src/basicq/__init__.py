@@ -61,9 +61,18 @@ from .qschrodinger import (
     synthesize,
 )
 from .exprparse import evaluate, parse
-from .verify import run_verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The identity suite is imported when it is first asked for, not with
+    # the package: only ``basicq verify`` runs it.
+    if name == "run_verify":
+        from .verify import run_verify
+        return run_verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BasicQError",

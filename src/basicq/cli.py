@@ -24,6 +24,7 @@ invocation produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -33,7 +34,7 @@ import os
 import re
 import sys
 
-from . import exprparse, l2q, qcalculus, qfunctions, verify as verify_mod
+from . import exprparse, l2q, qcalculus, qfunctions
 from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
 from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
@@ -126,12 +127,16 @@ def _emit_table(columns, rows, fmt: str, path: str | None):
     _write_out(text, path)
 
 
+# Characters handed to a text stream per write: it encodes each piece
+# whole, so a file's text is never alive a second time as its bytes.
+_WRITE_SLICE = 1 << 16
+
+
 def _write_out(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
 
 
 # Points a --range may hold (a million scalar series take about a minute),
@@ -200,8 +205,11 @@ def cmd_qint(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sweep = verify_mod.DEFAULT_SWEEP if args.q is None else (args.q,)
-    report = verify_mod.run_verify(sweep)
+    # The suite is imported here, so no other command holds it.
+    from . import verify
+
+    sweep = l2q.DEFAULT_SWEEP if args.q is None else (args.q,)
+    report = verify.run_verify(sweep)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -376,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shared(sp, cmd_qint, "q", "tol", "format")
 
     sp = sub.add_parser("verify", help="run the identity suite and report")
-    sweep = ", ".join(map(str, verify_mod.DEFAULT_SWEEP))
+    sweep = ", ".join(map(str, l2q.DEFAULT_SWEEP))
     sp.add_argument("--q", type=_argtype(_SHARED["q"][0]), default=None,
                     help=f"deformation parameter (default: sweep {sweep})")
     _add_shared(sp, cmd_verify, "format")
@@ -467,10 +475,11 @@ def run() -> None:
     """Process entry of the ``basicq`` command: ``python -m basicq``, this
     module run as a script and the installed console script.
 
-    Every module the CLI needs is imported by now, and nothing it imported
-    is freed before exit, so ``gc.freeze()`` moves that heap (numpy's and
-    scipy's module graphs, about 40k container objects) out of the
-    collector's reach: neither a full collection during the command nor the
+    Every module the CLI needs is imported by now, but the identity suite,
+    which ``verify`` imports when it runs, and nothing it imported is freed
+    before exit, so ``gc.freeze()`` moves that heap (numpy's and scipy's
+    module graphs, about 40k container objects) out of the collector's
+    reach: neither a full collection during the command nor the
     interpreter's collection at exit walks it again.  :func:`main` and
     ``import basicq`` leave the collector as they find it.
     """

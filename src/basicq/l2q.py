@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 DEFAULT_Q = 0.9
+# The q values ``basicq verify`` sweeps by default; kept here, not in
+# :mod:`basicq.verify`, so the CLI names them in its help without loading
+# the suite.
+DEFAULT_SWEEP = (0.5, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_M_MIN = -15
 DEFAULT_M_MAX = 60
 CSV_SCHEMA_VERSION = 1

@@ -69,10 +69,14 @@ so the values are bit for bit those of ``@``.  Parts are not batched over
 times: OpenBLAS blocks a product over many right-hand sides differently,
 and it does not give each time's values bit for bit.
 
-On that Xeon such an ``evolve`` peaks at 119.7 MB of RSS (117.4 MB with 1
+On that Xeon such an ``evolve`` peaks at 119.3 MB of RSS (117.1 MB with 1
 BLAS thread), at the odd block's solve: writing the snapshots stays under
 that level, as :func:`basicq.l2q.to_csv` holds one block of rows' values
 as Python objects at a time and the text reuses heap the solve has freed.
+Two things no output needs are not resident at that solve: :func:`evolve`
+leaves out the sign convention, whose pass over the even block's eigenvectors
+left about 0.15 MB of pages, and the CLI imports :mod:`basicq.verify`
+(about 0.25 MB) only for ``verify``.
 """
 
 from __future__ import annotations
@@ -329,7 +333,7 @@ def _solve_block(H: Hamiltonian, problem) -> tuple:
     """``(parity, ev, U)`` of one block from :func:`_problems`: its lowest
     eigenvalues, ascending, and its eigenvectors mapped back through the
     inverse weight conjugation (a half block's scaled by the ``1/sqrt(2)``
-    of the embedding), sign-fixed."""
+    of the embedding), with LAPACK's signs."""
     parity, d, e, k = problem
     try:
         ev, U = _eigh(d, e, k)
@@ -343,7 +347,6 @@ def _solve_block(H: Hamiltonian, problem) -> tuple:
     # full solve.
     w = H.lattice.w[H.lattice.odd_indices]
     U /= np.sqrt(w if parity is None else 2.0 * w[H.n_odd // 2:])[:, None]
-    _fix_signs(U, parity)
     return parity, ev, U
 
 
@@ -363,7 +366,9 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     orthonormal to working precision within clusters of equal or nearly
     equal eigenvalues too, so none is re-orthogonalized.  Each
     eigenfunction's first significant component (the first above ``1e-8``
-    times its largest magnitude) is made positive.
+    times its largest magnitude) is made positive.  The sign rule is applied
+    here, where eigenvectors reach the caller, block by block as each is
+    solved; :func:`evolve`, whose states do not depend on it, skips it.
     """
     n = H.n_odd
     k = as_int(k, "k must be a non-negative integer, got {!r}", minimum=0)
@@ -372,7 +377,11 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     if k == 0:
         return SpectrumResult(np.empty(0), ((None, np.arange(0), np.empty((n, 0))),),
                               H.lattice)
-    solved = [_solve_block(H, problem) for problem in _problems(H, k)]
+    solved = []
+    for problem in _problems(H, k):
+        parity, ev, U = _solve_block(H, problem)
+        _fix_signs(U, parity)
+        solved.append((parity, ev, U))
     # The lowest k of all blocks, each block's in its own ascending order.
     evals = np.concatenate([ev for _, ev, _ in solved])
     order = np.argsort(evals, kind="stable")[:k]
@@ -477,6 +486,11 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     time, however many are asked for.  The state's physical content is its
     odd-sublattice part (the inner product sees nothing else); output
     even-exponent samples are 0.
+
+    The eigenvectors keep LAPACK's signs, not the convention of
+    :func:`stationary_states`: negating a column of ``U`` negates its
+    ``c_n`` exactly, so every part is the same bit for bit, and the sign
+    pass would only cost time and leave pages resident at the next solve.
     """
     _check_same_lattice(psi.lattice, H.lattice)
     # Every block reads the times: an iterator is read into a list, a

@@ -28,11 +28,10 @@ import numpy as np
 
 from . import l2q, qcalculus, qfock, qfunctions, qnum
 from .errors import ConvergenceError
+from .l2q import DEFAULT_SWEEP
 from .qcalculus import DEFAULT_TOL, SplitComplex
 
 __all__ = ["IdentityResult", "VerifyReport", "run_verify", "DEFAULT_SWEEP", "lattice_for_q"]
-
-DEFAULT_SWEEP = (0.5, 0.8, 0.9, 0.95, 0.99)
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,31 @@ def test_solve_deterministic_bytes(capsys, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_writing_a_file_holds_its_text_about_once(tmp_path):
+    # A text stream encodes what one write hands it in one piece, so a whole
+    # file's text handed over at once is alive twice, as str and as bytes
+    # (about 2 times its size at the peak).  Written in slices, the peak
+    # holds the text and one slice of each.
+    from basicq import cli
+
+    lat = build_lattice(0.999, -750, 4299)
+    f = l2q.sample(lambda x: math.sin(x) / 3 + 1j * math.cos(x) / 7, lat)
+    path = tmp_path / "f.csv"
+    l2q.to_csv(f)  # the lattice's row templates are cached, not the write's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = l2q.to_csv(f)
+        tracemalloc.reset_peak()
+        cli._write_out(text, str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 800_000
+    assert path.read_text() == text
+    assert peak < 1.2 * len(text)
+
+
 def test_solve_respects_lattice_flag(capsys, tmp_path):
     code, _, _ = run(capsys, "solve", "--potential", "x^2", "--k", "1",
                      "--lattice=-5:30:1.0", "--q", "0.8",
@@ -816,6 +841,32 @@ def test_process_entry_freezes_the_import_time_heap(child_env):
     assert proc.returncode == 0
     assert proc.stdout == "# schema_version=1\nx,re,im,terms_used\n0,0,0,1\n"
     assert proc.stderr == "after import 0\nat exit True\n"
+
+
+def test_identity_suite_is_imported_only_when_verify_runs(child_env, tmp_path):
+    # import basicq and the solve and evolve commands leave basicq.verify
+    # unloaded; the verify command and basicq.run_verify load it.  scipy.linalg
+    # comes with the package.
+    script = (
+        "import sys\n"
+        "def loaded(): return 'basicq.verify' in sys.modules\n"
+        "import basicq\n"
+        "from basicq import cli\n"
+        "print('import', loaded(), 'scipy.linalg' in sys.modules, file=sys.stderr)\n"
+        "cli.main(['solve', '--potential', 'x^2', '--k', '2', '--output', 'out'])\n"
+        "cli.main(['evolve', '--potential', 'x^2', '--psi0', 'gauss(x)', '--output', 'out'])\n"
+        "print('solve evolve', loaded(), file=sys.stderr)\n"
+        "if sys.argv[1] == 'cli':\n"
+        "    cli.main(['verify', '--q', '0.9'])\n"
+        "else:\n"
+        "    basicq.run_verify\n"
+        "print(sys.argv[1], loaded(), file=sys.stderr)\n")
+    for how in ("cli", "attribute"):
+        proc = subprocess.run([sys.executable, "-c", script, how], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "import False True", "solve evolve False", f"{how} True"]
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):

@@ -646,7 +646,10 @@ class TestEvolution:
         (SHIFTED_GAUSS, 5, None),     # one full block
         # half blocks of h = 375; 187 is the most times with 2 T < h
         *((lambda x: x * x, n, (0.99, -150, 600)) for n in (1, 5, 11, 187)),
-    ], ids=["mirror-5", "mirror-40", "full-5", *(f"mirror750-{n}" for n in (1, 5, 11, 187))])
+        # the benchmark's n_odd-3750 lattice, half blocks of h = 1875
+        *((lambda x: x * x, n, (0.999, -750, 2999)) for n in (2, 6)),
+    ], ids=["mirror-5", "mirror-40", "full-5", *(f"mirror750-{n}" for n in (1, 5, 11, 187)),
+            *(f"mirror3750-{n}" for n in (2, 6))])
     def test_each_time_is_synthesized_from_the_initial_expansion(self, potential, n_times,
                                                                  window):
         lat = default_lattice() if window is None else build_lattice(*window)
@@ -660,7 +663,26 @@ class TestEvolution:
         for t, got in zip(ts, out):
             want = synthesize(c * np.exp(-1j * spec.eigenvalues * t / H.hbar), spec)
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
-        assert list(evolve(psi, H, [])) == []
+        if H.n_odd < 3750:  # there, a third full solve would take about 0.4 s
+            assert list(evolve(psi, H, [])) == []
+
+    @pytest.mark.parametrize("potential, blocks", [(lambda x: x * x, 2), (SHIFTED_GAUSS, 1)],
+                             ids=["mirror", "full"])
+    def test_signs_are_fixed_only_where_vectors_are_output(self, monkeypatch, potential,
+                                                           blocks):
+        # evolve's states do not depend on the signs of its eigenvectors (a
+        # column negated negates its coefficient exactly), so it skips the
+        # sign rule; stationary_states applies it to each block it solves.
+        spy = Mock(wraps=qschrodinger._fix_signs)
+        monkeypatch.setattr(qschrodinger, "_fix_signs", spy)
+        lat = default_lattice()
+        H = build_hamiltonian(potential, 1.0, 1.0, lat)
+        assert len(list(evolve(gaussian_packet(lat), H, [0.5, 1.0]))) == 2
+        assert spy.call_count == 0
+        for k in (3, H.n_odd):
+            spy.reset_mock()
+            stationary_states(H, k)
+            assert spy.call_count == blocks
 
     @pytest.mark.parametrize("n_times", [10, 30])
     def test_times_may_be_any_iterable(self, n_times):
