@@ -475,11 +475,11 @@ def run() -> None:
     """Process entry of the ``basicq`` command: ``python -m basicq``, this
     module run as a script and the installed console script.
 
-    Every module the CLI needs is imported by now, but the identity suite,
-    which ``verify`` imports when it runs, and nothing it imported is freed
-    before exit, so ``gc.freeze()`` moves that heap (numpy's and scipy's
-    module graphs, about 40k container objects) out of the collector's
-    reach: neither a full collection during the command nor the
+    Every module the CLI needs but the identity suite, which ``verify``
+    imports when it runs, is imported by now, and nothing it imported is
+    freed before exit, so ``gc.freeze()`` moves that heap (numpy's and
+    scipy's module graphs, about 40k container objects) out of the
+    collector's reach: neither a full collection during the command nor the
     interpreter's collection at exit walks it again.  :func:`main` and
     ``import basicq`` leave the collector as they find it.
     """

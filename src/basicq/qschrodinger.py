@@ -75,8 +75,8 @@ that level, as :func:`basicq.l2q.to_csv` holds one block of rows' values
 as Python objects at a time and the text reuses heap the solve has freed.
 Two things no output needs are not resident at that solve: :func:`evolve`
 leaves out the sign convention, whose pass over the even block's eigenvectors
-left about 0.15 MB of pages, and the CLI imports :mod:`basicq.verify`
-(about 0.25 MB) only for ``verify``.
+left about 0.2 MB of pages, and the CLI imports :mod:`basicq.verify`
+(about 0.2 MB more) only for ``verify``.
 """
 
 from __future__ import annotations

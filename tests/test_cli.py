@@ -399,7 +399,7 @@ def test_writing_a_file_holds_its_text_about_once(tmp_path):
     # file's text handed over at once is alive twice, as str and as bytes
     # (about 2 times its size at the peak).  Written in slices, the peak
     # holds the text and one slice of each.
-    from basicq import cli
+    from basicq.cli import _write_out
 
     lat = build_lattice(0.999, -750, 4299)
     f = l2q.sample(lambda x: math.sin(x) / 3 + 1j * math.cos(x) / 7, lat)
@@ -410,7 +410,7 @@ def test_writing_a_file_holds_its_text_about_once(tmp_path):
         base = tracemalloc.get_traced_memory()[0]
         text = l2q.to_csv(f)
         tracemalloc.reset_peak()
-        cli._write_out(text, str(path))
+        _write_out(text, str(path))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
