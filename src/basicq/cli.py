@@ -18,7 +18,11 @@ before a command runs, so a usage error is its usage line and one
 ``basicq <command>: error: ...`` line: eval takes exactly one of --points
 and --range, qint at most one of --upper, --halfline and --fullline, and a
 number may be negative in any spelling.  Output is deterministic: the same
-invocation produces byte-identical files.
+invocation produces byte-identical files on one numpy and scipy build, one
+CPU kernel set and one BLAS thread count.  A full solve (every
+eigenvector) of a block of about 500 points or more changes bits with
+``OPENBLAS_NUM_THREADS``, and so do the files of an ``evolve``, or of a
+``solve`` of the whole spectrum, on such a lattice.
 """
 
 from __future__ import annotations

@@ -16,42 +16,34 @@ deformed family Eq, Sq, Cq (evaluated with the ambient deformation
 parameter), and two-argument pow.  Errors carry a 0-based character
 offset into the source text.
 
-Array evaluation.  Every compiled node also evaluates over an array of
-points at once, in the arithmetic of :class:`~basicq.qcalculus.SplitComplex`
-(CPython's complex product and quotient on float64 parts), so each element
-is bit for bit the value at that point.  Unary minus is ``0.0 - v`` there
-too, an integral power ``|n| < 100`` is CPython's repeated squaring, and
-``exp``/``gauss`` use complex128 ``np.exp``, which matches ``cmath.exp`` up
-to real parts of 700.  Anything else has no array form: a non-integral,
-large or array-valued exponent, sqrt, sin, cos, pow and Eq/Sq/Cq.  Such a
-node, a non-finite value at any node, or a failure makes :func:`evaluate`
-evaluate point by point instead, so values and errors are those of the
-point loop.
+Array evaluation.  Each compiled node is one function ``node(x, qp)`` of a
+point (a ``complex``) or of all the points at once (a
+:class:`~basicq.qcalculus.SplitComplex`, CPython's complex product and
+quotient on float64 parts), so each element is bit for bit the value at
+that point.  A subexpression that does not depend on ``x`` is evaluated once,
+as at a point.  Unary minus is ``0.0 - v`` over the array too, an integral
+power ``|n| < 100`` is CPython's repeated squaring, and ``exp``/``gauss`` use
+complex128 ``np.exp``, which matches ``cmath.exp`` up to real parts of 700.
+Anything else has no array form: a non-integral, large or array-valued
+exponent, sqrt, sin, cos, pow and Eq/Sq/Cq.  Such a node, a non-finite value
+at any operator or function, or a failure makes :func:`evaluate` evaluate
+point by point instead, so values and errors are those of the point loop.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, ParseError
 from .qcalculus import SplitComplex
-from .qnum import QParam, as_qparam
+from .qnum import as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
 
 __all__ = ["KNOWN_FUNCTIONS", "BoundExpression", "parse", "evaluate"]
-
-
-class _Node(NamedTuple):
-    """A compiled (sub)expression: its complex value at a point ``x`` with
-    parameter ``qp``, and its values over an array of points held as a
-    SplitComplex (a complex where they do not depend on ``x``)."""
-
-    point: Callable[[complex, QParam], complex]
-    array: Callable[[SplitComplex, QParam], "SplitComplex | complex"]
 
 
 class _NoArrayForm(Exception):
@@ -157,7 +149,7 @@ class _Tokens:
         return self.next()
 
 
-def parse(text: str) -> _Node:
+def parse(text: str) -> Callable:
     """Parse ``text`` into a compiled expression for :func:`evaluate`.
 
     Each grammar node is compiled as it is parsed, so evaluating the result
@@ -191,42 +183,41 @@ def _finite(v):
     return v
 
 
-def _apply(fns, offset: int, operands) -> _Node:
+def _apply(fns, offset: int, operands) -> Callable:
     """Node applying ``fns`` (point and array implementation) to its
     operands' values, in order.
 
-    At a point, arithmetic failures (division by zero, 0 to a negative
-    power, overflow) and an Eq/Sq/Cq series that does not converge raise
+    At a point, or where every operand value is a complex (it does not
+    depend on ``x``), the point implementation runs: arithmetic failures
+    (division by zero, 0 to a negative power, overflow) and an Eq/Sq/Cq
+    series that does not converge raise
     :class:`~basicq.errors.EvaluationError` at ``offset``; failures inside an
-    operand keep that operand's offset.  Over an array, operands that do not
-    depend on ``x`` take the point implementation once.
+    operand keep that operand's offset.  Otherwise the array implementation
+    runs.  Over an array, a non-finite value or a node without an array
+    implementation has no array form.
     """
     fn, array_fn = fns
-    points = tuple(f.point for f in operands)
-    arrays = tuple(f.array for f in operands)
 
-    def point(x, qp):
-        args = [f(x, qp) for f in points]
-        try:
-            return fn(qp, *args)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero", offset) from None
-        except OverflowError:
-            raise EvaluationError("overflow", offset) from None
-        except (ValueError, ConvergenceError) as exc:
-            raise EvaluationError(str(exc), offset) from None
-
-    def array(x, qp):
-        args = [f(x, qp) for f in arrays]
-        impl = fn if all(type(a) is complex for a in args) else array_fn
-        if impl is None:
+    def node(x, qp):
+        args = [f(x, qp) for f in operands]
+        if type(x) is complex or all(type(a) is complex for a in args):
+            try:
+                v = fn(qp, *args)
+            except ZeroDivisionError:
+                raise EvaluationError("division by zero", offset) from None
+            except OverflowError:
+                raise EvaluationError("overflow", offset) from None
+            except (ValueError, ConvergenceError) as exc:
+                raise EvaluationError(str(exc), offset) from None
+            return v if type(x) is complex else _finite(v)
+        if array_fn is None:
             raise _NoArrayForm
-        return _finite(impl(qp, *args))
+        return _finite(array_fn(qp, *args))
 
-    return _Node(point, array)
+    return node
 
 
-def _parse_expr(toks: _Tokens) -> _Node:
+def _parse_expr(toks: _Tokens) -> Callable:
     node = _parse_term(toks)
     while toks.peek()[0] in ("+", "-"):
         op, _, off = toks.next()
@@ -234,7 +225,7 @@ def _parse_expr(toks: _Tokens) -> _Node:
     return node
 
 
-def _parse_term(toks: _Tokens) -> _Node:
+def _parse_term(toks: _Tokens) -> Callable:
     node = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op, _, off = toks.next()
@@ -242,17 +233,17 @@ def _parse_term(toks: _Tokens) -> _Node:
     return node
 
 
-def _parse_factor(toks: _Tokens) -> _Node:
+def _parse_factor(toks: _Tokens) -> Callable:
     if toks.peek()[0] == "-":
         toks.next()
-        point, array = _parse_power(toks)
+        operand = _parse_power(toks)
         # 0 - v, not -v: negating a real v would give it a -0.0 imaginary
         # part, which puts sqrt(-1) on the -i side of the cut.
-        return _Node(lambda x, qp: 0.0 - point(x, qp), lambda x, qp: 0.0 - array(x, qp))
+        return lambda x, qp: 0.0 - operand(x, qp)
     return _parse_power(toks)
 
 
-def _parse_power(toks: _Tokens) -> _Node:
+def _parse_power(toks: _Tokens) -> Callable:
     node = _parse_primary(toks)
     if toks.peek()[0] == "^":
         _, _, off = toks.next()
@@ -260,22 +251,12 @@ def _parse_power(toks: _Tokens) -> _Node:
     return node
 
 
-def _no_array_form(x, qp):
-    raise _NoArrayForm
-
-
-def _leaf(fn) -> _Node:
-    """Node whose value does not depend on ``x`` or is ``x`` itself."""
-    return _Node(fn, fn)
-
-
-def _parse_primary(toks: _Tokens) -> _Node:
+def _parse_primary(toks: _Tokens) -> Callable:
     kind, text, off = toks.peek()
     if kind == "number":
         toks.next()
         value = complex(float(text))
-        leaf = lambda x, qp: value
-        return _Node(leaf, leaf if cmath.isfinite(value) else _no_array_form)
+        return lambda x, qp: value
     if kind == "(":
         toks.next()
         node = _parse_expr(toks)
@@ -284,9 +265,9 @@ def _parse_primary(toks: _Tokens) -> _Node:
     if kind == "ident":
         toks.next()
         if text == "x":
-            return _leaf(lambda x, qp: x)
+            return lambda x, qp: x
         if text == "q":
-            return _leaf(lambda x, qp: complex(qp.q))
+            return lambda x, qp: complex(qp.q)
         if text not in KNOWN_FUNCTIONS:
             known = ", ".join(sorted(KNOWN_FUNCTIONS))
             raise ParseError(
@@ -307,7 +288,7 @@ def _parse_primary(toks: _Tokens) -> _Node:
     raise ParseError("expected primary (number, x, q, function call, or '(')", off)
 
 
-def evaluate(e: _Node, x, q):
+def evaluate(e: Callable, x, q):
     """Evaluate the compiled expression ``e`` at point ``x`` with deformation ``q``.
 
     ``x`` may be an ndarray of points: the result is then a complex array
@@ -323,13 +304,12 @@ def evaluate(e: _Node, x, q):
     """
     qp = as_qparam(q)
     if not isinstance(x, np.ndarray):
-        return e.point(complex(x), qp)
+        return e(complex(x), qp)
     try:
         with np.errstate(all="ignore"):
-            v = e.array(_finite(SplitComplex(x)), qp)
-    except (_NoArrayForm, ArithmeticError, ValueError, ConvergenceError):
-        point = e.point
-        return np.array([point(complex(xi), qp) for xi in x.ravel().tolist()],
+            v = e(_finite(SplitComplex(x)), qp)
+    except (_NoArrayForm, EvaluationError, ArithmeticError, ValueError):
+        return np.array([e(complex(xi), qp) for xi in x.ravel().tolist()],
                         dtype=complex).reshape(x.shape)
     out = np.empty(x.shape, dtype=complex)
     out.real, out.imag = (v.re, v.im) if type(v) is SplitComplex else (v.real, v.imag)
@@ -347,7 +327,7 @@ class BoundExpression:
 
     __slots__ = ("expr", "qp")
 
-    def __init__(self, expr: _Node, q):
+    def __init__(self, expr: Callable, q):
         self.expr, self.qp = expr, as_qparam(q)
 
     def __call__(self, x):

@@ -180,6 +180,12 @@ def _freeze(arr):
     return arr
 
 
+def _magnitudes(qc: float, a: float, m):
+    """``a q^m`` and the weight ``a (1/q - q) q^m`` at the exponents ``m``."""
+    with np.errstate(over="ignore", under="ignore"):
+        return a * qc ** m.astype(float), a * (1.0 / qc - qc) * qc ** m.astype(float)
+
+
 def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
     """Construct the two-sided lattice.
 
@@ -203,18 +209,19 @@ def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
     if not (a > 0) or not math.isfinite(a):
         raise ValueError(f"scale a must be finite and > 0, got {a!r}")
     qc = qp.canonical
+    # |x| and the weight fall as m grows, so the window's two ends bound them
+    # all: checked before any array of the window is built.
+    mag, w_all = _magnitudes(qc, a, np.array([m_min, m_max]))
+    if not np.all((0 < mag) & (mag < np.inf) & (0 < w_all) & (w_all < np.inf)):
+        raise ValueError(
+            f"lattice window m in [{m_min}, {m_max}] leaves float range at q = {qc!r}: "
+            "a point |x| or its weight is 0 or infinite")
     ms = np.arange(m_min, m_max + 1)
     # Negative branch with m ascending runs from -a q^{m_min} (most negative)
     # toward zero; positive branch with m descending continues away from zero.
     m_all = np.concatenate([ms, ms[::-1]])
     s_all = np.concatenate([-np.ones_like(ms), np.ones_like(ms)])
-    with np.errstate(over="ignore", under="ignore"):
-        mag = a * qc ** m_all.astype(float)
-        w_all = a * (1.0 / qc - qc) * qc ** m_all.astype(float)
-    if not np.all((0 < mag) & (mag < np.inf) & (0 < w_all) & (w_all < np.inf)):
-        raise ValueError(
-            f"lattice window m in [{m_min}, {m_max}] leaves float range at q = {qc!r}: "
-            "a point |x| or its weight is 0 or infinite")
+    mag, w_all = _magnitudes(qc, a, m_all)
     x = s_all * mag
     w = np.where(m_all % 2 != 0, w_all, 0.0)
     return QLattice(q=qc, m_min=m_min, m_max=m_max, a=float(a),

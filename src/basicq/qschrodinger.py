@@ -57,26 +57,22 @@ anything else is solved or returned, so a split ``evolve`` peaks at 4N^2;
 otherwise it keeps them, and peaks at 6N^2 as :func:`stationary_states`.
 
 Every product on eigenvectors is one real BLAS call per state and block,
-on scipy's BLAS, the one its LAPACK solves with.  numpy and scipy each
-ship an OpenBLAS with a thread pool of its own.  numpy's ``@`` in the same
-call form gives the same values and a 0.3-0.4 MB lower peak, but its
-threads keep spinning after a product and slow the next block's solve on
-scipy's: on a 2-core Xeon with 2 BLAS threads, at n_odd 3750 (h 1875,
-V = x^2) the odd block's ``stevd`` takes 0.27 s instead of 0.20 s after
-numpy products, and an ``evolve`` with 5 snapshots 0.76 s instead of
-0.65 s in-process (medians of 4).  The call is the one numpy's ``@`` makes,
-so the values are bit for bit those of ``@``.  Parts are not batched over
-times: OpenBLAS blocks a product over many right-hand sides differently,
-and it does not give each time's values bit for bit.
+on scipy's BLAS, the one its LAPACK solves with: numpy and scipy each ship
+an OpenBLAS with a thread pool of its own, and numpy's threads keep spinning
+after a product and slow the next block's solve on scipy's.  The call is
+the one numpy's ``@`` makes, so the values are bit for bit those of ``@``.
+Parts are not batched over times: OpenBLAS blocks a product over many
+right-hand sides differently, and it does not give each time's values bit
+for bit.
 
-On that Xeon such an ``evolve`` peaks at 119.3 MB of RSS (117.1 MB with 1
-BLAS thread), at the odd block's solve: writing the snapshots stays under
-that level, as :func:`basicq.l2q.to_csv` holds one block of rows' values
-as Python objects at a time and the text reuses heap the solve has freed.
-Two things no output needs are not resident at that solve: :func:`evolve`
-leaves out the sign convention, whose pass over the even block's eigenvectors
-left about 0.2 MB of pages, and the CLI imports :mod:`basicq.verify`
-(about 0.2 MB more) only for ``verify``.
+A split ``evolve`` peaks at its odd block's solve: writing the snapshots
+stays under that level, as :func:`basicq.l2q.to_csv` holds one block of
+rows' values as Python objects at a time and the text reuses heap the solve
+has freed.  Two things no output needs are not resident at that solve:
+:func:`evolve` leaves out the sign convention's pass over the even block's
+eigenvectors, and the CLI imports :mod:`basicq.verify` only for ``verify``.
+``BENCH_25.json``, ``BENCH_29.json`` and ``BENCH_30.json`` record the
+measured peaks and times.
 """
 
 from __future__ import annotations

@@ -37,10 +37,15 @@ def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(tool, "outputs", outputs)
     monkeypatch.setattr(tool, "workload_commands", lambda seed, rounds: [])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     assert tool.main(["old", "new"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "both trees run with OPENBLAS_NUM_THREADS=unset")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     records["new"] = (2, b"other", b"", {})
     assert tool.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "both trees run with OPENBLAS_NUM_THREADS=2"
     total = (1 + len(tool.COMMANDS) + len(tool.MISUSE) + len(tool.EXPRESSIONS)
              + len(tool.OUTPUTS))
     assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",

@@ -135,6 +135,17 @@ class TestLatticeGeometry:
             f"lattice window m in [{m_min}, {m_max}] leaves float range at q = {q!r}: "
             "a point |x| or its weight is 0 or infinite")
 
+    def test_window_past_float_range_is_refused_before_it_is_built(self):
+        # building the 2 million points' arrays would take 84 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="leaves float range"):
+                build_lattice(0.9, -1_000_000, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_window_at_the_float_range_edges_builds(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
