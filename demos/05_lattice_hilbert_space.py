@@ -21,8 +21,7 @@ from basicq import (
     q_norm,
     sample,
 )
-from basicq.l2q import basis_function, decaying_test_function
-from basicq.verify import lattice_for_q
+from basicq.l2q import basis_function, decaying_test_function, default_window
 
 lat = default_lattice()
 print(f"default lattice: q={lat.q}, exponents {lat.m_min}..{lat.m_max}, "
@@ -79,7 +78,7 @@ print("  pairing both sides in the odd-point measure alone compares two")
 print("  quadratures of conj(p phi) psi (odd and even sublattice); on mixed")
 print("  pairs that gap shrinks as q -> 1, not with lattice size:")
 for q in (0.5, 0.8, 0.9, 0.97):
-    print(f"    q={q:<5} odd-point gap {odd_point_gap(lattice_for_q(q)):.3e}")
+    print(f"    q={q:<5} odd-point gap {odd_point_gap(build_lattice(q, *default_window(q))):.3e}")
 gaps = [odd_point_gap(build_lattice(0.9, -15, m_max)) for m_max in (30, 45, 60)]
 print("    q=0.9 at m_max 30/45/60: " + ", ".join(f"{g:.4e}" for g in gaps))
 

@@ -97,9 +97,9 @@ _SHARED = {
             f"series truncation tolerance (default {qcalculus.DEFAULT_TOL:g})"),
     "hbar": (_positive("hbar"), 1.0, "reduced Planck constant (default 1)"),
     "mass": (_positive("mass"), 1.0, "particle mass (default 1)"),
-    "lattice": (_parse_lattice, (l2q.DEFAULT_M_MIN, l2q.DEFAULT_M_MAX, 1.0),
+    "lattice": (_parse_lattice, (*l2q.default_window(l2q.DEFAULT_Q), 1.0),
                 "lattice exponent window and scale M_MIN:M_MAX:A "
-                f"(default {l2q.DEFAULT_M_MIN}:{l2q.DEFAULT_M_MAX}:1.0)"),
+                "(default {}:{}:1.0)".format(*l2q.default_window(l2q.DEFAULT_Q))),
     "format": (_parse_format, "csv", "csv or json (default csv)"),
 }
 

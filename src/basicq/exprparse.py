@@ -82,7 +82,9 @@ _FUNCTIONS = {
     "sin": (1, lambda qp, z: cmath.sin(z), None),
     "cos": (1, lambda qp, z: cmath.cos(z), None),
     "sqrt": (1, lambda qp, z: cmath.sqrt(z), None),
-    "abs": (1, lambda qp, z: complex(abs(z)), lambda qp, z: SplitComplex(abs(z), 0.0)),
+    # CPython's complex abs() of a NaN reports a stale C errno ERANGE as an overflow
+    "abs": (1, lambda qp, z: complex(abs(z) if cmath.isinf(z) or not cmath.isnan(z) else cmath.nan),
+            lambda qp, z: SplitComplex(abs(z), 0.0)),
     "gauss": (1, lambda qp, z: cmath.exp(-z * z), lambda qp, z: _exp(-z * z)),
     "Eq": (1, lambda qp, z: q_exp(z, qp).value, None),
     "Sq": (1, lambda qp, z: q_sin(z, qp).value, None),

@@ -1,7 +1,8 @@
 """Lattice carrier of the basic square-integrable space.
 
 Functions live on the two-sided geometric lattice ``{±a q^m, m_min <= m <=
-m_max}`` with ``0 < q < 1``.  The q-inner product of states
+m_max}`` with ``0 < q < 1``, by default on :func:`default_window`'s window,
+``|x|`` in [1.7e-3, 5].  The q-inner product of states
 
     <phi, psi> = sum over odd-m points of  a (q^-1 - q) q^m  conj(phi) psi
 
@@ -61,6 +62,7 @@ __all__ = [
     "LatticeFunction",
     "OperatorMatrix",
     "build_lattice",
+    "default_window",
     "default_lattice",
     "sample",
     "inner_product",
@@ -79,8 +81,6 @@ DEFAULT_Q = 0.9
 # :mod:`basicq.verify`, so the CLI names them in its help without loading
 # the suite.
 DEFAULT_SWEEP = (0.5, 0.8, 0.9, 0.95, 0.99)
-DEFAULT_M_MIN = -15
-DEFAULT_M_MAX = 60
 CSV_SCHEMA_VERSION = 1
 # Points per block of CSV rows: only one block's cells are Python objects at
 # a time, so writing a file allocates no per-point object for the whole
@@ -229,9 +229,19 @@ def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
                     x=_freeze(x), w=_freeze(w), w_all=_freeze(w_all))
 
 
+def default_window(q) -> tuple:
+    """Exponents ``(m_min, m_max)`` of ``|x| = q^m`` in [1.7e-3, 5] at the canonical q,
+    rounded inward, at least two: ``(-15, 60)`` at q 0.9.  Rejects q = 1."""
+    qp = as_qparam(q)
+    if qp.classical:
+        raise ValueError("default_window requires q != 1 (no geometric lattice classically)")
+    m_min = math.ceil(math.log(5.0) / math.log(qp.canonical))
+    return m_min, max(math.floor(math.log(1.7e-3) / math.log(qp.canonical)), m_min + 1)
+
+
 def default_lattice() -> QLattice:
-    """The package default: q=0.9, m in [-15, 60], a=1 (152 points, |x| in ~[2e-3, 4.9])."""
-    return build_lattice(DEFAULT_Q, DEFAULT_M_MIN, DEFAULT_M_MAX)
+    """The package default: :func:`default_window` at q=0.9, m in [-15, 60], a=1 (152 points)."""
+    return build_lattice(DEFAULT_Q, *default_window(DEFAULT_Q))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ from .errors import ConvergenceError
 from .l2q import DEFAULT_SWEEP
 from .qcalculus import DEFAULT_TOL, SplitComplex
 
-__all__ = ["IdentityResult", "VerifyReport", "run_verify", "DEFAULT_SWEEP", "lattice_for_q"]
+__all__ = ["IdentityResult", "VerifyReport", "run_verify", "DEFAULT_SWEEP"]
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ class VerifyReport:
     @property
     def failures(self) -> tuple:
         return tuple(r for r in self.results if r.status == "FAIL")
-
-
-def lattice_for_q(q) -> l2q.QLattice:
-    """Lattice whose magnitudes span roughly [1e-3, 5] for this q.
-
-    The exponent window is rescaled with q, so the lattice-based identities
-    stay comparable across the sweep.
-    """
-    qc = qnum.as_qparam(q).canonical
-    m_min = math.floor(math.log(5.0) / math.log(qc))
-    m_max = math.ceil(math.log(1e-3) / math.log(qc))
-    return l2q.build_lattice(qc, m_min, m_max)
 
 
 def _rel(res: float, ref: float) -> float:
@@ -237,7 +225,7 @@ def _hermiticity(qp, parity):
     # the defect is rounding at every q.  Generic mixed pairs are held to
     # 1e-8 by acceptance criterion 4, where the lattice edges leave a small
     # remainder that shrinks as the lattice widens.
-    p = l2q.momentum_matrix(lattice_for_q(qp))
+    p = l2q.momentum_matrix(l2q.build_lattice(qp, *l2q.default_window(qp)))
     yield l2q.hermiticity_residual(p, trials=8, seed=7, parity=parity)
 
 

@@ -35,7 +35,7 @@ from basicq import (
 from basicq.cli import main as cli_main
 from basicq.l2q import _from_odd, derivative_matrix, hermiticity_residual, momentum_matrix
 from basicq.qfock import algebra_residuals, build_ladder
-from basicq.verify import DEFAULT_SWEEP, lattice_for_q, run_verify
+from basicq.verify import DEFAULT_SWEEP, run_verify
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> str:
@@ -181,7 +181,7 @@ def test_criterion_6_solver_and_evolution():
 
 def test_criterion_7_classical_limit_regression():
     t0 = time.monotonic()
-    lat = lattice_for_q(0.999)
+    lat = build_lattice(0.999, -1609, 6905)
     H = build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
     levels = stationary_states(H, 3).eigenvalues
 

@@ -268,6 +268,21 @@ def test_qint_overflowing_result_is_computation_failure(capsys):
     assert err == "basicq: error: q_integral_finite: result overflows after a finite sum\n"
 
 
+def test_abs_of_a_nan_leaves_the_overflow_to_the_node_that_overflows(capsys, tmp_path):
+    # CPython's complex abs of a NaN leaves errno as it was, so an overflow
+    # just before would read as one in abs (offset 0); exp is at offset 15.
+    text = "abs(1e999*0) - exp(1000) + x"
+    for argv, offset in ((["qint", "--expr", text], 15), (["solve", "--potential", text], 15),
+                         (["qint", "--expr", "x*exp(1000)"], 2),
+                         (["solve", "--potential", text], 15), (["qint", "--expr", text], 15)):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == f"basicq: error: overflow (at offset {offset})\n"
+    # a finite argument whose modulus overflows still fails at abs
+    code, _, err = run(capsys, "qint", "--expr", "x + abs(1.5e308 + 1.5e308*sqrt(-1))")
+    assert (code, err) == (1, "basicq: error: overflow (at offset 4)\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_qint_non_finite_upper_is_usage_failure(capsys, value):
     code, out, err = run(capsys, "qint", "--expr", "x", "--upper", value)

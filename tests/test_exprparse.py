@@ -251,10 +251,10 @@ _POINT_FORM = [
     "x*1e300*1e300",
 ]
 # Expressions whose point-by-point evaluation fails somewhere on each lattice.
-# The last four fail in a subexpression that does not depend on x.
+# The last five fail in a subexpression that does not depend on x.
 _FAILING = ["1/(x-x)", "2 + (x-x)^-1", "exp(400*x)", "10^400*x", "Eq(1e300*x)",
             "sqrt(x) + 1/(x - x)", "x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)",
-            "x + pow(0, -1)"]
+            "x + pow(0, -1)", "abs(1e999*0) - exp(1000) + x"]
 
 
 def _per_point(e, x, q):

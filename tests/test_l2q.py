@@ -31,10 +31,10 @@ from basicq.l2q import (
     _from_odd,
     basis_function,
     decaying_test_function,
+    default_window,
     to_csv,
 )
 from basicq.qschrodinger import build_hamiltonian, evolve, stationary_states
-from basicq.verify import lattice_for_q
 
 
 def gauss2(x):
@@ -159,6 +159,37 @@ class TestLatticeGeometry:
         c = build_lattice(0.9, -2, 5, 1.0)
         assert a.compatible(b)
         assert not a.compatible(c)
+
+
+class TestDefaultWindow:
+    def test_default_lattice_is_the_rule_at_q_0_9(self):
+        assert default_window(0.9) == (-15, 60)
+        a, b = default_lattice(), build_lattice(0.9, -15, 60)
+        assert (a.q, a.m_min, a.m_max, a.a) == (b.q, b.m_min, b.m_max, b.a)
+        for name in ("sign", "m", "x", "w", "w_all"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("q, window", [(0.5, (-2, 9)), (0.8, (-7, 28)),
+                                           (0.95, (-31, 124)), (0.99, (-160, 634))])
+    def test_window_is_the_points_in_range_rounded_inward(self, q, window):
+        assert default_window(q) == window
+        m_min, m_max = window
+        assert 5.0 < q ** (m_min - 1) and q ** m_min <= 5.0
+        assert 1.7e-3 <= q ** m_max and q ** (m_max + 1) < 1.7e-3
+
+    @pytest.mark.parametrize("q", [1e-6, 0.001, 0.01, 0.3, 0.5, 0.9, 0.99])
+    def test_q_and_its_reciprocal_share_a_window(self, q):
+        assert default_window(1 / q) == default_window(q)
+
+    @pytest.mark.parametrize("q", [1e-6, 0.001, 1000])
+    def test_window_keeps_two_exponents_at_tiny_and_huge_q(self, q):
+        m_min, m_max = default_window(q)
+        assert m_min < m_max
+        assert build_lattice(q, m_min, m_max).size >= 4
+
+    def test_classical_q_is_rejected(self):
+        with pytest.raises(ValueError, match="q != 1"):
+            default_window(1.0)
 
 
 # -- functions and inner product ---------------------------------------------
@@ -329,7 +360,7 @@ class TestOperators:
         # a 1700-point dense complex matrix would take 46 MB
         tracemalloc.start()
         try:
-            hermiticity_residual(momentum_matrix(lattice_for_q(0.99)), trials=8)
+            hermiticity_residual(momentum_matrix(build_lattice(0.99, -161, 688)), trials=8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -376,8 +407,8 @@ class TestHermiticity:
     def test_derivative_anti_adjoint_from_odd_to_even_points(self):
         # <phi, D psi>_odd = -<D phi, psi>_even on generic mixed-parity pairs:
         # the two sublattice sums are the same sum, reindexed by one exponent.
-        for q in (0.5, 0.8, 0.9):
-            lat = lattice_for_q(q)
+        for window in ((0.5, -3, 10), (0.8, -8, 31), (0.9, -16, 66)):
+            lat = build_lattice(*window)
             d = derivative_matrix(lat)
             w_even = lat.w_all - lat.w
             rng = np.random.default_rng(0)

@@ -10,8 +10,10 @@ command's ``--help``, the ``MISUSE`` commands, one for each way the CLI
 refuses its arguments, so a change to any usage error shows, and the
 ``EXPRESSIONS`` commands, whose expressions take every grammar node and
 every way out of the array evaluation, onto the lattice and into errors,
-and the ``OUTPUTS`` commands, which write every eigenfunction and write
-files on lattices under one CSV row block and off a multiple of it.
+and the ``OUTPUTS`` commands, which write every eigenfunction, write
+files on lattices under one CSV row block and off a multiple of it, and
+run ``verify`` at q 0.001, 0.3 and 1000, where the lattice window of its
+momentum rows holds few exponents or is taken at the reciprocal q.
 Each command runs as ``python -m basicq`` in a fresh temporary directory,
 once against each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*``
 variable), so ``solve`` and ``evolve`` write their files there.
@@ -82,8 +84,8 @@ MISUSE = (
 # complex ones and failures, among them in which order a potential's
 # complex value and an evaluation error are reported, and failures in a
 # subexpression that does not depend on x.  In the last, a NaN reaches abs()
-# before the overflow: CPython's complex abs of a NaN reports an overflow when
-# the C errno was left at ERANGE, so the offset depends on what ran before.
+# before exp overflows: CPython's complex abs of a NaN reports an overflow
+# when the C errno was left at ERANGE, so abs must not see that NaN.
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -115,7 +117,9 @@ EXPRESSIONS = (
 # solve and evolve commands where the file writing splits: every
 # eigenfunction of a parity-split and of a whole spectrum, and lattices of
 # 72 rows (under one block of l2q.CSV_BLOCK_ROWS = 256), 258 (one point per
-# branch past a block) and 602 (three blocks, the last part-filled).
+# branch past a block) and 602 (three blocks, the last part-filled); and
+# verify where l2q.default_window keeps its two-exponent floor (q 0.001 and
+# its reciprocal) and at a q off the default sweep.
 OUTPUTS = (
     ["solve", "--potential", "x^2", "--k", "76"],
     ["solve", "--potential", "x^2 + 0.3*x", "--k", "76"],
@@ -126,6 +130,9 @@ OUTPUTS = (
     ["solve", "--potential", "x^2", "--q", "0.98", "--lattice=-60:240:1", "--k", "3"],
     ["evolve", "--potential", "x^2 + 0.3*x", "--psi0", "gauss(x)", "--q", "0.98",
      "--lattice=-60:240:1", "--snap-every", "50"],
+    ["verify", "--q", "0.001"],
+    ["verify", "--q", "0.3"],
+    ["verify", "--q", "1000"],
 )
 
 
