@@ -190,6 +190,8 @@ def cmd_qderiv(args) -> int:
     rows = []
     for x in args.points:
         val = complex(qcalculus.jackson_derivative(f, x, args.q))
+        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            raise BasicQError(f"qderiv: derivative at x = {x!r} is not finite: {val!r}")
         rows.append((x, val.real, val.imag))
     _emit_table(("x", "re", "im"), rows, args.format, args.output)
     return 0
@@ -273,7 +275,7 @@ def cmd_solve(args) -> int:
     def fpath(n):
         return os.path.join(outdir, "eigfunc_%03d.csv" % n)
 
-    # One eigenfunction embedded from its block's column at a time, as it is
+    # One eigenfunction unfolded from its block's column at a time, as it is
     # written: no (n_odd, k) array is built, and no list of k paths either.
     k = len(spec.eigenvalues)
     for n in range(k):
@@ -315,14 +317,16 @@ def cmd_evolve(args) -> int:
         return 1
     psi = (1.0 / nrm) * psi
 
-    outdir = _out_dir(args)
     # evolve solves every block at the call, before any file is written, so
-    # no serialization garbage is resident across an eigensolve and a failed
-    # solve leaves no snapshot behind.  For few snapshots it also computes
-    # each block's part of each and drops that block's eigenvectors before
-    # the next block is solved or any snapshot written.  Its states are then
-    # synthesized one at a time, each as the loop below writes it.
+    # no serialization garbage is resident across an eigensolve.  A failed
+    # solve, or a time grid it refuses because a phase E t / hbar is not
+    # finite, leaves nothing behind: the output directory is made after it.
+    # For few snapshots it also computes each block's part of each and drops
+    # that block's eigenvectors before the next block is solved or any
+    # snapshot written.  Its states are then synthesized one at a time, each
+    # as the loop below writes it.
     states = evolve(psi, H, times)
+    outdir = _out_dir(args)
     written, norm_rows = [], []
 
     def snap(t, psi_t):

@@ -36,9 +36,11 @@ bit, the N x N problem splits into two problems of size h = N/2 on the
 right half (x > 0).  With ``c = sym_e[h-1]``, the closure coupling of
 ``-x0`` to ``+x0``, the even block is ``(di[h:], sym_e[h:])`` with
 ``di[h] + c`` and the odd block the same with ``di[h] - c``.  A block
-eigenvector ``u`` embeds as ``[u[::-1], u] / sqrt(2)`` (even) or
-``[-u[::-1], u] / sqrt(2)`` (odd), so each eigenfunction has an exact
-parity.  Otherwise the full problem is solved.  A full solve needs 16N^2
+eigenvector ``u`` unfolds onto the odd points as ``[u[::-1], u] / sqrt(2)``
+(even) or ``[-u[::-1], u] / sqrt(2)`` (odd), so each eigenfunction has an
+exact parity; one function, ``_unfold``, does this for every eigenvector,
+coefficient sum and evolved state, and ``_expand_block`` folds a state the
+adjoint way.  Otherwise the full problem is solved.  A full solve needs 16N^2
 bytes at its peak (eigenvectors and LAPACK workspace); a split needs 4N^2
 per block, and :func:`stationary_states` 6N^2, as it keeps the even
 block's eigenvectors across the odd block's solve.
@@ -121,7 +123,7 @@ class SpectrumResult:
     The eigenfunctions are kept only as real arrays on the odd points of
     ``lattice``, never as a list of lattice functions: ``vectors`` gives them
     as columns and ``vector(n)`` one of them alone, and a caller that needs
-    one on the lattice embeds that column (even samples 0).
+    one on the lattice places that column on the odd points (even samples 0).
 
     ``blocks`` holds the eigenvectors as ``(parity, cols, U)`` triples: the
     columns of the real matrix ``U`` are the eigenfunctions numbered ``cols``
@@ -139,38 +141,32 @@ class SpectrumResult:
     @property
     def vectors(self) -> np.ndarray:
         """Real ``(n_odd, k)`` array: column n holds eigenfunction n at the
-        odd points, coordinate-ascending.  Embedded from ``blocks`` on each
+        odd points, coordinate-ascending.  Unfolded from ``blocks`` on each
         access."""
         V = np.empty((len(self.lattice.odd_indices), len(self.eigenvalues)))
         for parity, cols, U in self.blocks:
-            _embed(V, parity, U, cols)
+            V[:, cols] = _unfold(parity, U)
         return V
 
     def vector(self, n: int) -> np.ndarray:
-        """Column ``n`` of :attr:`vectors`, embedded from its block's column
+        """Column ``n`` of :attr:`vectors`, unfolded from its block's column
         alone: eigenfunction ``n`` at the odd points, with no ``(n_odd, k)``
         array built."""
         for parity, cols, U in self.blocks:
             j = int(np.searchsorted(cols, n))
             if j < len(cols) and cols[j] == n:
-                v = np.empty(len(U) if parity is None else 2 * len(U))
-                _embed(v, parity, U[:, j])
-                return v
+                # A copy, so no write to the result reaches the block.
+                return _unfold(parity, U[:, j].copy())
         raise IndexError(f"eigenfunction {n} out of range for k = {len(self.eigenvalues)}")
 
 
-def _embed(out: np.ndarray, parity, U: np.ndarray, cols=slice(None)):
-    """Write a block's eigenvectors ``U`` into the columns ``cols`` of
-    ``out``, whose rows are all odd points, coordinate-ascending: a full
-    block's as they are, a half block's ``U`` on the right half and
-    ``parity * U[::-1]`` on the left.  ``out`` and ``U`` are vectors or
-    matrices alike."""
-    if parity is None:
-        out[..., cols] = U
-        return
-    h = len(out) // 2
-    out[h:][..., cols] = U
-    out[:h][..., cols] = parity * U[::-1]
+def _unfold(parity, y: np.ndarray) -> np.ndarray:
+    """A block's values ``y`` on all odd points, coordinate-ascending: a
+    full block's (``parity`` None) as they are, a half block's ``y`` on the
+    right half and ``parity * y[::-1]`` on the left.  ``y`` is a vector or a
+    matrix of columns.  Its adjoint, the fold ``z[h:] + parity * z[:h][::-1]``
+    of odd-point values onto a half block, is :func:`_expand_block`'s."""
+    return y if parity is None else np.concatenate((parity * y[::-1], y))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -288,7 +284,7 @@ def _eigh(d: np.ndarray, e: np.ndarray, k: int):
 
 
 def _fix_signs(U: np.ndarray, parity):
-    """Make each embedded eigenfunction's first significant component positive.
+    """Make each unfolded eigenfunction's first significant component positive.
 
     A half block's eigenfunction starts with its mirror half,
     ``parity * U[::-1]``, so its first significant component is ``parity``
@@ -329,7 +325,7 @@ def _solve_block(H: Hamiltonian, problem) -> tuple:
     """``(parity, ev, U)`` of one block from :func:`_problems`: its lowest
     eigenvalues, ascending, and its eigenvectors mapped back through the
     inverse weight conjugation (a half block's scaled by the ``1/sqrt(2)``
-    of the embedding), with LAPACK's signs."""
+    of the unfolding), with LAPACK's signs."""
     parity, d, e, k = problem
     try:
         ev, U = _eigh(d, e, k)
@@ -439,30 +435,16 @@ def expand(psi: LatticeFunction, spectrum: SpectrumResult) -> np.ndarray:
     return c
 
 
-def _add_block(vals: np.ndarray, parity, y: np.ndarray) -> np.ndarray:
-    """``vals`` with a block's odd-point values ``y`` added: the whole of
-    them for a full block, else ``y`` on the right half and ``parity * y``
-    on the left half reversed."""
-    if parity is None:
-        return y
-    h = len(vals) // 2
-    vals[h:] += y
-    vals[:h][::-1] += parity * y
-    return vals
-
-
 def synthesize(coeffs, spectrum: SpectrumResult) -> LatticeFunction:
     """Resum ``sum_n c_n psi_n`` as a function on ``spectrum.lattice`` (even
     samples 0); on a full spectrum, the inverse of :func:`expand`.
 
-    A half block of parity p adds ``y = U c`` to the right half and ``p y``
-    to the left half reversed.
+    Each block adds its part ``y = U c``, unfolded onto the odd points.
     """
     coeffs = np.asarray(coeffs)
-    vals = np.zeros(len(spectrum.lattice.odd_indices), dtype=complex)
-    for parity, cols, U in spectrum.blocks:
-        vals = _add_block(vals, parity, _real_times_complex(U, coeffs[cols]))
-    return _from_odd(spectrum.lattice, vals)
+    return _from_odd(spectrum.lattice, sum(
+        _unfold(parity, _real_times_complex(U, coeffs[cols]))
+        for parity, cols, U in spectrum.blocks))
 
 
 def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunction]:
@@ -470,17 +452,18 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
 
     Every block of the full spectrum (two half blocks for a mirror-symmetric
     ``H``, see :func:`stationary_states`) is solved at the call, one after
-    the other, so a lattice mismatch or a failed solve raises there.  A
+    the other, so a lattice mismatch, a failed solve or a phase ``E t / hbar``
+    not finite at the largest ``|t|`` (ValueError) raises there.  A
     block's part of the state at time ``t`` is ``U (c exp(-i E t / hbar))``,
     with ``c_n = <psi_n, psi>`` the expansion of ``psi`` on the block, taken
     once.  A block whose parts at all of ``times`` take fewer bytes than its
-    eigenvectors ``U`` has them computed and drops ``U`` before anything else
-    is solved or returned; every other block keeps ``U`` and computes each
-    part as the iterator reaches its time, so one state is alive at a time.
-    Only the phases depend on ``t``, so the coefficient magnitudes, hence
-    the q-norm and every spectral observable, hold to rounding at every
-    time, however many are asked for.  The state's physical content is its
-    odd-sublattice part (the inner product sees nothing else); output
+    eigenvectors ``U`` has them computed and drops ``U`` before anything
+    else is solved or returned; every other block keeps ``U`` and computes
+    each part as the iterator reaches its time, so one state is alive at a
+    time.  Only the phases depend on ``t``, so the coefficient magnitudes,
+    hence the q-norm and every spectral observable, hold to rounding at
+    every time, however many are asked for.  The state's physical content is
+    its odd-sublattice part (the inner product sees nothing else); output
     even-exponent samples are 0.
 
     The eigenvectors keep LAPACK's signs, not the convention of
@@ -493,11 +476,17 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     # sequence is kept, not copied.
     if not isinstance(times, (Sequence, np.ndarray)):
         times = list(times)
+    # A phase grows with |t|, so the largest |t| (NaN if any t is) bounds all.
+    t_far = float(np.max(np.abs(times), initial=0.0))
     problems = _problems(H, H.n_odd)
     parities, parts = [], []
     while problems:
         # Popped, so a solved block's bands are freed too.
         parity, ev, U = _solve_block(H, problems.pop(0))
+        with np.errstate(all="ignore"):  # the phase as _block_parts forms it
+            if not np.isfinite(-1j * ev * t_far / H.hbar).all():
+                raise ValueError(f"phase E t / hbar is not finite at |t| = {t_far!r}, "
+                                 f"hbar = {H.hbar!r}")
         ys = _block_parts(psi, H.lattice, parity, U, ev, H.hbar, times)
         if 16 * len(times) * len(U) < U.nbytes:
             ys = iter(np.fromiter(ys, dtype=(complex, len(U)), count=len(times)))
@@ -507,10 +496,7 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
 
     def states():
         for ys in zip(*parts):
-            vals = np.zeros(H.n_odd, dtype=complex)
-            for parity, y in zip(parities, ys):
-                vals = _add_block(vals, parity, y)
-            yield _from_odd(H.lattice, vals)
+            yield _from_odd(H.lattice, sum(map(_unfold, parities, ys)))
 
     return states()
 

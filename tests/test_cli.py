@@ -180,6 +180,21 @@ def test_qderiv_matches_library(capsys):
         assert float(cells[2]) == 0.0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, err", [
+    (["--expr", "x", "--points", "1", "1e308", "--q", "0.5"],
+     "derivative at x = 1e+308 is not finite: (inf+nanj)"),
+    (["--expr", "1/x", "--points", "1e-310", "--q", "0.9"],
+     "derivative at x = 1e-310 is not finite: (nan+nanj)"),
+], ids=["overflow", "nan"])
+def test_qderiv_non_finite_derivative_is_computation_failure(capsys, tmp_path, argv, err,
+                                                            fmt):
+    for output in ([], ["--output", str(tmp_path / "table")]):
+        code, out, got = run(capsys, "qderiv", *argv, "--format", fmt, *output)
+        assert (code, out, got) == (1, "", f"basicq: error: qderiv: {err}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_qderiv_bad_expression_is_usage_failure(capsys):
     code, _, err = run(capsys, "qderiv", "--expr", "x^^2", "--points", "1")
     assert code == 2
@@ -596,10 +611,10 @@ def _forward_eigensolve(monkeypatch, check):
 def test_evolve_writes_nothing_before_the_eigensolve(capsys, tmp_path, monkeypatch):
     out = tmp_path / "out"
 
-    def output_is_empty():
-        assert not any(out.iterdir())
+    def output_is_absent():
+        assert not out.exists()
 
-    _forward_eigensolve(monkeypatch, output_is_empty)
+    _forward_eigensolve(monkeypatch, output_is_absent)
     code, _, err = run(capsys, "evolve", "--potential", "x^2", "--psi0", "gauss(x)",
                        "--snap-every", "50", "--output", str(out))
     assert code == 0, err
@@ -616,6 +631,18 @@ def test_evolve_whose_eigensolve_fails_leaves_no_snapshot(capsys, tmp_path, monk
     assert code == 1
     assert out == "" and "eigensolver failed" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_evolve_whose_phase_overflows_is_refused_and_leaves_nothing(capsys, tmp_path,
+                                                                   recwarn):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "evolve", "--potential", "x^2", "--psi0", "gauss(x)",
+                            "--t", "1e308", "--steps", "1", "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("basicq: invalid configuration: phase E t / hbar is not finite "
+                   "at |t| = 1e+308, hbar = 1.0\n")
+    assert not recwarn.list
+    assert not out.exists()
 
 
 def test_evolve_bad_grid(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest.mock import Mock
 
@@ -522,16 +523,24 @@ class TestExpansion:
             assert np.array_equal(f.values[lat.odd_indices], spec.vectors[:, n])
             assert not np.any(np.delete(f.values, lat.odd_indices))
 
-    @pytest.mark.parametrize("potential, k", [
-        (lambda x: x * x, 5), (lambda x: x * x, None), (SHIFTED_GAUSS, 5)],
-        ids=["split", "split-full", "unsplit"])
-    def test_vector_is_one_column_of_vectors(self, potential, k):
-        lat = default_lattice()
+    @pytest.mark.parametrize("window", [None, (0.99, -150, 600)], ids=["default", "n750"])
+    @pytest.mark.parametrize("potential, k, blocks", [
+        (lambda x: x * x, 5, 2), (lambda x: x * x, None, 2), (SHIFTED_GAUSS, None, 1),
+        (SHIFTED_GAUSS, 5, 1)], ids=["split", "split-full", "unsplit-full", "unsplit"])
+    def test_vector_vectors_and_synthesize_unfold_alike(self, window, potential, k, blocks):
+        # vector(n), vectors[:, n] and the synthesis of the n-th unit
+        # coefficient vector place eigenfunction n on the odd points alike.
+        lat = default_lattice() if window is None else build_lattice(*window)
         H = build_hamiltonian(potential, 1.0, 1.0, lat)
         spec = stationary_states(H, H.n_odd if k is None else k)
+        assert len(spec.blocks) == blocks
         V = spec.vectors
+        unit = np.zeros(V.shape[1])
         for n in range(V.shape[1]):
-            assert np.array_equal(spec.vector(n), V[:, n])
+            unit[n] = 1.0
+            assert np.all(spec.vector(n) == V[:, n])
+            assert np.all(synthesize(unit, spec).values[lat.odd_indices] == V[:, n])
+            unit[n] = 0.0
         for n in (-1, V.shape[1]):
             with pytest.raises(IndexError):
                 spec.vector(n)
@@ -786,6 +795,26 @@ class TestEvolution:
         other = build_hamiltonian(lambda x: x * x, 1.0, 1.0, build_lattice(0.9, -2, 8, 1.0))
         with pytest.raises(ValueError, match="lattice mismatch"):
             evolve(psi, other, [0.1])
+
+    @pytest.mark.parametrize("potential", [lambda x: x * x, SHIFTED_GAUSS],
+                             ids=["mirror", "full"])
+    @pytest.mark.parametrize("times, hbar, t_far", [
+        ([0.5, 1e308], 1.0, "1e+308"),
+        ([-1e308], 1.0, "1e+308"),
+        ([1.0, float("nan")], 1.0, "nan"),
+        ([1e10], 1e-300, "10000000000.0"),
+    ], ids=["overflow", "negative", "nan", "small-hbar"])
+    def test_time_whose_phase_is_not_finite_is_refused_at_the_call(
+            self, recwarn, potential, times, hbar, t_far):
+        lat = default_lattice()
+        H = build_hamiltonian(potential, 1.0, hbar, lat)
+        with pytest.raises(ValueError, match=re.escape(
+                f"phase E t / hbar is not finite at |t| = {t_far}, hbar = {hbar!r}")):
+            evolve(gaussian_packet(lat), H, times)
+        assert not recwarn.list
+        # a phase far from overflow is taken
+        (out,) = evolve(gaussian_packet(lat), H, [1e300 * hbar])
+        assert np.all(np.isfinite(out.values))
 
 
 # -- observables -------------------------------------------------------------

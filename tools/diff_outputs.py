@@ -16,15 +16,18 @@ run ``verify`` at q 0.001, 0.3 and 1000, where the lattice window of its
 momentum rows holds few exponents or is taken at the reciprocal q.
 Each command runs as ``python -m basicq`` in a fresh temporary directory,
 once against each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*``
-variable), so ``solve`` and ``evolve`` write their files there.
+variable, one BLAS thread count), so ``solve`` and ``evolve`` write their
+files there.
 The exit code, the standard output, the standard error (with the tree's
 ``src`` path written as ``<src>``, so a warning's file name matches) and
 the SHA-256 of every written file are compared.  Each command whose record
 differs is printed with the parts that differ, and the exit status is 1
-when any command differs.  The first line names the BLAS thread count both
-trees ran under (``OPENBLAS_NUM_THREADS``, or ``unset``): a full solve of
-a block of about 500 points or more changes bits with it, so two reports
-compare like with like only at one setting.
+when any command differs.  Both trees run with ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to one count, the inherited
+``OPENBLAS_NUM_THREADS`` or else the number of usable cores, as the
+benchmark sets them; the first line names it.  A full solve of a block of
+about 500 points or more changes bits with it, so two reports compare like
+with like only at one count.
 """
 
 from __future__ import annotations
@@ -39,11 +42,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COMMANDS = ("eval", "qderiv", "qint", "verify", "solve", "evolve")
 PARTS = ("exit code", "stdout", "stderr", "files")
 _EVOLVE = ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"]
 # Commands the CLI refuses with exit 2: no command, a missing or unknown
-# option, each group, and a bad value of each option that checks one.
+# option, each group, a bad value of each option that checks one, and an
+# evolve time whose phase E t / hbar overflows.
 MISUSE = (
     [],
     ["eval"],
@@ -73,6 +78,7 @@ MISUSE = (
     [*_EVOLVE, "--t", "-1"],
     [*_EVOLVE, "--t", "5e-324", "--steps", "2"],
     [*_EVOLVE, "--steps", "1" + "0" * 400],
+    [*_EVOLVE, "--t", "1e308", "--steps", "1"],
     # The potential does not parse, so a CLI without the snapshot cap fails
     # there rather than writing a million snapshots.
     ["evolve", "--potential", "x^", "--psi0", "gauss(x)", "--steps", "1000001",
@@ -85,7 +91,8 @@ MISUSE = (
 # complex value and an evaluation error are reported, and failures in a
 # subexpression that does not depend on x.  In the last, a NaN reaches abs()
 # before exp overflows: CPython's complex abs of a NaN reports an overflow
-# when the C errno was left at ERANGE, so abs must not see that NaN.
+# when the C errno was left at ERANGE, so abs must not see that NaN.  Last,
+# qderiv commands whose derivative is not finite, in csv and in json.
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -112,6 +119,8 @@ EXPRESSIONS = (
     ["qint", "--expr", "x/abs(x)*exp(-x^2)/(1 + x^4) + abs(x)^-0.5*gauss(x)", "--fullline"],
     *(["solve", "--potential", text] for text in _CONSTANT_FAILURES),
     *(["qint", "--expr", text, "--upper", "2"] for text in _CONSTANT_FAILURES),
+    ["qderiv", "--expr", "x", "--points", "1e308", "--q", "0.5"],
+    ["qderiv", "--expr", "1/x", "--points", "1e-310", "--q", "0.9", "--format", "json"],
 )
 
 # solve and evolve commands where the file writing splits: every
@@ -145,12 +154,12 @@ def workload_commands(seed: int, rounds: int) -> list:
             for c in workloads.generate(name, seed, rounds)]
 
 
-def outputs(tree, argv) -> tuple:
+def outputs(tree, argv, threads: str) -> tuple:
     """``(exit code, stdout bytes, stderr bytes, {written file: SHA-256})`` of
-    one command."""
+    one command, run with ``threads`` BLAS threads."""
     src = Path(tree).resolve() / "src"
     env = {k: v for k, v in os.environ.items() if not k.startswith("BASICQ_")}
-    env["PYTHONPATH"] = str(src)
+    env.update(dict.fromkeys(THREAD_VARS, threads), PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-m", "basicq", *argv], cwd=cwd, env=env,
                               capture_output=True)
@@ -169,11 +178,11 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
                 *OUTPUTS, *workload_commands(args.seed, args.rounds)]
-    print(f"both trees run with OPENBLAS_NUM_THREADS="
-          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}", flush=True)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
+    print(f"both trees run with {'='.join(THREAD_VARS)}={threads}", flush=True)
     differing = 0
     for cmd in commands:
-        old, new = outputs(args.old, cmd), outputs(args.new, cmd)
+        old, new = outputs(args.old, cmd, threads), outputs(args.new, cmd, threads)
         parts = [part for part, a, b in zip(PARTS, old, new) if a != b]
         if parts:
             differing += 1
