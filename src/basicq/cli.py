@@ -28,6 +28,7 @@ eigenvector) of a block of about 500 points or more changes bits with
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import gc
@@ -190,7 +191,7 @@ def cmd_qderiv(args) -> int:
     rows = []
     for x in args.points:
         val = complex(qcalculus.jackson_derivative(f, x, args.q))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        if not cmath.isfinite(val):
             raise BasicQError(f"qderiv: derivative at x = {x!r} is not finite: {val!r}")
         rows.append((x, val.real, val.imag))
     _emit_table(("x", "re", "im"), rows, args.format, args.output)

@@ -155,8 +155,9 @@ class SpectrumResult:
         for parity, cols, U in self.blocks:
             j = int(np.searchsorted(cols, n))
             if j < len(cols) and cols[j] == n:
-                # A copy, so no write to the result reaches the block.
-                return _unfold(parity, U[:, j].copy())
+                v = _unfold(parity, U[:, j])
+                # A full block's column is a view: copied, so writes miss U.
+                return v.copy() if parity is None else v
         raise IndexError(f"eigenfunction {n} out of range for k = {len(self.eigenvalues)}")
 
 
@@ -483,8 +484,8 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
     while problems:
         # Popped, so a solved block's bands are freed too.
         parity, ev, U = _solve_block(H, problems.pop(0))
-        with np.errstate(all="ignore"):  # the phase as _block_parts forms it
-            if not np.isfinite(-1j * ev * t_far / H.hbar).all():
+        with np.errstate(all="ignore"):
+            if not np.isfinite(_phase(ev, t_far, H.hbar)).all():
                 raise ValueError(f"phase E t / hbar is not finite at |t| = {t_far!r}, "
                                  f"hbar = {H.hbar!r}")
         ys = _block_parts(psi, H.lattice, parity, U, ev, H.hbar, times)
@@ -508,7 +509,12 @@ def _block_parts(psi, lat, parity, U, ev, hbar, times) -> Iterator[np.ndarray]:
     beside a later block's solve."""
     c = _expand_block(psi, lat, parity, U)
     for t in times:
-        yield _real_times_complex(U, c * np.exp(-1j * ev * t / hbar))
+        yield _real_times_complex(U, c * np.exp(_phase(ev, t, hbar)))
+
+
+def _phase(ev, t, hbar) -> np.ndarray:
+    """The exponents ``-i E t / hbar`` of the eigenvalues ``ev`` at time ``t``."""
+    return -1j * ev * t / hbar
 
 
 def _require_normalized(psi: LatticeFunction):

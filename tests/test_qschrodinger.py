@@ -538,8 +538,8 @@ class TestExpansion:
         unit = np.zeros(V.shape[1])
         for n in range(V.shape[1]):
             unit[n] = 1.0
-            assert np.all(spec.vector(n) == V[:, n])
-            assert np.all(synthesize(unit, spec).values[lat.odd_indices] == V[:, n])
+            assert np.array_equal(spec.vector(n), V[:, n])
+            assert np.array_equal(synthesize(unit, spec).values[lat.odd_indices], V[:, n])
             unit[n] = 0.0
         for n in (-1, V.shape[1]):
             with pytest.raises(IndexError):
