@@ -31,6 +31,7 @@ round differently from CPython's.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -76,21 +77,26 @@ def jackson_derivative(f, x, q):
     Raises
     ------
     ValueError
-        If ``x == 0`` (any element); the derivative at the origin is defined
-        termwise on power series, see :func:`jackson_derivative_series`.
+        If ``x == 0`` (any element).
+    ConvergenceError
+        If the value is not finite at a point, named with its value.
     """
-    if np.any(np.equal(x, 0)):
-        raise ValueError(
-            "jackson_derivative is undefined at x = 0; "
-            "use jackson_derivative_series for a termwise derivative at the origin"
-        )
+    if (x == 0).any() if isinstance(x, np.ndarray) else x == 0:
+        raise ValueError("jackson_derivative is undefined at x = 0")
     qp = as_qparam(q)
     if qp.classical:
         scale = np.maximum(abs(x), 1.0) if isinstance(x, np.ndarray) else max(abs(x), 1.0)
         h = 6.055454452393343e-06 * scale  # cbrt(2^-52) * max(|x|,1)
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    qc = qp.canonical
-    return (f(qc * x) - f(x / qc)) / ((qc - 1.0 / qc) * x)
+        d = (f(x + h) - f(x - h)) / (2.0 * h)
+    else:
+        qc = qp.canonical
+        d = (f(qc * x) - f(x / qc)) / ((qc - 1.0 / qc) * x)
+    if cmath.isfinite(d) if isinstance(d, (float, complex)) else np.isfinite(np.asarray(d)).all():
+        return d
+    x, d = np.broadcast_arrays(x, np.asarray(d))
+    i = np.isfinite(d).argmin()  # the first point, in flat order
+    raise ConvergenceError(f"jackson_derivative: derivative at x = {float(x.flat[i])!r} "
+                           f"is not finite: {complex(d.flat[i])!r}")
 
 
 @dataclass
@@ -163,18 +169,17 @@ def chain_scaling_residual(f, a, x, q) -> float:
     ``D_{ax}`` is the Jackson derivative taken with respect to the scaled
     variable ``u = a x``; on dilatation-related points the identity is exact,
     so the residual is roundoff (contract: below ``1e-12 * scale``).
+    ``x = 0`` raises ``ValueError`` through :func:`jackson_derivative`.
     """
     if a == 0:
         raise ValueError("chain_scaling_residual requires a != 0")
-    if np.any(np.equal(x, 0)):
-        raise ValueError("chain_scaling_residual requires x != 0")
     qp = as_qparam(q)
-    qc = qp.canonical
+    direct = jackson_derivative(f, x, qp) / a  # first: x = 0 raises before x divides
     if qp.classical:
         return 0.0
+    qc = qp.canonical
     # Derivative of u -> f(u/a) evaluated at u = a x.
     scaled = (f(qc * x) - f(x / qc)) / ((qc - 1.0 / qc) * (a * x))
-    direct = jackson_derivative(f, x, qp) / a
     return abs(scaled - direct)
 
 
@@ -496,10 +501,7 @@ def _finite_result(v, what):
     reads ``0.0``, as ``complex()`` of the float a scalar integral returns."""
     if isinstance(v, SplitComplex):
         v = np.asarray(SplitComplex(v.re, v.im + 0.0))
-        finite = bool(np.isfinite(v).all())
-    else:
-        finite = math.isfinite(v.real) and math.isfinite(v.imag)
-    if not finite:
+    if not (cmath.isfinite(v) if isinstance(v, (float, complex)) else np.isfinite(v).all()):
         raise ConvergenceError(f"{what}: result overflows after a finite sum")
     return v
 

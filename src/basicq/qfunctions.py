@@ -306,10 +306,9 @@ def trig_derivative_residual(x, a, q, which: str = "sin"):
     ``which="sin"`` checks ``D S_q(ax) = a C_q(ax)``; ``which="cos"`` checks
     ``D C_q(ax) = -a S_q(ax)``.  The Jackson derivative is evaluated
     pointwise from the series; an ndarray ``x`` gives an array of residuals.
-    Contract: below ``1e-10``.
+    Contract: below ``1e-10``.  ``x = 0`` raises ``ValueError`` through
+    :func:`~basicq.qcalculus.jackson_derivative`.
     """
-    if np.any(np.equal(x, 0)):
-        raise ValueError("trig_derivative_residual requires x != 0")
     if which not in ("sin", "cos"):
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
     qp = as_qparam(q)

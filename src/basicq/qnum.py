@@ -8,7 +8,8 @@ symmetric basic number
 which is invariant under ``q -> 1/q`` and reduces to ``x`` as ``q -> 1``.
 All quantities in this package evaluate at the canonical representative
 ``min(q, 1/q)`` in ``(0, 1]``, so callers may pass either member of a
-``(q, 1/q)`` pair and get identical values.
+``(q, 1/q)`` pair and get identical values (see :class:`QParam` for the
+reciprocal of a decimal).
 
 The basic factorial ``[n]! = [n][n-1]...[1]`` admits a second computational
 route through q-shifted factorials (Pochhammer products),
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "CLASSICAL_EPS",
@@ -52,31 +53,44 @@ class QParam:
     Attributes
     ----------
     q : float
-        The value as given.
+        The value as given; the repr, equality and hash are those of ``q``.
     canonical : float
         ``min(q, 1/q)``, the representative in ``(0, 1]`` every computation
-        uses; quantities symmetric under ``q -> 1/q`` are therefore equal
-        for ``q`` and ``1/q`` up to roundoff.
+        uses.  For ``q > 1`` it is the float ``p`` next to ``1.0 / q`` with
+        ``1.0 / p == q`` and the shortest repr, so ``QParam(1.0 / 0.9)``
+        computes at 0.9, not at ``1 / (1 / 0.9) = 0.8999999999999999``.
+        Results at ``q`` and at ``1.0 / q`` are therefore equal bit for bit
+        for every decimal ``q < 1`` of up to 6 digits.
     classical : bool
         True when ``|q - 1| < 1e-12``; functions then dispatch to their
         undeformed limits.
     """
 
     q: float
+    canonical: float = field(init=False, repr=False, compare=False)
+    classical: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = float(self.q)
         if not math.isfinite(q) or q <= 0.0:
             raise ValueError(f"deformation parameter must be finite and > 0, got {self.q!r}")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "canonical", q if q <= 1.0 else _reciprocal(q))
+        object.__setattr__(self, "classical", abs(q - 1.0) < CLASSICAL_EPS)
 
-    @property
-    def canonical(self) -> float:
-        return self.q if self.q <= 1.0 else 1.0 / self.q
 
-    @property
-    def classical(self) -> bool:
-        return abs(self.q - 1.0) < CLASSICAL_EPS
+@functools.lru_cache(maxsize=256)
+def _reciprocal(q: float) -> float:
+    """The float ``p`` within 4 ulps of ``1.0 / q`` with ``1.0 / p == q`` and
+    the shortest repr (the nearest to ``1.0 / q`` among equals), else
+    ``1.0 / q``: for ``q = 1.0 / d`` it gives back a short decimal ``d``."""
+    p = lo = hi = 1.0 / q
+    near = [p]
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        near += (lo, hi)
+    back = [r for r in near if 1.0 / r == q]
+    return min(back, key=lambda r: len(repr(r))) if back else p
 
 
 def as_qparam(q) -> QParam:

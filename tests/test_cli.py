@@ -191,7 +191,7 @@ def test_qderiv_non_finite_derivative_is_computation_failure(capsys, tmp_path, a
                                                             fmt):
     for output in ([], ["--output", str(tmp_path / "table")]):
         code, out, got = run(capsys, "qderiv", *argv, "--format", fmt, *output)
-        assert (code, out, got) == (1, "", f"basicq: error: qderiv: {err}\n")
+        assert (code, out, got) == (1, "", f"basicq: error: jackson_derivative: {err}\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -92,3 +92,28 @@ def test_every_misuse_command_is_refused_before_it_writes(capsys, monkeypatch, t
         assert re.fullmatch(r"basicq( \w+)?: (error|invalid configuration): .+",
                             err.splitlines()[-1]), argv
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores for two BLAS threads")
+def test_thread_mode_lists_the_full_solve_of_a_500_point_block(capsys, monkeypatch):
+    # One tree at 1 and at 2 threads: stevd's bits move with the thread
+    # count on the unsplit 500-point block, and not on the 400-point one.
+    tool = _load_tool()
+    evolve = ["evolve", "--potential", "x^2+0.3*x", "--psi0", "gauss(x)", "--t", "0.5",
+              "--q", "0.99"]
+    cmds = [[*evolve, "--lattice=-150:349:1"], [*evolve, "--lattice=-150:249:1"]]
+    monkeypatch.setattr(tool, "commands", lambda seed, rounds: cmds)
+    assert tool.main([str(ROOT), str(ROOT), "--threads", "1,2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "the old tree runs with OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1, "
+        "the new one with 2",
+        "differs (files): basicq evolve --potential 'x^2+0.3*x' --psi0 'gauss(x)' --t 0.5 "
+        "--q 0.99 --lattice=-150:349:1",
+        "1 of 2 commands differ"]
+
+
+@pytest.mark.parametrize("text", ["1", "1,2,3", "0,2", "a,2", ""])
+def test_thread_mode_takes_two_positive_counts(capsys, text):
+    with pytest.raises(SystemExit):
+        _load_tool().main(["old", "new", "--threads", text])
+    assert "expected two positive counts OLD,NEW" in capsys.readouterr().err

@@ -62,6 +62,21 @@ def test_derivative_rejects_origin():
         jackson_derivative(lambda t: t, 0.0, 0.9)
 
 
+@pytest.mark.parametrize("f, x, q, named", [
+    (lambda t: t, 1e308, 0.5, "x = 1e+308 is not finite: (inf+0j)"),
+    (lambda t: 1.0 / t, 1e-310, 0.9, "x = 1e-310 is not finite: (nan+0j)"),
+    (lambda t: t, np.array([1.0, 1e308, -1e308]), 0.5, "x = 1e+308 is not finite: (inf+0j)"),
+    (lambda t: SplitComplex(t * t, t), np.array([2.0, 1e200]), 0.9,
+     "x = 1e+200 is not finite: (nan+"),
+    (lambda t: t * t, 1e200, 1.0, "x = 1e+200 is not finite: (nan+0j)"),
+], ids=["overflow", "nan", "ndarray", "split-complex", "classical"])
+def test_derivative_refuses_a_value_that_is_not_finite(f, x, q, named):
+    # the first point whose value is not finite is named, with that value
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
+        jackson_derivative(f, x, q)
+    assert str(err.value).startswith(f"jackson_derivative: derivative at {named}")
+
+
 def test_derivative_classical_branch_central_difference():
     # q = 1 dispatches to a finite difference: smooth corpus to ~1e-10
     for f, fp, x in [
@@ -135,8 +150,9 @@ def test_chain_scaling_exact(q):
 def test_chain_scaling_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         chain_scaling_residual(lambda t: t, 0.0, 1.0, 0.9)
-    with pytest.raises(ValueError):
-        chain_scaling_residual(lambda t: t, 1.0, 0.0, 0.9)
+    for q in (0.9, 1.0):  # the ValueError comes before 1/t is taken at 0
+        with pytest.raises(ValueError, match="x = 0"):
+            chain_scaling_residual(lambda t: 1.0 / t, 1.0, 0.0, q)
 
 
 # -- integrals ---------------------------------------------------------------

@@ -140,6 +140,12 @@ def test_trig_derivative_rejects_unknown_component():
         trig_derivative_residual(1.0, 1.0, 0.9, which="tan")
 
 
+@pytest.mark.parametrize("x", [0.0, np.array([0.5, 0.0])])
+def test_trig_derivative_rejects_origin(x):
+    with pytest.raises(ValueError, match="x = 0"):
+        trig_derivative_residual(x, 1.0, 0.9)
+
+
 @pytest.mark.parametrize("u", ["sin", "cos", "exp"])
 @pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
 def test_wave_equation_residual(q, u):

@@ -19,9 +19,17 @@ from basicq import (
     build_ladder,
     build_lattice,
     fock_state,
+    jackson_derivative,
+    q_cos,
+    q_exp,
+    q_integral_finite,
+    q_integral_fullline,
+    q_integral_halfline,
     q_shifted_factorial,
+    q_sin,
     stationary_states,
 )
+from basicq.l2q import DEFAULT_SWEEP, default_window
 
 # High-precision references (50-digit arithmetic, rounded to double).
 BASIC_NUMBER_REF = {
@@ -199,6 +207,40 @@ class TestQParam:
 
     def test_direct_construction_matches_helper(self):
         assert QParam(0.8).canonical == as_qparam(0.8).canonical
+
+    def test_reciprocal_gives_back_every_short_decimal(self):
+        # 1/(1/d) misses 1,629 of these; the canonical q is d itself
+        for k in range(1, 10_000):
+            d = k / 10_000
+            assert QParam(1.0 / d).canonical == d, d
+
+    def test_repr_equality_and_hash_are_those_of_q(self):
+        qp = QParam(1.0 / 0.9)
+        assert repr(qp) == "QParam(q=1.1111111111111112)"
+        assert qp == QParam(1.1111111111111112) != QParam(0.9)
+        assert hash(qp) == hash(QParam(1.1111111111111112))
+
+
+def _results(q):
+    """Every kind of result at ``q``, as bytes."""
+    x = np.array([0.3, 0.7, 1.5])
+    lat = build_lattice(q, *default_window(q))
+    H = build_hamiltonian(lambda t: t * t, 1.0, 1.0, lat)
+    values = [
+        basic_number(7.3, q), basic_factorial(20, q),
+        jackson_derivative(math.sin, 0.7, q), jackson_derivative(np.sin, x, q),
+        q_integral_finite(lambda t: t * t, 1.0, q),
+        q_integral_halfline(lambda t: 1.0 / (1.0 + t * t), q),
+        q_integral_fullline(lambda t: math.exp(-t * t), q),
+        *(fn(z, q).value for fn in (q_exp, q_sin, q_cos) for z in (-5.0, -15.0, 3j)),
+        lat.x, lat.w, H.lo, H.di, H.up, H.sym_e, stationary_states(H, 4).eigenvalues,
+    ]
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("q", [*DEFAULT_SWEEP, 0.999])
+def test_q_and_its_reciprocal_give_the_same_bits(q):
+    assert _results(1.0 / q) == _results(q)
 
 
 @pytest.mark.parametrize("q", [0.4, 0.1, 1e-3, 1e-20, 100.0])

@@ -2,6 +2,7 @@
 """Compare what the ``basicq`` CLI of two source trees prints and writes.
 
     python3 tools/diff_outputs.py OLD_TREE NEW_TREE [--rounds 4] [--seed 17]
+                                  [--threads OLD,NEW]
 
 A tree is a checkout holding the package under ``src/``.  The commands are
 the first ``--rounds`` rounds of every benchmark workload at ``--seed``, as
@@ -13,7 +14,8 @@ every way out of the array evaluation, onto the lattice and into errors,
 and the ``OUTPUTS`` commands, which write every eigenfunction, write
 files on lattices under one CSV row block and off a multiple of it, and
 run ``verify`` at q 0.001, 0.3 and 1000, where the lattice window of its
-momentum rows holds few exponents or is taken at the reciprocal q.
+momentum rows holds few exponents or is taken at the reciprocal q, and
+run ``eval``, ``qint`` and ``solve`` at the reciprocals of 0.9 and 0.999.
 Each command runs as ``python -m basicq`` in a fresh temporary directory,
 once against each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*``
 variable, one BLAS thread count), so ``solve`` and ``evolve`` write their
@@ -27,7 +29,9 @@ when any command differs.  Both trees run with ``OPENBLAS_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` or else the number of usable cores, as the
 benchmark sets them; the first line names it.  A full solve of a block of
 about 500 points or more changes bits with it, so two reports compare like
-with like only at one count.
+with like only at one count.  ``--threads 1,2`` runs the old tree at 1
+thread and the new one at 2 instead; given one tree twice, it lists the
+commands whose bytes depend on the thread count.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ MISUSE = (
     ["eval", "--fn", "Eq", "--points", "1", "--hbar", "2"],
     ["qderiv", "--expr", "x", "--points", "inf"],
     ["qderiv", "--expr", "x", "--points"],
+    ["qderiv", "--expr", "x", "--points", "0"],
     ["qint", "--expr", "x", "--upper", "nan"],
     ["qint", "--expr", "x", "--upper", "2", "--halfline"],
     ["qint", "--expr", "x", "--halfline", "--fullline"],
@@ -128,7 +133,9 @@ EXPRESSIONS = (
 # 72 rows (under one block of l2q.CSV_BLOCK_ROWS = 256), 258 (one point per
 # branch past a block) and 602 (three blocks, the last part-filled); and
 # verify where l2q.default_window keeps its two-exponent floor (q 0.001 and
-# its reciprocal) and at a q off the default sweep.
+# its reciprocal) and at a q off the default sweep; last, commands at q > 1,
+# 1/0.9 and 1/0.999, whose bytes are those of the same command at 0.9 and
+# 0.999.
 OUTPUTS = (
     ["solve", "--potential", "x^2", "--k", "76"],
     ["solve", "--potential", "x^2 + 0.3*x", "--k", "76"],
@@ -142,6 +149,9 @@ OUTPUTS = (
     ["verify", "--q", "0.001"],
     ["verify", "--q", "0.3"],
     ["verify", "--q", "1000"],
+    ["eval", "--fn", "Eq", "--q", "1.1111111111111112", "--range=-15:-14:1"],
+    ["qint", "--expr", "x^2", "--q", "1.001001001001001"],
+    ["solve", "--potential", "x^2", "--q", "1.1111111111111112", "--k", "3"],
 )
 
 
@@ -169,25 +179,44 @@ def outputs(tree, argv, threads: str) -> tuple:
             files)
 
 
+def commands(seed: int, rounds: int) -> list:
+    """The argument vectors of every command compared, in order."""
+    return [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
+            *OUTPUTS, *workload_commands(seed, rounds)]
+
+
+def _thread_counts(text: str) -> list:
+    counts = text.split(",")
+    if len(counts) != 2 or not all(c.isdigit() and int(c) > 0 for c in counts):
+        raise argparse.ArgumentTypeError(f"expected two positive counts OLD,NEW, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", help="source tree to compare against")
     p.add_argument("new", help="source tree under test")
     p.add_argument("--rounds", type=int, default=4, help="rounds per workload (default 4)")
     p.add_argument("--seed", type=int, default=17, help="workload seed (default 17)")
+    p.add_argument("--threads", type=_thread_counts, metavar="OLD,NEW",
+                   help="BLAS thread counts of the old and the new tree (default: both at "
+                        "the inherited OPENBLAS_NUM_THREADS, else the number of usable cores)")
     args = p.parse_args(argv)
-    commands = [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
-                *OUTPUTS, *workload_commands(args.seed, args.rounds)]
-    threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
-    print(f"both trees run with {'='.join(THREAD_VARS)}={threads}", flush=True)
+    old_threads, new_threads = args.threads or [
+        os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))] * 2
+    variables = "=".join(THREAD_VARS)
+    print(f"both trees run with {variables}={old_threads}" if old_threads == new_threads else
+          f"the old tree runs with {variables}={old_threads}, the new one with {new_threads}",
+          flush=True)
     differing = 0
-    for cmd in commands:
-        old, new = outputs(args.old, cmd, threads), outputs(args.new, cmd, threads)
+    cmds = commands(args.seed, args.rounds)
+    for cmd in cmds:
+        old, new = outputs(args.old, cmd, old_threads), outputs(args.new, cmd, new_threads)
         parts = [part for part, a, b in zip(PARTS, old, new) if a != b]
         if parts:
             differing += 1
             print(f"differs ({', '.join(parts)}): {shlex.join(['basicq', *cmd])}", flush=True)
-    print(f"{differing} of {len(commands)} commands differ")
+    print(f"{differing} of {len(cmds)} commands differ")
     return 1 if differing else 0
 
 
