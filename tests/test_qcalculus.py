@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def test_derivative_refuses_a_value_that_is_not_finite(f, x, q, named):
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
         jackson_derivative(f, x, q)
     assert str(err.value).startswith(f"jackson_derivative: derivative at {named}")
+
+
+@pytest.mark.parametrize("x, q, named", [
+    (np.array([1.0, 1e308]), 0.5, "x = 1e+308"),
+    (np.array([1.0, 1.7976931348623157e308]), 1.0, "x = 1.7976931348623157e+308"),
+], ids=["deformed", "classical"])
+def test_derivative_of_an_array_refuses_without_a_numpy_warning(x, q, named):
+    # The stencil's own overflow (x / q, x + h) is refused as the scalar
+    # call refuses it, with no numpy warning first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            jackson_derivative(lambda t: t, x, q)
+    assert str(err.value).startswith(f"jackson_derivative: derivative at {named} ")
+
+
+def test_derivative_of_an_array_keeps_the_warnings_of_f():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+            jackson_derivative(lambda t: np.exp(t), np.array([1.0, 800.0]), 0.9)
 
 
 def test_derivative_classical_branch_central_difference():

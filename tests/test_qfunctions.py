@@ -17,7 +17,9 @@ from basicq import (
     q_exp,
     q_sin,
     qcalculus,
+    qfunctions,
 )
+from basicq.qnum import as_qparam
 from basicq.qfunctions import (
     q_pythagoras_residual,
     trig_derivative_residual,
@@ -213,17 +215,30 @@ def test_array_argument_matches_scalar_bit_for_bit(kind, fn, q):
         assert terms == want.terms_used, (fn.__name__, q, z)
 
 
+# A shifted array is summed element by element; these add the shapes and
+# sizes a per-element loop has to rebuild: 0-d, empty and 2-D.
+SHIFTED_Z = {
+    **ARRAY_Z,
+    "0-d": np.array(-0.0),
+    "0-d-complex": np.array(1.5 - 2j),
+    "empty": np.empty(0),
+    "2-D-empty": np.empty((3, 0)),
+    "2-D": ARRAY_Z["complex"].reshape(2, -1),
+}
+
+
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 1.3])
 @pytest.mark.parametrize("fn", [q_exp, q_sin, q_cos])
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", list(SHIFTED_Z))
 def test_shifted_array_matches_scalar_bit_for_bit(kind, fn, q):
-    zs = ARRAY_Z[kind]
+    zs = SHIFTED_Z[kind]
     got = fn(zs, q, representation="shifted")
-    assert got.value.shape == zs.shape and got.terms_used.shape == zs.shape
-    for z, value, terms in zip(zs, got.value, got.terms_used):
-        want = fn(complex(z), q, representation="shifted")
-        assert _bits(value) == _bits(want.value), (fn.__name__, q, z)
-        assert terms == want.terms_used, (fn.__name__, q, z)
+    assert got.value.shape == got.terms_used.shape == zs.shape
+    assert (got.value.dtype, got.terms_used.dtype) == (np.complex128, np.int64)
+    for index in np.ndindex(zs.shape):
+        want = fn(complex(zs[index]), q, representation="shifted")
+        assert _bits(got.value[index]) == _bits(want.value), (fn.__name__, q, zs[index])
+        assert got.terms_used[index] == want.terms_used, (fn.__name__, q, zs[index])
 
 
 @pytest.mark.parametrize("q", [0.5, 0.99])
@@ -233,11 +248,10 @@ def test_array_argument_in_small_blocks_matches_scalar(monkeypatch, kind, q):
     monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 97)
     zs = ARRAY_Z[kind]
     for fn in (q_exp, q_sin, q_cos):
-        for rep in ("physics", "shifted"):
-            got = fn(zs, q, representation=rep)
-            for z, value, terms in zip(zs, got.value, got.terms_used):
-                want = fn(complex(z), q, representation=rep)
-                assert (_bits(value), terms) == (_bits(want.value), want.terms_used)
+        got = fn(zs, q)
+        for z, value, terms in zip(zs, got.value, got.terms_used):
+            want = fn(complex(z), q)
+            assert (_bits(value), terms) == (_bits(want.value), want.terms_used)
 
 
 def test_array_argument_keeps_shape():
@@ -259,3 +273,42 @@ def test_array_argument_raises_like_the_scalar_call():
         q_exp(1e200, 0.9)
     with pytest.raises(ConvergenceError, match="non-finite term at index 2"):
         q_exp(np.array([1.0, 1e200]), 0.9)
+
+
+@pytest.mark.parametrize("representation", ["physics", "shifted"])
+def test_array_with_a_failing_element_raises_its_scalar_error(representation):
+    z = np.array([1.0, 1e300])
+    with pytest.raises(ConvergenceError) as want:
+        q_exp(z[1], 0.9, representation=representation)
+    with pytest.raises(ConvergenceError) as got:
+        q_exp(z, 0.9, representation=representation)
+    assert str(got.value) == str(want.value)
+
+
+def test_shifted_array_raises_the_first_failing_elements_error():
+    # E_q(1e100) overflows at term 4, E_q(1e300) at term 2: the loop meets
+    # 1e100 first.
+    with pytest.raises(ConvergenceError, match="non-finite term at index 4"):
+        q_exp(np.array([1.0, 1e100, 1e300]), 0.9, representation="shifted")
+
+
+def test_values_sums_each_distinct_array_once(monkeypatch):
+    x = np.array([0.3, -1.0, 2.5])
+    want = q_exp(0.5 * x, 0.9).value
+    calls = []
+    series = qfunctions._series
+
+    def counted(kind, z, qp, tol, representation):
+        calls.append(kind)
+        return series(kind, z, qp, tol, representation)
+
+    monkeypatch.setattr(qfunctions, "_series", counted)
+    f = qfunctions._values("exp", as_qparam(0.9), 0.5)
+    first, second = f(x), f(x.copy())
+    assert calls == ["exp"]
+    assert second is first
+    assert not (first.re.flags.writeable or first.im.flags.writeable)
+    assert np.array_equal(np.asarray(second).view(np.int64), want.view(np.int64))
+    f(x.astype(np.float32))  # another dtype is another argument array
+    f(x[:2])
+    assert calls == ["exp"] * 3

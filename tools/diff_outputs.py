@@ -16,15 +16,21 @@ files on lattices under one CSV row block and off a multiple of it, and
 run ``verify`` at q 0.001, 0.3 and 1000, where the lattice window of its
 momentum rows holds few exponents or is taken at the reciprocal q, and
 run ``eval``, ``qint`` and ``solve`` at the reciprocals of 0.9 and 0.999.
-Each command runs as ``python -m basicq`` in a fresh temporary directory,
-once against each tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*``
-variable, one BLAS thread count), so ``solve`` and ``evolve`` write their
-files there.
+Last come the six ``DEMOS`` (``demos/01_deformed_numbers.py``,
+``02_deformed_calculus.py``, ``03_special_functions.py``,
+``04_oscillator_algebra.py``, ``05_lattice_hilbert_space.py`` and
+``06_deformed_schrodinger.py``), which reach library paths no command
+does: the shifted series, expectations, the ladder algebra and point bases.
+Each command runs as ``python -m basicq``, and each demo as ``python
+<tree>/demos/<file>``, in a fresh temporary directory, once against each
+tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*`` variable, one BLAS thread
+count), so ``solve`` and ``evolve`` write their files there.
 The exit code, the standard output, the standard error (with the tree's
-``src`` path written as ``<src>``, so a warning's file name matches) and
-the SHA-256 of every written file are compared.  Each command whose record
-differs is printed with the parts that differ, and the exit status is 1
-when any command differs.  Both trees run with ``OPENBLAS_NUM_THREADS``,
+``src`` path written as ``<src>`` and the tree itself as ``<tree>``, so a
+warning's file name matches) and the SHA-256 of every written file are
+compared.  Each command whose record differs is printed with the parts that
+differ, a demo by its file, and the exit status is 1 when any command
+differs.  Both trees run with ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to one count, the inherited
 ``OPENBLAS_NUM_THREADS`` or else the number of usable cores, as the
 benchmark sets them; the first line names it.  A full solve of a block of
@@ -154,6 +160,10 @@ OUTPUTS = (
     ["solve", "--potential", "x^2", "--q", "1.1111111111111112", "--k", "3"],
 )
 
+DEMOS = tuple(f"demos/{name}" for name in (
+    "01_deformed_numbers.py", "02_deformed_calculus.py", "03_special_functions.py",
+    "04_oscillator_algebra.py", "05_lattice_hilbert_space.py", "06_deformed_schrodinger.py"))
+
 
 def workload_commands(seed: int, rounds: int) -> list:
     """The argument vectors of every workload's first ``rounds`` rounds."""
@@ -164,25 +174,31 @@ def workload_commands(seed: int, rounds: int) -> list:
             for c in workloads.generate(name, seed, rounds)]
 
 
+def _is_demo(argv) -> bool:
+    return len(argv) == 1 and argv[0] in DEMOS
+
+
 def outputs(tree, argv, threads: str) -> tuple:
     """``(exit code, stdout bytes, stderr bytes, {written file: SHA-256})`` of
-    one command, run with ``threads`` BLAS threads."""
-    src = Path(tree).resolve() / "src"
+    one command, or of the demo ``[file]`` of ``DEMOS``, run with ``threads``
+    BLAS threads."""
+    tree = Path(tree).resolve()
+    src = tree / "src"
     env = {k: v for k, v in os.environ.items() if not k.startswith("BASICQ_")}
     env.update(dict.fromkeys(THREAD_VARS, threads), PYTHONPATH=str(src))
+    script = [str(tree / argv[0])] if _is_demo(argv) else ["-m", "basicq", *argv]
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "basicq", *argv], cwd=cwd, env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, *script], cwd=cwd, env=env, capture_output=True)
         files = {f.relative_to(cwd).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                  for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
-    return (proc.returncode, proc.stdout, proc.stderr.replace(bytes(src), b"<src>"),
-            files)
+    stderr = proc.stderr.replace(bytes(src), b"<src>").replace(bytes(tree), b"<tree>")
+    return proc.returncode, proc.stdout, stderr, files
 
 
 def commands(seed: int, rounds: int) -> list:
     """The argument vectors of every command compared, in order."""
     return [["--help"], *([c, "--help"] for c in COMMANDS), *MISUSE, *EXPRESSIONS,
-            *OUTPUTS, *workload_commands(seed, rounds)]
+            *OUTPUTS, *workload_commands(seed, rounds), *([demo] for demo in DEMOS)]
 
 
 def _thread_counts(text: str) -> list:
@@ -215,7 +231,8 @@ def main(argv=None) -> int:
         parts = [part for part, a, b in zip(PARTS, old, new) if a != b]
         if parts:
             differing += 1
-            print(f"differs ({', '.join(parts)}): {shlex.join(['basicq', *cmd])}", flush=True)
+            name = cmd[0] if _is_demo(cmd) else shlex.join(["basicq", *cmd])
+            print(f"differs ({', '.join(parts)}): {name}", flush=True)
     print(f"{differing} of {len(cmds)} commands differ")
     return 1 if differing else 0
 
