@@ -13,7 +13,12 @@ command takes only the shared options it reads, besides its own and
     solve, evolve   --q --hbar --mass --lattice
 
 Exit codes: 0 success, 1 computation failure (evaluation or convergence),
-2 usage, parse, or configuration failure.  argparse checks every option
+2 usage, parse, or configuration failure.  A refusal, exit 1 or 2, is
+exactly one stderr line starting ``basicq`` and no partial output (no
+table, file or directory); :func:`main` alone prints it, from the
+exception the command raised.  A failed verify is no refusal: it writes its
+whole report, then names each failed row, and why it failed, on stderr.
+argparse checks every option
 before a command runs, so a usage error is its usage line and one
 ``basicq <command>: error: ...`` line: eval takes exactly one of --points
 and --range, qint at most one of --upper, --halfline and --fullline, and a
@@ -236,7 +241,8 @@ def cmd_verify(args) -> int:
                     rows, "csv", args.output)
     if not report.all_pass:
         names = ", ".join(r.name for r in report.failures)
-        print(f"basicq: verify failed: {names}", file=sys.stderr)
+        reasons = "".join(f"\n  {r.name}: {r.reason}" for r in report.failures)
+        print(f"basicq: verify failed: {names}{reasons}", file=sys.stderr)
         return 1
     return 0
 
@@ -310,9 +316,7 @@ def cmd_evolve(args) -> int:
     psi = l2q.sample(_expr_fn(args.psi0, args.q), H.lattice)
     nrm = l2q.q_norm(psi)
     if not (math.isfinite(nrm) and nrm > 0):
-        print(f"basicq: error: initial state has q-norm {nrm!r}, cannot normalize",
-              file=sys.stderr)
-        return 1
+        raise BasicQError(f"initial state has q-norm {nrm!r}, cannot normalize")
     psi = (1.0 / nrm) * psi
 
     # evolve solves every block at the call, before any file is written, so

@@ -5,6 +5,8 @@ standard :class:`ValueError`; the classes here cover failures that arise while
 a computation is running.
 """
 
+import numpy as np
+
 
 class BasicQError(Exception):
     """Base class for basicq-specific runtime errors."""
@@ -33,3 +35,11 @@ class ParseError(ExpressionError):
 
 class EvaluationError(ExpressionError):
     """Runtime failure while evaluating a parsed expression (e.g. 1/0)."""
+
+
+def first_nonfinite(v):
+    """Flat index of the first element of ``v`` that is not finite, or None:
+    ``v`` is a number (element 0), an array, or the broadcasting parts
+    ``v.re`` and ``v.im`` of a :class:`~basicq.qcalculus.SplitComplex`."""
+    ok = np.isfinite(v.re) & np.isfinite(v.im) if hasattr(v, "re") else np.isfinite(v)
+    return None if ok.all() else int(np.argmin(ok))

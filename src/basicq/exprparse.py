@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, ParseError
+from .errors import ConvergenceError, EvaluationError, ParseError, first_nonfinite
 from .qcalculus import SplitComplex
 from .qnum import as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
@@ -177,10 +177,7 @@ def parse(text: str) -> Callable:
 
 def _finite(v):
     """``v``, where every element is finite; else no array form."""
-    if type(v) is SplitComplex:
-        if not (np.isfinite(v.re).all() and np.isfinite(v.im).all()):
-            raise _NoArrayForm
-    elif not cmath.isfinite(v):
+    if first_nonfinite(v) is not None:
         raise _NoArrayForm
     return v
 

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import first_nonfinite
 from .exprparse import BoundExpression
 from .qnum import as_int, as_qparam
 
@@ -229,6 +230,12 @@ def build_lattice(q, m_min: int, m_max: int, a: float = 1.0) -> QLattice:
                     x=_freeze(x), w=_freeze(w), w_all=_freeze(w_all))
 
 
+# Points (both branches) of the largest default window built: the window
+# holds about 16 / (1 - q) points, 15,964 at q 0.999 but 8.0e10 at
+# 1 - 1e-10, so a caller refuses a larger one before building it.
+MAX_WINDOW_POINTS = 20_000
+
+
 def default_window(q) -> tuple:
     """Exponents ``(m_min, m_max)`` of ``|x| = q^m`` in [1.7e-3, 5] at the canonical q,
     rounded inward, at least two: ``(-15, 60)`` at q 0.9.  Rejects q = 1."""
@@ -246,7 +253,8 @@ def default_lattice() -> QLattice:
 
 @dataclass(frozen=True, eq=False)
 class LatticeFunction:
-    """Complex samples on a QLattice, one per point in lattice order."""
+    """Complex samples on a QLattice, one per point in lattice order; a
+    sample that is not finite raises ValueError naming its point."""
 
     lattice: QLattice
     values: np.ndarray
@@ -256,8 +264,9 @@ class LatticeFunction:
         if vals.shape != (self.lattice.size,):
             raise ValueError(
                 f"values shape {vals.shape} does not match lattice size {self.lattice.size}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite sample rejected")
+        j = first_nonfinite(vals)
+        if j is not None:
+            raise ValueError(f"non-finite sample at x = {float(self.lattice.x[j])!r}")
         object.__setattr__(self, "values", _freeze(vals))
 
     def __add__(self, other):
@@ -302,9 +311,6 @@ def sample(f, lattice: QLattice) -> LatticeFunction:
         vals = f(lattice.x)
     else:
         vals = np.array([complex(f(xi)) for xi in lattice.x])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise ValueError(f"non-finite sample at x = {float(lattice.x[bad.argmax()])!r}")
     return LatticeFunction(lattice, vals)
 
 

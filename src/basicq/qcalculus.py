@@ -31,14 +31,13 @@ round differently from CPython's.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, first_nonfinite
 from .qnum import as_qparam, basic_number
 
 __all__ = [
@@ -79,7 +78,8 @@ def jackson_derivative(f, x, q):
     ValueError
         If ``x == 0`` (any element).
     ConvergenceError
-        If the value is not finite at a point, named with its value.
+        If the step ``(q - 1/q) x`` underflows to 0 at a point, or the value
+        is not finite there: the first such point in flat order is named.
     """
     if (x == 0).any() if isinstance(x, np.ndarray) else x == 0:
         raise ValueError("jackson_derivative is undefined at x = 0")
@@ -95,13 +95,18 @@ def jackson_derivative(f, x, q):
         else:
             qc = qp.canonical
             up, down, step = qc * x, x / qc, (qc - 1.0 / qc) * x
+    zero = np.flatnonzero(np.equal(step, 0.0))  # underflow: only at a subnormal x
+    if zero.size:
+        raise ConvergenceError(
+            f"jackson_derivative: derivative at x = {float(np.ravel(x)[zero[0]])!r} "
+            "is not finite: the step (q - 1/q) x underflows to 0")
     f_up, f_down = f(up), f(down)
     with quiet():
         d = (f_up - f_down) / step
-    if cmath.isfinite(d) if isinstance(d, (float, complex)) else np.isfinite(np.asarray(d)).all():
+    i = first_nonfinite(d)
+    if i is None:
         return d
     x, d = np.broadcast_arrays(x, np.asarray(d))
-    i = np.isfinite(d).argmin()  # the first point, in flat order
     raise ConvergenceError(f"jackson_derivative: derivative at x = {float(x.flat[i])!r} "
                            f"is not finite: {complex(d.flat[i])!r}")
 
@@ -359,7 +364,7 @@ def _accumulate(op, first, t, first_line=False):
     return out if first_line else out[1:]
 
 
-def _sum_blocks(terms, rows, first, tol, what):
+def _sum_blocks(terms, rows, first, tol, what, scalar=None):
     """Sum ``rows`` series at once under the rule of :func:`_sum_series`.
 
     ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
@@ -374,7 +379,11 @@ def _sum_blocks(terms, rows, first, tol, what):
     carried sum per part, and magnitudes are ``np.hypot`` (CPython's complex
     ``abs``; ``|re|`` for real terms).  A failing row raises the error
     :func:`_sum_series` raises for it; a row's terms are checked only up to
-    its stopping index.
+    its stopping index.  Rows fail at different terms, so the first row to
+    fail need not come first in flat order: given ``scalar(row)``, which
+    sums one row by :func:`_sum_series`, a failing block sums its rows
+    through it in flat order, and the first failing row raises, as a loop
+    over the rows does.
     """
     sum_re, sum_im = np.zeros(rows), np.zeros(rows)
     used = np.zeros(rows, dtype=np.int64)
@@ -382,6 +391,13 @@ def _sum_blocks(terms, rows, first, tol, what):
     last = np.zeros(rows)
     idx = np.arange(rows)
     n0, size = 0, max(1, first)
+
+    def fail(message):
+        if scalar is not None:
+            for row in idx.tolist():
+                scalar(row)
+        raise ConvergenceError(message)
+
     with np.errstate(all="ignore"):
         while idx.size:
             if n0 >= MAX_TERMS:
@@ -393,8 +409,7 @@ def _sum_blocks(terms, rows, first, tol, what):
             tr, ti = terms(n0, n1, idx)
             width = tr.shape[0]
             if width == 0:
-                raise ConvergenceError(
-                    f"{what}: term overflow at index {n0} (divergent tail?)")
+                fail(f"{what}: term overflow at index {n0} (divergent tail?)")
             cr = _accumulate(np.add, sum_re[idx], tr)
             if ti is None:  # every imaginary part and sum is 0.0
                 ti = ci = np.broadcast_to(0.0, tr.shape)
@@ -419,14 +434,12 @@ def _sum_blocks(terms, rows, first, tol, what):
                 first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), width)
                 failing = first_bad <= end
                 if failing.any():
-                    raise ConvergenceError(
-                        f"{what}: non-finite term at index {n0 + first_bad[failing].min()} "
-                        "(divergent tail?)")
+                    fail(f"{what}: non-finite term at index {n0 + first_bad[failing].min()} "
+                         "(divergent tail?)")
                 cols = np.arange(end.size)
                 over = stops & ~(np.isfinite(cr[end, cols]) & np.isfinite(ci[end, cols]))
                 if over.any():
-                    raise ConvergenceError(
-                        f"{what}: sum of {n0 + stop[over][0] + 1} finite terms overflows")
+                    fail(f"{what}: sum of {n0 + stop[over][0] + 1} finite terms overflows")
             done, at = idx[stops], stop[stops]
             cols = np.flatnonzero(stops)
             sum_re[done], sum_im[done] = cr[at, cols], ci[at, cols]
@@ -440,8 +453,7 @@ def _sum_blocks(terms, rows, first, tol, what):
             streak[idx] = np.where(ext[-1, going], np.where(ext[-2, going], 2, 1), 0)
             n0 += width
             if idx.size and n0 < n1:
-                raise ConvergenceError(
-                    f"{what}: term overflow at index {n0} (divergent tail?)")
+                fail(f"{what}: term overflow at index {n0} (divergent tail?)")
             size *= 2
     return sum_re, sum_im, used
 
@@ -508,7 +520,7 @@ def _finite_result(v, what):
     reads ``0.0``, as ``complex()`` of the float a scalar integral returns."""
     if isinstance(v, SplitComplex):
         v = np.asarray(SplitComplex(v.re, v.im + 0.0))
-    if not (cmath.isfinite(v) if isinstance(v, (float, complex)) else np.isfinite(v).all()):
+    if first_nonfinite(v) is not None:
         raise ConvergenceError(f"{what}: result overflows after a finite sum")
     return v
 

@@ -79,7 +79,6 @@ measured peaks and times.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -87,7 +86,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import ConvergenceError, EvaluationError
+from .errors import ConvergenceError, EvaluationError, first_nonfinite
 from .exprparse import BoundExpression
 from .l2q import (
     LatticeFunction,
@@ -222,21 +221,31 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
             vals = V(x)
         except EvaluationError:
             pass  # the point loop raises what it meets first, maybe a complex value
-    if vals is None:
-        v = np.empty(n)
-        for j, xi in enumerate(x):
-            v[j] = _potential_value(xi, complex(V(xi)))
-    else:
-        bad = (vals.imag != 0.0) | ~np.isfinite(vals.real)
-        if bad.any():
-            j = int(bad.argmax())
-            _potential_value(x[j], complex(vals[j]))
-        v = vals.real
+    if vals is None:  # point by point, up to the first value refused below
+        vals = []
+        for xi in x:
+            vals.append(complex(V(xi)))
+            if vals[-1].imag != 0.0 or first_nonfinite(vals[-1]) is not None:
+                break
+    # A complex value reads as NaN here, so j is the first refused point.
+    j = first_nonfinite(np.where(np.imag(vals) == 0.0, np.real(vals), np.nan))
+    if j is not None:
+        if vals[j].imag != 0.0:
+            raise ValueError(
+                f"complex potential rejected: V({float(x[j])!r}) = {complex(vals[j])!r}")
+        raise ValueError(f"non-finite potential value at x = {float(x[j])!r}")
+    v = np.real(vals)
 
     kin = -hbar * hbar / (2.0 * mass)
     h = n // 2  # the innermost odd points are h - 1 and h
+    try:
+        c2 = (qc - 1.0 / qc) ** 2
+    except OverflowError:
+        raise ValueError(
+            "Hamiltonian stencil factor (q - 1/q)^2 overflows at q = %r "
+            "(innermost |x| = %.3g)" % (qc, float(np.min(np.abs(x))))) from None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        K = 1.0 / ((qc - 1.0 / qc) ** 2 * x * x)
+        K = 1.0 / (c2 * x * x)
         di = kin * (-(qc + 1.0 / qc)) * K + v
         di[h - 1:h + 1] += kin * K[h - 1:h + 1] / qc * (1.0 + qc * qc) / 2.0
         # Toward zero (m + 2) the coefficient couples to the neighbor, or at
@@ -248,7 +257,7 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
         away = kin * K * qc
     lo = np.concatenate([away[1:h], toward[h:]]) + 0.0
     up = np.concatenate([toward[:h], away[h:-1]]) + 0.0
-    if not all(np.all(np.isfinite(band)) for band in (lo, di, up)):
+    if any(first_nonfinite(band) is not None for band in (lo, di, up)):
         raise ValueError(
             "Hamiltonian bands are not finite at the innermost |x| = %.3g: "
             "m_max = %d is too large for q = %r"
@@ -257,16 +266,6 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     root = np.sqrt(w)
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
     return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, hbar=hbar, sym_e=sym_e)
-
-
-def _potential_value(xi, val: complex) -> float:
-    """The real part of the potential's value ``val`` at ``xi``; a complex or
-    non-finite value raises ValueError."""
-    if val.imag != 0.0:
-        raise ValueError(f"complex potential rejected: V({float(xi)!r}) = {val!r}")
-    if not math.isfinite(val.real):
-        raise ValueError(f"non-finite potential value at x = {float(xi)!r}")
-    return val.real
 
 
 def _mirrored(a: np.ndarray) -> bool:
@@ -485,7 +484,7 @@ def evolve(psi: LatticeFunction, H: Hamiltonian, times) -> Iterator[LatticeFunct
         # Popped, so a solved block's bands are freed too.
         parity, ev, U = _solve_block(H, problems.pop(0))
         with np.errstate(all="ignore"):
-            if not np.isfinite(_phase(ev, t_far, H.hbar)).all():
+            if first_nonfinite(_phase(ev, t_far, H.hbar)) is not None:
                 raise ValueError(f"phase E t / hbar is not finite at |t| = {t_far!r}, "
                                  f"hbar = {H.hbar!r}")
         ys = _block_parts(psi, H.lattice, parity, U, ev, H.hbar, times)

@@ -15,7 +15,10 @@ residuals (floats or arrays) at one :class:`~basicq.qnum.QParam` and append
 a row ``(name, detail, tolerance, needs_deformation, residuals)`` to
 ``_IDENTITIES``; :func:`run_verify` alone sweeps q and keeps the worst.  A
 NaN residual makes its row FAIL, with ``max_residual`` NaN, and so does a
-generator that raises ArithmeticError, ConvergenceError or ValueError.
+generator that raises ArithmeticError, ConvergenceError or ValueError; a
+failed row's ``reason`` keeps that error's message.  The momentum rows
+refuse a :func:`~basicq.l2q.default_window` of more than
+``l2q.MAX_WINDOW_POINTS`` points before they build it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class IdentityResult:
     max_residual: float  # nan when skipped
     tolerance: float
     status: str  # PASS | FAIL | SKIP
+    reason: str = ""  # why a FAIL row failed; empty otherwise
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,12 @@ def _hermiticity(qp, parity):
     # the defect is rounding at every q.  Generic mixed pairs are held to
     # 1e-8 by acceptance criterion 4, where the lattice edges leave a small
     # remainder that shrinks as the lattice widens.
-    p = l2q.momentum_matrix(l2q.build_lattice(qp, *l2q.default_window(qp)))
+    m_min, m_max = l2q.default_window(qp)
+    points = 2 * (m_max - m_min + 1)
+    if points > l2q.MAX_WINDOW_POINTS:
+        raise ValueError(f"the lattice window m in [{m_min}, {m_max}] at q = {qp.canonical!r} "
+                         f"holds {points} points, past the cap of {l2q.MAX_WINDOW_POINTS}")
+    p = l2q.momentum_matrix(l2q.build_lattice(qp, m_min, m_max))
     yield l2q.hermiticity_residual(p, trials=8, seed=7, parity=parity)
 
 
@@ -265,13 +274,18 @@ def run_verify(q_values=DEFAULT_SWEEP) -> VerifyReport:
         if not eligible:
             results.append(IdentityResult(name, detail, float("nan"), tol, "SKIP"))
             continue
+        reason = ""
         try:  # a row whose values or points leave float range fails (NaN)
             with np.errstate(all="ignore"):
                 values = np.concatenate([np.ravel(r) for qp in eligible for r in residuals(qp)])
-        except (ArithmeticError, ConvergenceError, ValueError):  # ValueError: a point hits x = 0
-            values = np.array([math.nan])
+        except (ArithmeticError, ConvergenceError, ValueError) as exc:
+            # ValueError: a point hits x = 0, or a window is past its cap
+            values, reason = np.array([math.nan]), f"{type(exc).__name__}: {exc}"
         # A NaN residual fails its row: the worst residual is then unknown.
         residual = float("nan") if np.isnan(values).any() else float(values.max(initial=0.0))
         status = "PASS" if residual <= tol else "FAIL"
-        results.append(IdentityResult(name, detail, residual, tol, status))
+        if status == "FAIL" and not reason:
+            reason = ("a residual is NaN" if math.isnan(residual)
+                      else f"residual {residual:.6e} > tolerance {tol:g}")
+        results.append(IdentityResult(name, detail, residual, tol, status, reason))
     return VerifyReport(tuple(results), qs)

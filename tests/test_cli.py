@@ -645,6 +645,26 @@ def test_evolve_whose_phase_overflows_is_refused_and_leaves_nothing(capsys, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["qderiv", "--expr", "x", "--points", "5e-324", "--q", "0.9"], 1,
+     "basicq: error: jackson_derivative: derivative at x = 5e-324 is not finite: "
+     "the step (q - 1/q) x underflows to 0"),
+    (["qderiv", "--expr", "x", "--points", "1e-320", "--q", "1.0000000001"], 1,
+     "basicq: error: jackson_derivative: derivative at x = 1e-320 is not finite: "
+     "the step (q - 1/q) x underflows to 0"),
+    (["solve", "--potential", "x^2", "--k", "1", "--q", "1e-200", "--lattice=0:1:1"], 2,
+     "basicq: invalid configuration: Hamiltonian stencil factor (q - 1/q)^2 overflows "
+     "at q = 1e-200 (innermost |x| = 1e-200)"),
+    (["evolve", "--potential", "x^2", "--psi0", "0"], 1,
+     "basicq: error: initial state has q-norm 0.0, cannot normalize"),
+], ids=["zero-step", "zero-step-near-1", "stencil-overflow", "zero-norm"])
+def test_refusal_is_one_line_and_writes_nothing(capsys, monkeypatch, tmp_path, argv, code, err):
+    # The first three ended in a ZeroDivisionError or OverflowError traceback.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "--output", "out") == (code, "", err + "\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_bad_grid(capsys, tmp_path):
     for grid, reason in ((("--t", "-1"), "--t: t must be finite and positive, got -1.0"),
                          (("--steps", "0"), "--steps: expected an integer >= 1, got 0")):

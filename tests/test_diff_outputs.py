@@ -89,7 +89,7 @@ def test_both_trees_run_at_one_blas_thread_count(capsys, monkeypatch, inherited)
     tool = _load_tool()
     seen = {"old": set(), "new": set()}
 
-    def run(args, cwd, env, capture_output):
+    def run(args, cwd, env, capture_output, preexec_fn):
         tree = Path(env["PYTHONPATH"]).parent.name
         seen[tree].add(tuple(env[var] for var in tool.THREAD_VARS))
         return subprocess.CompletedProcess(args, 0, b"", b"")

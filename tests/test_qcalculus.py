@@ -18,6 +18,7 @@ from basicq import (
     q_integral_halfline,
     qcalculus,
 )
+from basicq.errors import first_nonfinite
 from basicq.qcalculus import (
     PowerSeries,
     SplitComplex,
@@ -97,6 +98,35 @@ def test_derivative_of_an_array_keeps_the_warnings_of_f():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
             jackson_derivative(lambda t: np.exp(t), np.array([1.0, 800.0]), 0.9)
+
+
+@pytest.mark.parametrize("x, q, named", [
+    (5e-324, 0.9, "x = 5e-324"),
+    (-1e-320, 1.0000000001, "x = -1e-320"),
+    (np.array([1.0, 1e-320, 5e-324]), 0.9, "x = 5e-324"),
+    (np.array([[2.0, 1e-320], [5e-324, 1.0]]), 1.0000000001, "x = 1e-320"),
+], ids=["scalar", "scalar-near-1", "ndarray", "2-d"])
+def test_derivative_refuses_a_step_that_underflows_to_zero(x, q, named):
+    # (q - 1/q) x is 0 at a subnormal x: the scalar call divided by it
+    # (ZeroDivisionError); now both refuse the first such point in flat
+    # order, before f is read.
+    read = []
+    with pytest.raises(ConvergenceError) as err:
+        jackson_derivative(lambda t: read.append(t) or t, x, q)
+    assert str(err.value) == (f"jackson_derivative: derivative at {named} is not finite: "
+                              "the step (q - 1/q) x underflows to 0")
+    assert read == []
+
+
+def test_first_nonfinite_names_the_first_element_in_flat_order():
+    assert first_nonfinite(1.0) is None and first_nonfinite(-math.inf) == 0
+    assert first_nonfinite(complex(1.0, math.nan)) == 0
+    assert first_nonfinite(np.array([[1.0, 2.0], [math.nan, math.inf]])) == 2
+    assert first_nonfinite(np.zeros(0)) is None
+    split = SplitComplex(np.array([1.0, 2.0, 3.0]), np.array([0.0, math.inf, math.nan]))
+    assert first_nonfinite(split) == 1
+    assert first_nonfinite(SplitComplex(np.array([1.0, math.nan]), 0.0)) == 1
+    assert first_nonfinite(SplitComplex(np.array([1.0, 2.0]), 0.0)) is None
 
 
 def test_derivative_classical_branch_central_difference():

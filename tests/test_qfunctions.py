@@ -285,11 +285,39 @@ def test_array_with_a_failing_element_raises_its_scalar_error(representation):
     assert str(got.value) == str(want.value)
 
 
-def test_shifted_array_raises_the_first_failing_elements_error():
-    # E_q(1e100) overflows at term 4, E_q(1e300) at term 2: the loop meets
-    # 1e100 first.
-    with pytest.raises(ConvergenceError, match="non-finite term at index 4"):
-        q_exp(np.array([1.0, 1e100, 1e300]), 0.9, representation="shifted")
+@pytest.mark.parametrize("representation", ["physics", "shifted"])
+@pytest.mark.parametrize("fn", [q_exp, q_sin, q_cos])
+@pytest.mark.parametrize("z", [
+    np.array([1.0, 1e100, 1e300]),
+    np.array([[2.0, 1e100j], [1e300, 1.0]]),
+], ids=["1-d", "2-d-complex"])
+def test_array_raises_the_first_failing_elements_error_in_flat_order(z, fn, representation):
+    # E_q(1e100) overflows at term 4, E_q(1e300) at term 2: a loop over the
+    # elements meets 1e100 first, where the physics block kernel named the
+    # element failing at the earliest term.
+    for v in z.ravel().tolist():
+        try:
+            fn(v, 0.9, representation=representation)
+        except ConvergenceError as exc:
+            want = str(exc)
+            break
+    with pytest.raises(ConvergenceError) as got:
+        fn(z, 0.9, representation=representation)
+    assert str(got.value) == want
+    if fn is q_exp and z.ndim == 1:
+        assert "index 4" in want
+
+
+def test_passing_array_sums_no_element_alone(monkeypatch):
+    scalar_sums = []
+    original = qfunctions._sum_series
+    monkeypatch.setattr(qfunctions, "_sum_series",
+                        lambda *args: scalar_sums.append(args) or original(*args))
+    q_exp(np.linspace(-40.0, 40.0, 801), 0.9)
+    assert scalar_sums == []
+    with pytest.raises(ConvergenceError):
+        q_exp(np.array([1.0, 1e100, 1e300]), 0.9)
+    assert len(scalar_sums) == 2  # the failing block, in flat order, up to 1e100
 
 
 def test_values_sums_each_distinct_array_once(monkeypatch):

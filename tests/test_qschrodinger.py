@@ -179,6 +179,15 @@ class TestAssembly:
             build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
         assert "|x| = 4.82e-181" in str(exc.value)
 
+    def test_overflowing_stencil_factor_rejected(self):
+        # The window is in float range at q 1e-200, but (q - 1/q)^2 is not:
+        # it raised OverflowError; now a ValueError names q and |x|, not m_max.
+        lat = build_lattice(1e-200, 0, 1)
+        with pytest.raises(ValueError) as exc:
+            build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat)
+        assert str(exc.value) == ("Hamiltonian stencil factor (q - 1/q)^2 overflows at "
+                                  "q = 1e-200 (innermost |x| = 1e-200)")
+
     @pytest.mark.parametrize("q, m_min, m_max, hbar, mass, excluded", [
         (0.9, -15, 60, 1.0, 1.0, [0, 37, 38, 75]),
         (0.8, -4, 21, 0.7, 2.5, [12, 13]),

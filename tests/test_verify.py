@@ -158,6 +158,60 @@ def test_raising_row_fails_without_aborting_the_sweep(monkeypatch, capsys, error
     assert "verify failed: raising-row\n" in capsys.readouterr().err
 
 
+def test_failed_rows_keep_their_reasons(monkeypatch, capsys):
+    def raising(qp):
+        yield 0.0
+        raise ConvergenceError("q_integral_finite: no convergence after 1000000 terms")
+
+    rows = (("raising-row", "raises", 1e-10, False, raising),
+            ("nan-row", "yields a NaN", 1e-10, False, lambda qp: iter([math.nan])),
+            ("large-row", "above tolerance", 1e-10, False, lambda qp: iter([2.5e-9])),
+            ("quiet-row", "passes", 1e-10, False, lambda qp: iter([1e-20])))
+    monkeypatch.setattr(verify, "_IDENTITIES", rows)
+    assert [r.reason for r in run_verify(q_values=(0.9,)).results] == [
+        "ConvergenceError: q_integral_finite: no convergence after 1000000 terms",
+        "a residual is NaN", "residual 2.500000e-09 > tolerance 1e-10", ""]
+    assert cli.main(["verify", "--q", "0.9"]) == 1
+    assert capsys.readouterr().err == (
+        "basicq: verify failed: raising-row, nan-row, large-row\n"
+        "  raising-row: ConvergenceError: q_integral_finite: no convergence after "
+        "1000000 terms\n"
+        "  nan-row: a residual is NaN\n"
+        "  large-row: residual 2.500000e-09 > tolerance 1e-10\n")
+
+
+@pytest.mark.parametrize("q, points", [(0.9999999, 159731292), (1.0000000001, 159731285582)])
+def test_momentum_rows_refuse_a_window_past_the_cap_before_building_it(monkeypatch, capsys,
+                                                                        q, points):
+    # default_window holds about 16 / (1 - q) points: 1.19 GiB of m alone at
+    # q 0.9999999, which ended in numpy's _ArrayMemoryError or the OS killing
+    # the process.
+    def build(*args):
+        raise AssertionError("a window past the cap was built")
+
+    monkeypatch.setattr(verify.l2q, "build_lattice", build)
+    monkeypatch.setattr(verify, "_IDENTITIES", verify._IDENTITIES[-2:])
+    report = run_verify(q_values=(q,))
+    assert [r.status for r in report.results] == ["FAIL", "FAIL"]
+    m_min, m_max = verify.l2q.default_window(q)
+    canonical = qnum.as_qparam(q).canonical
+    assert {r.reason for r in report.results} == {
+        f"ValueError: the lattice window m in [{m_min}, {m_max}] at q = {canonical!r} "
+        f"holds {points} points, past the cap of 20000"}
+    assert cli.main(["verify", "--q", repr(q)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "basicq: verify failed: momentum-hermiticity-even, momentum-hermiticity-odd"
+    assert len(err) == 3 and "past the cap" in err[2]
+
+
+def test_window_cap_sits_above_every_window_run():
+    # verify --q 0.999 builds 15,964 points; the largest explicit window in
+    # the tests and demos, m in [-1609, 6905] at q 0.999, 17,030.
+    m_min, m_max = verify.l2q.default_window(0.999)
+    assert 2 * (m_max - m_min + 1) == 15964
+    assert 2 * (6905 + 1609 + 1) == 17030 < verify.l2q.MAX_WINDOW_POINTS
+
+
 @pytest.mark.parametrize("q", [0.4, 0.3, 0.1, 0.01, 1e-3, 3.0, 5.0, 100.0])
 def test_small_q_passes_every_row(q):
     # [40]! overflows on both factorial routes there; the bridge compares
@@ -171,12 +225,16 @@ def test_unrepresentable_q_fails_its_rows_and_exits_1(capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     # The report itself: a failed row's unknown residual is an empty CSV
-    # cell and a JSON null, and stderr names the failed rows in order.
+    # cell and a JSON null, and stderr names the failed rows in order, then
+    # each with its reason on an indented line.
     rows = list(csv.DictReader(captured.out.splitlines()[1:]))
     failed = [r["identity"] for r in rows if r["status"] == "FAIL"]
     assert len(failed) == 12
     assert {r["max_residual"] for r in rows if r["status"] == "FAIL"} == {""}
-    assert captured.err == f"basicq: verify failed: {', '.join(failed)}\n"
+    first, *reasons = captured.err.splitlines()
+    assert first == f"basicq: verify failed: {', '.join(failed)}"
+    assert [line.split(": ")[0] for line in reasons] == [f"  {name}" for name in failed]
+    assert all(len(line.split(": ")) >= 3 for line in reasons)  # name: error class: message
     assert cli.main(["verify", "--q", "1e-60", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is False

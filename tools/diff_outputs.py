@@ -24,7 +24,10 @@ does: the shifted series, expectations, the ladder algebra and point bases.
 Each command runs as ``python -m basicq``, and each demo as ``python
 <tree>/demos/<file>``, in a fresh temporary directory, once against each
 tree (``PYTHONPATH=<tree>/src``, no ``BASICQ_*`` variable, one BLAS thread
-count), so ``solve`` and ``evolve`` write their files there.
+count, an address space of at most ``ADDRESS_SPACE`` bytes), so
+``solve`` and ``evolve`` write their files there, and a tree whose
+allocation grows with the input (``verify`` near q 1 before its window
+cap) fails that command instead of exhausting the host.
 The exit code, the standard output, the standard error (with the tree's
 ``src`` path written as ``<src>`` and the tree itself as ``<tree>``, so a
 warning's file name matches) and the SHA-256 of every written file are
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -55,10 +59,13 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COMMANDS = ("eval", "qderiv", "qint", "verify", "solve", "evolve")
 PARTS = ("exit code", "stdout", "stderr", "files")
+# RLIMIT_AS of each command: the largest workload command peaks near 120 MB.
+ADDRESS_SPACE = 4 << 30
 _EVOLVE = ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"]
 # Commands the CLI refuses with exit 2: no command, a missing or unknown
-# option, each group, a bad value of each option that checks one, and an
-# evolve time whose phase E t / hbar overflows.
+# option, each group, a bad value of each option that checks one, an
+# evolve time whose phase E t / hbar overflows, and a q whose stencil
+# factor (q - 1/q)^2 overflows on a window in float range.
 MISUSE = (
     [],
     ["eval"],
@@ -83,6 +90,7 @@ MISUSE = (
     ["qint", "--expr", "x", "--format", "xml"],
     ["solve", "--potential", "x^2", "--lattice", "5:1:1"],
     ["solve", "--potential", "x^2", "--lattice=-3000000:10:1", "--k", "1"],
+    ["solve", "--potential", "x^2", "--k", "1", "--q", "1e-200", "--lattice=0:1:1"],
     [*_EVOLVE, "--steps", "0"],
     [*_EVOLVE, "--steps", "2.5"],
     [*_EVOLVE, "--snap-every", "0"],
@@ -103,7 +111,10 @@ MISUSE = (
 # subexpression that does not depend on x.  In the last, a NaN reaches abs()
 # before exp overflows: CPython's complex abs of a NaN reports an overflow
 # when the C errno was left at ERANGE, so abs must not see that NaN.  Last,
-# qderiv commands whose derivative is not finite, in csv and in json.
+# qderiv commands whose derivative is not finite, in csv and in json, or
+# whose step (q - 1/q) x underflows to 0, an evolve whose initial state has
+# q-norm 0, and verify near q 1 on both sides, where the momentum rows'
+# window is past its cap and the q-integrals reach their 10^6 terms.
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -132,6 +143,11 @@ EXPRESSIONS = (
     *(["qint", "--expr", text, "--upper", "2"] for text in _CONSTANT_FAILURES),
     ["qderiv", "--expr", "x", "--points", "1e308", "--q", "0.5"],
     ["qderiv", "--expr", "1/x", "--points", "1e-310", "--q", "0.9", "--format", "json"],
+    ["qderiv", "--expr", "x", "--points", "5e-324", "--q", "0.9"],
+    ["qderiv", "--expr", "x", "--points", "1e-320", "--q", "1.0000000001"],
+    ["evolve", "--potential", "x^2", "--psi0", "0"],
+    ["verify", "--q", "0.9999999"],
+    ["verify", "--q", "1.0000000001"],
 )
 
 # solve and evolve commands where the file writing splits: every
@@ -178,6 +194,10 @@ def _is_demo(argv) -> bool:
     return len(argv) == 1 and argv[0] in DEMOS
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
 def outputs(tree, argv, threads: str) -> tuple:
     """``(exit code, stdout bytes, stderr bytes, {written file: SHA-256})`` of
     one command, or of the demo ``[file]`` of ``DEMOS``, run with ``threads``
@@ -188,7 +208,8 @@ def outputs(tree, argv, threads: str) -> tuple:
     env.update(dict.fromkeys(THREAD_VARS, threads), PYTHONPATH=str(src))
     script = [str(tree / argv[0])] if _is_demo(argv) else ["-m", "basicq", *argv]
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, *script], cwd=cwd, env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, *script], cwd=cwd, env=env, capture_output=True,
+                              preexec_fn=_cap_address_space)
         files = {f.relative_to(cwd).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                  for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
     stderr = proc.stderr.replace(bytes(src), b"<src>").replace(bytes(tree), b"<tree>")
