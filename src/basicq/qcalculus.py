@@ -26,7 +26,10 @@ array of upper limits (or of E/S/C arguments) is summed by one block kernel
 whose every element is bit for bit the scalar result.  That kernel carries
 complex values as :class:`SplitComplex`, float64 real and imaginary parts
 combined in CPython's order, because numpy's complex ``*``, ``/`` and ``abs``
-round differently from CPython's.
+round differently from CPython's.  The failure rules live in the scalar sum
+alone: a block the kernel cannot clear is summed element by element, so an
+array call raises what a loop over its elements raises, the first failing
+element's error in flat order, for E/S/C and q-integrals alike.
 """
 
 from __future__ import annotations
@@ -364,26 +367,30 @@ def _accumulate(op, first, t, first_line=False):
     return out if first_line else out[1:]
 
 
-def _sum_blocks(terms, rows, first, tol, what, scalar=None):
+def _sum_blocks(terms, rows, first, tol, what, scalar):
     """Sum ``rows`` series at once under the rule of :func:`_sum_series`.
 
     ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
     ``n0 .. m-1`` of the rows ``idx``, arrays of shape ``(m - n0, len(idx))``
     (one line per term index), the imaginary part None when every term is
-    real; ``m < n1`` means that term ``m`` overflows.
+    real; ``m < n1`` means that the block cannot be taken whole (a term
+    overflows).  ``scalar(row)`` returns :func:`_sum_series`'s
+    ``(sum, terms_used)`` for one row.
     The first block asks for ``first`` terms and each later one for twice
     as many, but no block for more than ``_BLOCK_VALUES`` values.  Returns
     ``(re, im, terms_used)`` arrays of length ``rows``; each row is bit for
     bit what :func:`_sum_series` returns for its terms, because running sums
     are taken down the term axis in order, like ``total += t``, from the
     carried sum per part, and magnitudes are ``np.hypot`` (CPython's complex
-    ``abs``; ``|re|`` for real terms).  A failing row raises the error
-    :func:`_sum_series` raises for it; a row's terms are checked only up to
-    its stopping index.  Rows fail at different terms, so the first row to
-    fail need not come first in flat order: given ``scalar(row)``, which
-    sums one row by :func:`_sum_series`, a failing block sums its rows
-    through it in flat order, and the first failing row raises, as a loop
-    over the rows does.
+    ``abs``; ``|re|`` for real terms).
+
+    The kernel only clears a block it gets whole with finite last running
+    sums, so with finite terms and sums throughout.  Any other block hands
+    its remaining rows to ``scalar`` one at a time in flat order, whose
+    results stand: the array raises what a loop over its rows raises, the
+    first failing row's error.  Rows still summing after ``MAX_TERMS``
+    terms are refused here, the first in flat order named as the scalar
+    sum names it, since a re-sum would take another ``MAX_TERMS`` terms.
     """
     sum_re, sum_im = np.zeros(rows), np.zeros(rows)
     used = np.zeros(rows, dtype=np.int64)
@@ -391,13 +398,6 @@ def _sum_blocks(terms, rows, first, tol, what, scalar=None):
     last = np.zeros(rows)
     idx = np.arange(rows)
     n0, size = 0, max(1, first)
-
-    def fail(message):
-        if scalar is not None:
-            for row in idx.tolist():
-                scalar(row)
-        raise ConvergenceError(message)
-
     with np.errstate(all="ignore"):
         while idx.size:
             if n0 >= MAX_TERMS:
@@ -407,16 +407,21 @@ def _sum_blocks(terms, rows, first, tol, what, scalar=None):
                     f"{last[j]:.3e}, |sum| = {math.hypot(sum_re[j], sum_im[j]):.3e})")
             n1 = min(n0 + max(1, min(size, _BLOCK_VALUES // idx.size)), MAX_TERMS)
             tr, ti = terms(n0, n1, idx)
-            width = tr.shape[0]
-            if width == 0:
-                fail(f"{what}: term overflow at index {n0} (divergent tail?)")
             cr = _accumulate(np.add, sum_re[idx], tr)
             if ti is None:  # every imaginary part and sum is 0.0
-                ti = ci = np.broadcast_to(0.0, tr.shape)
+                ci = np.broadcast_to(0.0, tr.shape)
                 mag, sum_mag = np.abs(tr), np.abs(cr)
             else:
                 ci = _accumulate(np.add, sum_im[idx], ti)
                 mag, sum_mag = np.hypot(tr, ti), np.hypot(cr, ci)
+            # A running sum stays non-finite from the first non-finite term or
+            # overflow on, so finite last sums clear a whole block.
+            if len(tr) < n1 - n0 or not (np.isfinite(cr[-1]).all()
+                                         and np.isfinite(ci[-1]).all()):
+                for row in idx.tolist():
+                    total, used[row] = scalar(row)
+                    sum_re[row], sum_im[row] = total.real, total.imag
+                break
             sum_mag *= tol
             small = mag <= sum_mag
             # Line j of `run`: terms j-2, j-1, j all negligible, the streak
@@ -426,20 +431,6 @@ def _sum_blocks(terms, rows, first, tol, what, scalar=None):
             run = ext[:-2] & ext[1:-1] & ext[2:]
             stops = run.any(axis=0)
             stop = run.argmax(axis=0)
-            # A running sum stays non-finite from the first non-finite term or
-            # overflow on, so finite last sums clear the whole block.
-            if not (np.isfinite(cr[-1]).all() and np.isfinite(ci[-1]).all()):
-                end = np.where(stops, stop, width - 1)
-                bad = ~(np.isfinite(tr) & np.isfinite(ti))
-                first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), width)
-                failing = first_bad <= end
-                if failing.any():
-                    fail(f"{what}: non-finite term at index {n0 + first_bad[failing].min()} "
-                         "(divergent tail?)")
-                cols = np.arange(end.size)
-                over = stops & ~(np.isfinite(cr[end, cols]) & np.isfinite(ci[end, cols]))
-                if over.any():
-                    fail(f"{what}: sum of {n0 + stop[over][0] + 1} finite terms overflows")
             done, at = idx[stops], stop[stops]
             cols = np.flatnonzero(stops)
             sum_re[done], sum_im[done] = cr[at, cols], ci[at, cols]
@@ -451,9 +442,7 @@ def _sum_blocks(terms, rows, first, tol, what, scalar=None):
             sum_re[idx], sum_im[idx] = cr[-1, going], ci[-1, going]
             last[idx] = mag[-1, going]
             streak[idx] = np.where(ext[-1, going], np.where(ext[-2, going], 2, 1), 0)
-            n0 += width
-            if idx.size and n0 < n1:
-                fail(f"{what}: term overflow at index {n0} (divergent tail?)")
+            n0 = n1
             size *= 2
     return sum_re, sum_im, used
 
@@ -481,15 +470,20 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
     A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
     takes arrays: every element's sum is taken at once by
     :func:`_sum_blocks`, and the sums come back as a SplitComplex of ``a``'s
-    shape.  The first block spans the ``log(tol) / log(q^2)`` terms after
-    which ``p`` alone falls below ``tol``.
+    shape.  A block the kernel cannot clear (``f`` raises OverflowError or
+    a value is not finite) is summed again row by row, ``f`` called on one
+    point at a time as a 1 x 1 array.  The first block spans the
+    ``log(tol) / log(q^2)`` terms after which ``p`` alone falls below ``tol``.
     """
-    if not isinstance(a, np.ndarray):
+    def series(a, f):
         def step(n, _):
             p = qc ** (sgn * (2 * n + 3))
             return complex(p * f(p * a))
 
-        return _sum_series(lambda: step(-1, None), step, tol, what)[0]
+        return _sum_series(lambda: step(-1, None), step, tol, what)
+
+    if not isinstance(a, np.ndarray):
+        return series(a, f)[0]
 
     flat = np.asarray(a, dtype=float).ravel()
 
@@ -499,9 +493,8 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
         x = p * flat[None, idx]
         try:
             v = np.asarray(f(x))
-        except OverflowError:
-            raise ConvergenceError(
-                f"{what}: term overflow at an index in [{n0}, {n1}) (divergent tail?)") from None
+        except OverflowError:  # a short block: a row summed alone raises if it gets there
+            return np.empty((0, idx.size)), None
         if np.iscomplexobj(v) and v.imag.any():
             vr, vi = np.broadcast_to(v.real, x.shape), np.broadcast_to(v.imag, x.shape)
             return p * vr - 0.0 * vi, p * vi + 0.0 * vr
@@ -509,8 +502,11 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
         # sums, begun at +0.0, alone): the terms are real.
         return p * np.broadcast_to(np.asarray(v.real, dtype=float), x.shape), None
 
-    first = _STREAK + (math.ceil(math.log(tol) / math.log(qc * qc)) if 0.0 < tol < 1.0 else 0)
-    re, im, _ = _sum_blocks(terms, flat.size, first, tol, what)
+    def scalar(row):
+        return series(flat[row], lambda x: np.asarray(f(np.full((1, 1), x))).flat[0])
+
+    first = _STREAK + (math.ceil(math.log(tol) / (2.0 * math.log(qc))) if 0.0 < tol < 1.0 else 0)
+    re, im, _ = _sum_blocks(terms, flat.size, first, tol, what, scalar)
     return SplitComplex(re.reshape(a.shape), im.reshape(a.shape))
 
 
@@ -542,7 +538,8 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL):
     a : float or ndarray
         Upper limit, ``> 0``; an ndarray of limits gives a complex ndarray of
         integrals of the same shape, each element bit for bit the scalar
-        result (as a complex).
+        result (as a complex).  It raises what a loop over its elements
+        raises: the first failing element's error, in flat order.
     q : float or QParam
         Deformation parameter; must not be classical (the lattice collapses
         at ``q = 1``).

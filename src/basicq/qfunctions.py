@@ -163,8 +163,9 @@ def _sum_arrays(kind, z, qp, tol):
     ``r_n`` and the running products ``t_n = t_{n-1} r_n`` are taken on
     float64 parts in CPython's order (:class:`SplitComplex`) and summed by
     :func:`_sum_blocks`, so each element is bit for bit the scalar call,
-    ``-0.0`` included; a failing block is summed again element by element,
-    so the error is the scalar call's at the first failing element.
+    ``-0.0`` included; a block the kernel cannot clear is summed again
+    element by element, so the error is the scalar call's at the first
+    failing element.
     """
     series = _SERIES[kind]
     z = np.asarray(z, dtype=complex)
@@ -210,9 +211,11 @@ def _sum_arrays(kind, z, qp, tol):
     log_terms = np.arange(1, len(logs) + 1) * log_w + logs
     below = np.flatnonzero(log_terms < np.log(tol)) if 0.0 < tol < 1.0 else []
     first = int(below[0]) + 4 if len(below) else 16
-    re, im, used = _sum_blocks(
-        terms, zr.size, first, tol, "q_" + kind,
-        lambda j: _series(kind, complex(zr[j], zi[j]), qp, tol, "physics"))
+    def scalar(j):
+        s = _series(kind, complex(zr[j], zi[j]), qp, tol, "physics")
+        return s.value, s.terms_used
+
+    re, im, used = _sum_blocks(terms, zr.size, first, tol, "q_" + kind, scalar)
     if series.odd:
         zero = (zr == 0) & (zi == 0)
         re[zero], im[zero], used[zero] = 0.0, 0.0, 1

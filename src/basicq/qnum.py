@@ -143,9 +143,17 @@ def basic_number(x: float, q) -> float:
     qp = as_qparam(q)
     if qp.classical:
         return x
-    t = math.log(qp.canonical)
-    # (q^x - q^-x)/(q - q^-1) == sinh(x ln q)/sinh(ln q); stable for large |x|.
-    return math.sinh(x * t) / math.sinh(t)
+    qc = qp.canonical
+    t = math.log(qc)
+    try:
+        # (q^x - q^-x)/(q - q^-1) == sinh(x ln q)/sinh(ln q); stable for large |x|.
+        return math.sinh(x * t) / math.sinh(t)
+    except OverflowError:
+        # sinh(x ln q) can overflow before [x] does (once sinh(ln q) > 1): the
+        # same quotient divided through by q^-1; q**(1 - |x|) raises where
+        # [x] leaves float range.
+        ax = abs(x)
+        return math.copysign(qc ** (1.0 - ax) * (1.0 - qc ** (2.0 * ax)) / (1.0 - qc * qc), x)
 
 
 # Basic numbers read from the per-q table; past it, callers call

@@ -87,6 +87,13 @@ def test_eval_range_descending(capsys):
     assert xs == pytest.approx([2.0, 1.5, 1.0, 0.5, 0.0], abs=1e-12)
 
 
+def test_eval_at_tiny_q_where_sinh_overflows_before_the_basic_number(capsys):
+    # E_q(1) = 2 in 5 terms; the last term divides by [4], about 1e300
+    code, out, err = run(capsys, "eval", "--fn", "Eq", "--q", "1e-100", "--points", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1,2,0,5"
+
+
 @pytest.mark.parametrize("spec", ["0:1:1e-300", "0:1e6:1", "-1e308:1e308:1", "1:0:-1e-300"])
 def test_eval_range_of_more_than_a_million_points_is_a_usage_error(capsys, spec):
     code, out, err = run(capsys, "eval", "--fn", "Eq", "--range=" + spec)

@@ -17,6 +17,8 @@ from basicq import (
     q_integral_fullline,
     q_integral_halfline,
     qcalculus,
+    qfunctions,
+    run_verify,
 )
 from basicq.errors import first_nonfinite
 from basicq.qcalculus import (
@@ -399,6 +401,87 @@ def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
     monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
     with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
         q_integral_finite(lambda x: x, np.array([1.0]), 0.9, tol=0.0)
+
+
+def _loop_error(f, uppers, q):
+    """The error a loop of scalar calls over ``uppers`` raises first."""
+    for a in uppers:
+        try:
+            q_integral_finite(f, a, q)
+        except ConvergenceError as exc:
+            return str(exc)
+    raise AssertionError("no element fails")
+
+
+@pytest.mark.parametrize("uppers", [[1.0, 0.3], [0.3, 1.0]])
+def test_array_of_upper_limits_raises_the_first_failing_elements_error(uppers):
+    # 1.0 meets the infinite values at index 3, 0.3 at index 0: the array
+    # names the element a loop meets first, not the earliest index
+    f = lambda x: np.where(x < 0.5, np.inf, 1.0)
+    want = _loop_error(f, uppers, 0.9)
+    assert want.endswith(f"index {3 if uppers[0] == 1.0 else 0} (divergent tail?)")
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(f, np.array(uppers), 0.9)
+    assert str(got.value) == want
+
+
+def test_integrand_overflowing_past_every_stop_gives_the_loops_values():
+    # every element stops above x = 1e-12, the first block reaches below it
+    def f(x):
+        if np.min(x) < 1e-12:
+            raise OverflowError("below 1e-12")
+        return x
+
+    uppers = np.array([0.5, 1.0])
+    got = q_integral_finite(f, uppers, 0.9)
+    for a, value in zip(uppers.tolist(), got):
+        assert _bits(value) == _bits(q_integral_finite(f, a, 0.9))
+    assert got.real.tolist() == pytest.approx((uppers ** 2 / basic_number(2, 0.9)).tolist())
+
+
+def test_nonfinite_values_past_every_stop_give_the_scalar_bits(monkeypatch):
+    # the first block's running sums are NaN although every element
+    # converges before x = 1e-13: the block is summed again element by element
+    f = lambda x: np.where(x < 1e-13, np.nan, x * x)
+    calls = []
+    blocks = qcalculus._sum_blocks
+    monkeypatch.setattr(qcalculus, "_sum_blocks", lambda *args: blocks(
+        *args[:-1], lambda row: calls.append(row) or args[-1](row)))
+    got = q_integral_finite(f, UPPERS, 0.9)
+    assert calls == list(range(UPPERS.size))
+    for a, value in zip(UPPERS.tolist(), got):
+        assert _bits(value) == _bits(q_integral_finite(f, a, 0.9))
+
+
+@pytest.mark.parametrize("q", [1e-200, 1e200])
+def test_array_of_upper_limits_at_tiny_q_matches_scalar(q):
+    # q^2 underflows to 0, so the first block is sized from 2 log q; E_q
+    # refuses at this q, and the array the same way as the loop
+    for name, scalar, array in _integrands(q):
+        try:
+            want = [_bits(q_integral_finite(scalar, a, q)) for a in UPPERS]
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                q_integral_finite(array, UPPERS, q)
+            assert str(got.value) == str(exc), name
+        else:
+            assert [_bits(v) for v in q_integral_finite(array, UPPERS, q)] == want, name
+
+
+def test_verify_sums_no_element_alone(monkeypatch):
+    # every array sum of the default sweep clears its blocks in the kernel
+    sums, calls = [], []
+    blocks = qcalculus._sum_blocks
+
+    def spy(*args):
+        sums.append(args[-2])
+        return blocks(*args[:-1], lambda row: calls.append(row) or args[-1](row))
+
+    monkeypatch.setattr(qcalculus, "_sum_blocks", spy)
+    monkeypatch.setattr(qfunctions, "_sum_blocks", spy)
+    assert run_verify().all_pass
+    assert {"q_integral_finite", "q_exp", "q_sin", "q_cos"} <= set(sums)
+    assert calls == []
 
 
 def test_split_complex_arithmetic_is_cpythons():

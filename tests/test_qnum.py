@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +95,18 @@ def test_basic_number_continuity_toward_classical():
     assert prev_gap < 1e-7
 
 
+@pytest.mark.parametrize("x, q", [(2, 1e-200), (4, 1e-100), (309, 0.1)])
+def test_basic_number_where_sinh_overflows_first(x, q):
+    # sinh(x ln q) overflows although [x] is representable; [x + 1] is not
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        want = (qm ** x - qm ** -x) / (qm - 1 / qm)
+        for sign in (1, -1):
+            assert abs(basic_number(sign * x, q) - sign * want) < 1e-16 * abs(want)
+    with pytest.raises(OverflowError):
+        basic_number(x + 1, q)
+
+
 def test_factorial_base_cases():
     assert basic_factorial(0, 0.9) == 1.0
     assert basic_factorial(1, 0.9) == 1.0
@@ -126,7 +139,7 @@ def _factorial_by_basic_numbers(n, q):
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.999, 1.0, 1.25, 1e-100, 1e-300])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 40, 255, 256, 300])
 def test_factorial_is_the_basic_number_product_bit_for_bit(n, q):
-    # at q = 1e-100 [4] overflows and at 1e-300 [2] does, with the product
+    # at q = 1e-100 [5] overflows and at 1e-300 [3] does, with the product
     # still finite: the same OverflowError as the per-call product
     try:
         want = _factorial_by_basic_numbers(n, q)

@@ -113,8 +113,10 @@ MISUSE = (
 # when the C errno was left at ERANGE, so abs must not see that NaN.  Last,
 # qderiv commands whose derivative is not finite, in csv and in json, or
 # whose step (q - 1/q) x underflows to 0, an evolve whose initial state has
-# q-norm 0, and verify near q 1 on both sides, where the momentum rows'
-# window is past its cap and the q-integrals reach their 10^6 terms.
+# q-norm 0, verify near q 1 on both sides, where the momentum rows'
+# window is past its cap and the q-integrals reach their 10^6 terms, and
+# E_q and verify at tiny q, where sinh(x ln q) overflows before [x] does
+# and q^2 underflows to 0.
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -148,6 +150,9 @@ EXPRESSIONS = (
     ["evolve", "--potential", "x^2", "--psi0", "0"],
     ["verify", "--q", "0.9999999"],
     ["verify", "--q", "1.0000000001"],
+    ["eval", "--fn", "Eq", "--q", "1e-100", "--points", "1"],
+    ["verify", "--q", "1e-100"],
+    ["verify", "--q", "1e-200"],
 )
 
 # solve and evolve commands where the file writing splits: every
