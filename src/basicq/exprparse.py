@@ -100,40 +100,26 @@ _MUL, _DIV = (lambda qp, a, b: a * b), (lambda qp, a, b: a / b)
 _OPERATORS = {"+": (_ADD, _ADD), "-": (_SUB, _SUB), "*": (_MUL, _MUL), "/": (_DIV, _DIV),
               "^": (lambda qp, a, b: a ** b, lambda qp, a, b: _power(a, b))}
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token after optional whitespace: a number, an identifier, an operator
+# or punctuation, or any other character, which is refused.
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))")
 
 
 class _Tokens:
     """Token stream: (kind, text, offset) triples over the source."""
 
     def __init__(self, text: str):
-        self.text = text
         self.items = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                mo = _NUMBER.match(text, i)
-                if mo is None:
-                    raise ParseError(f"malformed number starting with {ch!r}", i)
-                self.items.append(("number", mo.group(), i))
-                i = mo.end()
-                continue
-            mo = _IDENT.match(text, i)
-            if mo is not None:
-                self.items.append(("ident", mo.group(), i))
-                i = mo.end()
-                continue
-            if ch in "+-*/^(),":
-                self.items.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.items.append(("end", "", n))
+        for mo in _TOKEN.finditer(text):
+            kind = mo.lastgroup
+            tok, i = mo.group(kind), mo.start(kind)
+            if kind == "bad":
+                what = ("malformed number starting with" if tok.isdigit() or tok == "."
+                        else "unexpected character")
+                raise ParseError(f"{what} {tok!r}", i)
+            self.items.append((tok if kind == "op" else kind, tok, i))
+        self.items.append(("end", "", len(text)))
         self.pos = 0
 
     def peek(self):

@@ -493,23 +493,28 @@ def hermiticity_residual(A: OperatorMatrix, trials: int = 20, seed: int = 0,
     would compare two different quadratures of ``conj(p phi) psi``; on
     mixed-parity pairs that gap does not shrink with lattice width, only as
     q -> 1.  The bare derivative, being anti-Hermitian, shows an O(1)
-    defect, which is what the control check relies on.
+    defect, which is what the control check relies on.  Pairs of q-norm 0
+    are skipped, and ValueError names a window where every pair is.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     support = A.support
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    defects = []
     for _ in range(trials):
         phi = decaying_test_function(A.lattice, rng, parity)
         psi = decaying_test_function(A.lattice, rng, parity)
         lhs = inner_product(phi, A.apply(psi), support)
         rhs = inner_product(A.apply(phi), psi, support)
         denom = q_norm(phi, support) * q_norm(psi, support)
-        if denom == 0.0:
-            continue
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+        if denom != 0.0:
+            defects.append(abs(lhs - rhs) / denom)
+    if not defects:
+        lat = A.lattice
+        raise ValueError(
+            f"hermiticity_residual: every test pair has q-norm 0 on the lattice window "
+            f"m in [{lat.m_min}, {lat.m_max}] at q = {lat.q!r}: nothing was measured")
+    return max(defects)
 
 
 def to_csv(psi: LatticeFunction) -> str:

@@ -26,10 +26,12 @@ array of upper limits (or of E/S/C arguments) is summed by one block kernel
 whose every element is bit for bit the scalar result.  That kernel carries
 complex values as :class:`SplitComplex`, float64 real and imaginary parts
 combined in CPython's order, because numpy's complex ``*``, ``/`` and ``abs``
-round differently from CPython's.  The failure rules live in the scalar sum
-alone: a block the kernel cannot clear is summed element by element, so an
-array call raises what a loop over its elements raises, the first failing
-element's error in flat order, for E/S/C and q-integrals alike.
+round differently from CPython's.  A q-integral's block always carries both
+parts of its terms.  The failure rules live in the scalar sum alone: a block
+the kernel cannot clear (a term not finite, or any numeric failure of the
+integrand) is summed element by element, so an array call raises what a
+loop over its elements raises, the first failing element's error in flat
+order, for E/S/C and q-integrals alike.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, first_nonfinite
+from .errors import BasicQError, ConvergenceError, first_nonfinite
 from .qnum import as_qparam, basic_number
 
 __all__ = [
@@ -344,10 +346,13 @@ def _sum_series(first, step, tol, what):
     except OverflowError:
         raise ConvergenceError(
             f"{what}: term overflow at index {n} (divergent tail?)") from None
-    raise ConvergenceError(
-        f"{what}: no convergence after {MAX_TERMS} terms "
-        f"(last |term| = {abs(t):.3e}, |sum| = {abs(total):.3e})"
-    )
+    raise _no_convergence(what, abs(t), abs(total))
+
+
+def _no_convergence(what, term, total):
+    """The refusal of a series still running after ``MAX_TERMS`` terms."""
+    return ConvergenceError(f"{what}: no convergence after {MAX_TERMS} terms "
+                            f"(last |term| = {term:.3e}, |sum| = {total:.3e})")
 
 
 def _accumulate(op, first, t, first_line=False):
@@ -372,10 +377,12 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
 
     ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
     ``n0 .. m-1`` of the rows ``idx``, arrays of shape ``(m - n0, len(idx))``
-    (one line per term index), the imaginary part None when every term is
-    real; ``m < n1`` means that the block cannot be taken whole (a term
-    overflows).  ``scalar(row)`` returns :func:`_sum_series`'s
-    ``(sum, terms_used)`` for one row.
+    (one line per term index); ``m < n1`` means that the block cannot be
+    taken whole (a term overflows, or the integrand fails).  A lattice-sum
+    block always carries both parts; the imaginary part is None only from
+    the E/S/C series at real arguments, decided once per call, where every
+    imaginary part and sum is 0.0 by construction.  ``scalar(row)`` returns
+    :func:`_sum_series`'s ``(sum, terms_used)`` for one row.
     The first block asks for ``first`` terms and each later one for twice
     as many, but no block for more than ``_BLOCK_VALUES`` values.  Returns
     ``(re, im, terms_used)`` arrays of length ``rows``; each row is bit for
@@ -388,23 +395,18 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
     sums, so with finite terms and sums throughout.  Any other block hands
     its remaining rows to ``scalar`` one at a time in flat order, whose
     results stand: the array raises what a loop over its rows raises, the
-    first failing row's error.  Rows still summing after ``MAX_TERMS``
-    terms are refused here, the first in flat order named as the scalar
-    sum names it, since a re-sum would take another ``MAX_TERMS`` terms.
+    first failing row's error.  Rows still summing after the block that
+    reaches ``MAX_TERMS`` terms are refused there, the first in flat order
+    named as the scalar sum names it, since a re-sum would take another
+    ``MAX_TERMS`` terms.
     """
     sum_re, sum_im = np.zeros(rows), np.zeros(rows)
     used = np.zeros(rows, dtype=np.int64)
     streak = np.zeros(rows, dtype=np.int64)
-    last = np.zeros(rows)
     idx = np.arange(rows)
     n0, size = 0, max(1, first)
     with np.errstate(all="ignore"):
         while idx.size:
-            if n0 >= MAX_TERMS:
-                j = idx[0]
-                raise ConvergenceError(
-                    f"{what}: no convergence after {MAX_TERMS} terms (last |term| = "
-                    f"{last[j]:.3e}, |sum| = {math.hypot(sum_re[j], sum_im[j]):.3e})")
             n1 = min(n0 + max(1, min(size, _BLOCK_VALUES // idx.size)), MAX_TERMS)
             tr, ti = terms(n0, n1, idx)
             cr = _accumulate(np.add, sum_re[idx], tr)
@@ -438,9 +440,11 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
             if done.size == idx.size:
                 break
             going = ~stops
+            if n1 == MAX_TERMS:
+                j = np.argmax(going)
+                raise _no_convergence(what, mag[-1, j], abs(complex(cr[-1, j], ci[-1, j])))
             idx = idx[going]
             sum_re[idx], sum_im[idx] = cr[-1, going], ci[-1, going]
-            last[idx] = mag[-1, going]
             streak[idx] = np.where(ext[-1, going], np.where(ext[-2, going], 2, 1), 0)
             n0 = n1
             size *= 2
@@ -470,9 +474,11 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
     A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
     takes arrays: every element's sum is taken at once by
     :func:`_sum_blocks`, and the sums come back as a SplitComplex of ``a``'s
-    shape.  A block the kernel cannot clear (``f`` raises OverflowError or
-    a value is not finite) is summed again row by row, ``f`` called on one
-    point at a time as a 1 x 1 array.  The first block spans the
+    shape.  Every block carries both parts of ``p f(p a)``, as the scalar
+    step's float-times-complex product.  A block the kernel cannot clear
+    (``f`` raises ArithmeticError, ValueError or BasicQError, or a value is
+    not finite) is summed again row by row, ``f`` called on one point at a
+    time as a 1 x 1 array.  The first block spans the
     ``log(tol) / log(q^2)`` terms after which ``p`` alone falls below ``tol``.
     """
     def series(a, f):
@@ -492,15 +498,11 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
         p = _lattice_points(qc, sgn, size)[n0:n1, None]
         x = p * flat[None, idx]
         try:
-            v = np.asarray(f(x))
-        except OverflowError:  # a short block: a row summed alone raises if it gets there
-            return np.empty((0, idx.size)), None
-        if np.iscomplexobj(v) and v.imag.any():
-            vr, vi = np.broadcast_to(v.real, x.shape), np.broadcast_to(v.imag, x.shape)
-            return p * vr - 0.0 * vi, p * vi + 0.0 * vr
-        # Real values (or imaginary parts all zero, whose signs leave the
-        # sums, begun at +0.0, alone): the terms are real.
-        return p * np.broadcast_to(np.asarray(v.real, dtype=float), x.shape), None
+            vr, vi = _parts(f(x))
+        except (ArithmeticError, ValueError, BasicQError):  # a short block
+            return np.empty((0, idx.size)), np.empty((0, idx.size))
+        vr, vi = np.broadcast_to(vr, x.shape), np.broadcast_to(vi, x.shape)
+        return p * vr - 0.0 * vi, p * vi + 0.0 * vr
 
     def scalar(row):
         return series(flat[row], lambda x: np.asarray(f(np.full((1, 1), x))).flat[0])
@@ -534,7 +536,8 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL):
         Integrand, evaluated only at points ``q^{2n+1} a`` inside ``(0, a)``.
         With an array ``a`` it is called with 2-D arrays of such points (one
         line per lattice index, one column per limit) and returns an array
-        of values (real, complex or :class:`SplitComplex`).
+        of values (real, complex or :class:`SplitComplex`); where it raises
+        a numeric or basicq error, the limits are summed one at a time.
     a : float or ndarray
         Upper limit, ``> 0``; an ndarray of limits gives a complex ndarray of
         integrals of the same shape, each element bit for bit the scalar

@@ -136,6 +136,23 @@ def test_parse_error_carries_offset():
         pytest.fail("expected ParseError")
 
 
+def test_scanner_edge_characters():
+    # '²' is a digit but no decimal digit: a malformed number; the Arabic-Indic
+    # '١' is a decimal digit, so a number; a tab or a newline separates tokens
+    with pytest.raises(ParseError) as e:
+        parse("x ²")
+    assert str(e.value) == "malformed number starting with '²' (at offset 2)"
+    assert e.value.offset == 2
+    assert val("١+x", x=2.0) == val("1+x", x=2.0) == 3.0
+    assert val("2\t*\nx\n", x=3.0) == 6.0
+    with pytest.raises(ParseError, match="unexpected trailing input 'x'"):
+        parse("2\tx")
+    with pytest.raises(ParseError, match="unexpected character 'é'"):
+        parse("é")
+    with pytest.raises(ParseError, match=r"malformed number starting with '\.'"):
+        parse("x+.")
+
+
 # -- evaluation errors -------------------------------------------------------
 
 def test_division_by_zero():

@@ -241,6 +241,12 @@ class TestInnerProduct:
             sample(lambda x: math.nan if x > 0 else x, lat)
         assert str(exc.value) == f"non-finite sample at x = {x0!r}"
 
+    def test_samples_of_the_wrong_shape_rejected(self):
+        lat = build_lattice(0.9, -2, 4, 1.0)
+        with pytest.raises(ValueError) as exc:
+            LatticeFunction(lat, np.zeros((2, lat.size)))
+        assert str(exc.value) == "values shape (2, 14) does not match lattice size 14"
+
     def test_arithmetic(self):
         lat = build_lattice(0.9, -2, 4, 1.0)
         f = sample(lambda x: x, lat)
@@ -432,6 +438,13 @@ class TestHermiticity:
     def test_bare_derivative_flagged_non_hermitian(self):
         d = derivative_matrix(default_lattice())
         assert hermiticity_residual(d, trials=10, seed=0) > 0.1
+
+    def test_residual_refuses_a_window_where_nothing_is_measured(self):
+        # the decaying family is 0 at every |x| above about 27: every pair
+        # has q-norm 0, and a defect of 0.0 would pass the bare derivative
+        d = derivative_matrix(build_lattice(0.9, -420, -400))
+        with pytest.raises(ValueError, match=r"m in \[-420, -400\] at q = 0.9: nothing was"):
+            hermiticity_residual(d)
 
     def test_trials_validation(self):
         p = momentum_matrix(default_lattice())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ from basicq import (
     qfunctions,
     run_verify,
 )
-from basicq.errors import first_nonfinite
+from basicq.errors import ParseError, first_nonfinite
+from basicq.exprparse import BoundExpression, parse
 from basicq.qcalculus import (
     PowerSeries,
     SplitComplex,
@@ -30,6 +32,7 @@ from basicq.qcalculus import (
     jackson_derivative_series,
     q_leibniz_residual,
 )
+from test_fuzz_cli import _expr
 
 QS = [0.5, 0.8, 0.9, 0.95, 0.99]
 
@@ -399,8 +402,24 @@ def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
     with pytest.raises(ConvergenceError, match="non-finite term at index 0"):
         q_integral_finite(lambda x: x, np.array([1.0, np.nan]), 0.9)
     monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
-    with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
-        q_integral_finite(lambda x: x, np.array([1.0]), 0.9, tol=0.0)
+    with pytest.raises(ConvergenceError, match="no convergence after 50 terms") as want:
+        q_integral_finite(lambda x: x, 2.0, 0.9, tol=0.0)
+    # at 1e-320 the terms underflow to 0 and converge: 2.0 is named
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(lambda x: x, np.array([1e-320, 2.0, 1.0]), 0.9, tol=0.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_array_series_at_the_term_cap_raises_the_scalar_message(monkeypatch):
+    # real arguments take the kernel's real branch, complex ones both parts;
+    # E_q(0) converges in 4 terms, so z is named
+    monkeypatch.setattr(qcalculus, "MAX_TERMS", 5)
+    for z in (10.0, 10.0 + 1.0j):
+        with pytest.raises(ConvergenceError, match="no convergence after 5 terms") as want:
+            q_exp(z, 0.9)
+        with pytest.raises(ConvergenceError) as got:
+            q_exp(np.array([0.0, z, 20.0]), 0.9)
+        assert str(got.value) == str(want.value)
 
 
 def _loop_error(f, uppers, q):
@@ -468,6 +487,63 @@ def test_array_of_upper_limits_at_tiny_q_matches_scalar(q):
             assert [_bits(v) for v in q_integral_finite(array, UPPERS, q)] == want, name
 
 
+def _assert_array_is_the_loop(f, uppers, q):
+    """The array call gives the loop's bits, or raises the loop's first error."""
+    try:
+        want = [_bits(q_integral_finite(f, a, q)) for a in np.ravel(uppers).tolist()]
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            q_integral_finite(f, uppers, q)
+        assert str(got.value) == str(exc)
+    else:
+        assert [_bits(v) for v in q_integral_finite(f, uppers, q)] == want
+
+
+def test_complex_values_in_every_block_keep_their_imaginary_parts():
+    # sqrt(1 - x) is real on the lattice below x = 1, complex above it:
+    # many blocks hold real values only, and the sums keep both parts
+    uppers = np.linspace(1.5, 3.0, 400)
+    got = q_integral_finite(lambda x: np.sqrt(1.0 - x + 0j), uppers, 0.9)
+    assert got[0] == 0.6706911611012525 + 0.23919705517734835j
+    _assert_array_is_the_loop(lambda x: np.sqrt(1.0 - x + 0j), uppers, 0.9)
+    f = BoundExpression(parse("(sqrt(q)-x)^pow(q,q*x)"), 0.99)
+    assert complex(q_integral_finite(f, np.array([2.0]), 0.99)[0]) == (
+        -0.011440318925082876 + 0.026206721369243534j)
+    _assert_array_is_the_loop(f, np.array([2.0]), 0.99)
+
+
+def test_integrand_errors_hand_the_block_to_the_scalar_sum():
+    # gauss(x*1e14) is 0 on the first lattice points, where the scalar sum
+    # stops; the first block reaches x < 1e-11, where pow(x,-30) overflows
+    f = BoundExpression(parse("pow(x,-30)*gauss(x*1e14)"), 0.9)
+    assert q_integral_finite(f, 1.0, 0.9) == 0.0
+    _assert_array_is_the_loop(f, np.array([1.0, 2.0]), 0.9)
+    # the loop meets a non-finite term before x underflows to 0, where the
+    # block's division by zero fails
+    f = BoundExpression(parse("q/x"), 0.9)
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(f, np.array([0.3, 1.0]), 0.9)
+    assert str(got.value) == (
+        "q_integral_finite: non-finite term at index 3363 (divergent tail?)")
+    _assert_array_is_the_loop(f, np.array([0.3, 1.0]), 0.9)
+
+
+def test_seeded_expression_integrands_sum_as_the_loop():
+    # integrands of the CLI fuzz's grammar; q 0.99 stays out, where a
+    # divergent one runs tens of thousands of terms per limit
+    rng = random.Random(11)
+    checked = 0
+    while checked < 100:
+        text, q = _expr(rng), rng.choice((0.5, 0.9))
+        uppers = np.array([10 ** rng.uniform(-2, 0.7) for _ in range(rng.choice((1, 3)))])
+        try:
+            f = BoundExpression(parse(text), q)
+        except ParseError:  # such as "--x"
+            continue
+        _assert_array_is_the_loop(f, uppers, q)
+        checked += 1
+
+
 def test_verify_sums_no_element_alone(monkeypatch):
     # every array sum of the default sweep clears its blocks in the kernel
     sums, calls = [], []
@@ -502,6 +578,14 @@ def test_split_complex_arithmetic_is_cpythons():
         for op, w in want.items():
             assert _bits(complex(got[op].re[k], got[op].im[k])) == _bits(w), op
         assert abs(a)[k] == abs(x)
+
+
+def test_split_complex_divided_by_a_real_zero_raises_as_cpython():
+    with pytest.raises(ZeroDivisionError) as want:
+        complex(1.0, 2.0) / 0.0
+    with pytest.raises(ZeroDivisionError) as got:
+        SplitComplex(np.array([1.0, 1.0]), np.array([2.0, 0.0])) / np.array([1.0, 0.0])
+    assert str(got.value) == str(want.value) == "complex division by zero"
 
 
 def test_overflowing_result_raises():

@@ -161,6 +161,13 @@ def test_wave_equation_rejects_unknown_mode():
         wave_equation_residual("tanh", 1.0, 1.0, 0.9)
 
 
+@pytest.mark.parametrize("x", [0.0, np.array([1.0, -0.0])])
+def test_wave_equation_rejects_origin(x):
+    with pytest.raises(ValueError) as exc:
+        wave_equation_residual("sin", 1.0, x, 0.9)
+    assert str(exc.value) == "wave_equation_residual requires x != 0"
+
+
 def test_exp_eigenrelation_under_derivative():
     # D E(a x) = a E(a x)
     for q in (0.5, 0.9):

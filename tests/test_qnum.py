@@ -182,6 +182,19 @@ def test_factorial_shifted_route_rejects_classical():
         basic_factorial_via_shifted(3, 1.0)
 
 
+def test_factorial_shifted_route_rejects_negative_n():
+    with pytest.raises(ValueError) as exc:
+        basic_factorial_via_shifted(-1, 0.9)
+    assert str(exc.value) == "basic_factorial_via_shifted requires n >= 0, got -1"
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_basic_number_rejects_nonfinite_x(x):
+    with pytest.raises(ValueError) as exc:
+        basic_number(x, 0.9)
+    assert str(exc.value) == f"basic_number requires finite x, got {x!r}"
+
+
 def test_large_order_growth_overflows_to_inf():
     # Around n ~ 44 at q = 0.3 the factorial leaves double range.  The
     # product route reports inf rather than raising; callers needing such

@@ -116,7 +116,9 @@ MISUSE = (
 # q-norm 0, verify near q 1 on both sides, where the momentum rows'
 # window is past its cap and the q-integrals reach their 10^6 terms, and
 # E_q and verify at tiny q, where sinh(x ln q) overflows before [x] does
-# and q^2 underflows to 0.
+# and q^2 underflows to 0; last, qint on the scanner's edge characters: a
+# tab and a newline between tokens, a digit that is no decimal digit (a
+# malformed number) and a decimal digit of another script (a number).
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -153,6 +155,9 @@ EXPRESSIONS = (
     ["eval", "--fn", "Eq", "--q", "1e-100", "--points", "1"],
     ["verify", "--q", "1e-100"],
     ["verify", "--q", "1e-200"],
+    ["qint", "--expr", "x\t*\ngauss(x)", "--upper", "2"],
+    ["qint", "--expr", "x ²", "--upper", "2"],
+    ["qint", "--expr", "١+x", "--upper", "2"],
 )
 
 # solve and evolve commands where the file writing splits: every
