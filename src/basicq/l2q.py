@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import first_nonfinite
+from .errors import EvaluationError, first_nonfinite
 from .exprparse import BoundExpression
 from .qnum import as_int, as_qparam
 
@@ -299,19 +299,33 @@ def _check_same_lattice(a: QLattice, b: QLattice):
         raise ValueError("lattice mismatch")
 
 
+def _read(f, x: np.ndarray, real: bool = False) -> np.ndarray:
+    """``f`` at the points ``x``, complex.  A BoundExpression is called once with
+    all of them; on EvaluationError, and for any other ``f``, they are read in order
+    up to the first value not finite (or not real, if ``real``), the rest left 0."""
+    try:
+        vals = f(x) if isinstance(f, BoundExpression) else None
+    except EvaluationError:
+        vals = None  # read point by point, so the first refused point wins
+    if vals is None:
+        vals = np.zeros(len(x), dtype=complex)
+        for j, xj in enumerate(x):
+            vals[j] = v = complex(f(xj))
+            if not np.isfinite(v) or real and v.imag != 0.0:
+                break
+    return vals
+
+
 def sample(f, lattice: QLattice) -> LatticeFunction:
     """Evaluate ``f`` at every lattice point (0 is not one).
 
-    A :class:`~basicq.exprparse.BoundExpression` is called once with all the
-    points; any other ``f`` is called at each point.  Non-finite samples are
-    rejected (the function must belong to the space): the ValueError names
-    the first such point in lattice order.
+    The samples must be finite (the function must belong to the space).  A
+    :class:`~basicq.exprparse.BoundExpression` is called once with all the
+    points; any other ``f``, or one whose call raises EvaluationError, is
+    read point by point in lattice order, and the first refused point wins
+    before any later point is read: the ValueError names it.
     """
-    if isinstance(f, BoundExpression):
-        vals = f(lattice.x)
-    else:
-        vals = np.array([complex(f(xi)) for xi in lattice.x])
-    return LatticeFunction(lattice, vals)
+    return LatticeFunction(lattice, _read(f, lattice.x))
 
 
 def inner_product(phi: LatticeFunction, psi: LatticeFunction,

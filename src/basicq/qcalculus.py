@@ -372,7 +372,7 @@ def _accumulate(op, first, t, first_line=False):
     return out if first_line else out[1:]
 
 
-def _sum_blocks(terms, rows, first, tol, what, scalar):
+def _sum_blocks(terms, rows, first, tol, what, scalar, *, settle=lambda re, im: None):
     """Sum ``rows`` series at once under the rule of :func:`_sum_series`.
 
     ``terms(n0, n1, idx)`` returns the real and imaginary parts of terms
@@ -398,7 +398,9 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
     first failing row's error.  Rows still summing after the block that
     reaches ``MAX_TERMS`` terms are refused there, the first in flat order
     named as the scalar sum names it, since a re-sum would take another
-    ``MAX_TERMS`` terms.
+    ``MAX_TERMS`` terms.  Before either refusal of a row, ``settle(re, im)``
+    gets the final sums of the rows before it, and raises what a loop would
+    have raised for them after their sums.
     """
     sum_re, sum_im = np.zeros(rows), np.zeros(rows)
     used = np.zeros(rows, dtype=np.int64)
@@ -421,7 +423,11 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
             if len(tr) < n1 - n0 or not (np.isfinite(cr[-1]).all()
                                          and np.isfinite(ci[-1]).all()):
                 for row in idx.tolist():
-                    total, used[row] = scalar(row)
+                    try:
+                        total, used[row] = scalar(row)
+                    except Exception:
+                        settle(sum_re[:row], sum_im[:row])
+                        raise
                     sum_re[row], sum_im[row] = total.real, total.imag
                 break
             sum_mag *= tol
@@ -442,6 +448,7 @@ def _sum_blocks(terms, rows, first, tol, what, scalar):
             going = ~stops
             if n1 == MAX_TERMS:
                 j = np.argmax(going)
+                settle(sum_re[:idx[j]], sum_im[:idx[j]])
                 raise _no_convergence(what, mag[-1, j], abs(complex(cr[-1, j], ci[-1, j])))
             idx = idx[going]
             sum_re[idx], sum_im[idx] = cr[-1, going], ci[-1, going]
@@ -468,7 +475,7 @@ def _lattice_points(qc, sgn, size):
     return points
 
 
-def _lattice_sum(f, qc, a, sgn, tol, what):
+def _lattice_sum(f, qc, a, sgn, tol, what, settle=lambda re, im: None):
     """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum.
 
     A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
@@ -478,8 +485,9 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
     step's float-times-complex product.  A block the kernel cannot clear
     (``f`` raises ArithmeticError, ValueError or BasicQError, or a value is
     not finite) is summed again row by row, ``f`` called on one point at a
-    time as a 1 x 1 array.  The first block spans the
-    ``log(tol) / log(q^2)`` terms after which ``p`` alone falls below ``tol``.
+    time as a 1 x 1 array; ``settle`` goes to :func:`_sum_blocks`.  The
+    first block spans the ``log(tol) / log(q^2)`` terms after which ``p``
+    alone falls below ``tol``.
     """
     def series(a, f):
         def step(n, _):
@@ -508,7 +516,7 @@ def _lattice_sum(f, qc, a, sgn, tol, what):
         return series(flat[row], lambda x: np.asarray(f(np.full((1, 1), x))).flat[0])
 
     first = _STREAK + (math.ceil(math.log(tol) / (2.0 * math.log(qc))) if 0.0 < tol < 1.0 else 0)
-    re, im, _ = _sum_blocks(terms, flat.size, first, tol, what, scalar)
+    re, im, _ = _sum_blocks(terms, flat.size, first, tol, what, scalar, settle=settle)
     return SplitComplex(re.reshape(a.shape), im.reshape(a.shape))
 
 
@@ -567,7 +575,12 @@ def q_integral_finite(f, a, q, tol: float = DEFAULT_TOL):
         raise ValueError("q_integral_finite requires q != 1 (geometric lattice collapses)")
     qc = qp.canonical
     pref = a * (1.0 / qc - qc)
-    total = _lattice_sum(f, qc, a, 1, tol, "q_integral_finite")
+
+    def settle(re, im):  # a loop's result check, on the limits before a failing one
+        p = np.ravel(pref)[:len(re)]
+        _finite_result(SplitComplex(p * re, p * im), "q_integral_finite")
+
+    total = _lattice_sum(f, qc, a, 1, tol, "q_integral_finite", settle=settle)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         value = pref * total
     return _finite_result(_real_if_real(value), "q_integral_finite")

@@ -86,14 +86,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import ConvergenceError, EvaluationError, first_nonfinite
-from .exprparse import BoundExpression
+from .errors import ConvergenceError, first_nonfinite
 from .l2q import (
     LatticeFunction,
     OperatorMatrix,
     QLattice,
     _check_same_lattice,
     _from_odd,
+    _read,
     inner_product,
     q_norm,
     sample,
@@ -192,11 +192,9 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     """Assemble the Hamiltonian for potential ``V`` (a callable of x).
 
     ``V`` must be real on the lattice (a complex value breaks Hermiticity
-    and is rejected), ``mass`` and ``hbar`` positive.  A
-    :class:`~basicq.exprparse.BoundExpression` is called once with all the
-    odd points; any other ``V`` is called at each point, in coordinate
-    order, and the first complex or non-finite value is refused before the
-    next point is read.  Both give the same bands and the same errors.
+    and is rejected) and finite, ``mass`` and ``hbar`` positive.  ``V`` is
+    read on the odd points as :func:`~basicq.l2q.sample` reads a state: the
+    first refused point in lattice order wins before any later point is read.
 
     Examples
     --------
@@ -213,28 +211,16 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
     idx = lattice.odd_indices
     n = len(idx)
     x = lattice.x[idx]
-    w = lattice.w[idx]
 
-    vals = None
-    if isinstance(V, BoundExpression):
-        try:
-            vals = V(x)
-        except EvaluationError:
-            pass  # the point loop raises what it meets first, maybe a complex value
-    if vals is None:  # point by point, up to the first value refused below
-        vals = []
-        for xi in x:
-            vals.append(complex(V(xi)))
-            if vals[-1].imag != 0.0 or first_nonfinite(vals[-1]) is not None:
-                break
+    vals = _read(V, x, real=True)
     # A complex value reads as NaN here, so j is the first refused point.
-    j = first_nonfinite(np.where(np.imag(vals) == 0.0, np.real(vals), np.nan))
+    j = first_nonfinite(np.where(vals.imag == 0.0, vals.real, np.nan))
     if j is not None:
         if vals[j].imag != 0.0:
             raise ValueError(
                 f"complex potential rejected: V({float(x[j])!r}) = {complex(vals[j])!r}")
         raise ValueError(f"non-finite potential value at x = {float(x[j])!r}")
-    v = np.real(vals)
+    v = vals.real
 
     kin = -hbar * hbar / (2.0 * mass)
     h = n // 2  # the innermost odd points are h - 1 and h
@@ -263,7 +249,7 @@ def build_hamiltonian(V, mass: float, hbar: float, lattice: QLattice) -> Hamilto
             "m_max = %d is too large for q = %r"
             % (float(np.min(np.abs(x))), lattice.m_max, qc))
 
-    root = np.sqrt(w)
+    root = np.sqrt(lattice.w[idx])
     sym_e = 0.5 * (up * root[:-1] / root[1:] + lo * root[1:] / root[:-1])
     return Hamiltonian(lattice=lattice, lo=lo, di=di, up=up, hbar=hbar, sym_e=sym_e)
 

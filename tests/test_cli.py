@@ -736,6 +736,24 @@ def test_evolve_names_the_point_of_a_non_finite_initial_state(capsys, tmp_path):
     assert err == f"basicq: invalid configuration: non-finite sample at x = {x0!r}\n"
 
 
+def test_an_initial_state_refuses_its_first_bad_point_as_a_potential_does(capsys, tmp_path):
+    # x*1e307*100 is -inf at the first point; exp(100/x) overflows near
+    # +0.0017, a later point, which neither reading reaches
+    text = "x*1e307*100 + exp(100/x)"
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "evolve", "--potential", "x^2", "--psi0", text,
+                            "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("basicq: invalid configuration: non-finite sample at "
+                   "x = -4.856935749618859\n")
+    assert not out.exists()
+    code, stdout, err = run(capsys, "solve", "--potential", text, "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("basicq: invalid configuration: non-finite potential value at "
+                   "x = -4.856935749618859\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--potential", "x^2", "--k", "1"],
     ["evolve", "--potential", "x^2", "--psi0", "gauss(x)"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import math
+import random
 import tracemalloc
 import warnings
 import weakref
@@ -26,6 +27,8 @@ from basicq import (
     q_norm,
     sample,
 )
+from basicq.errors import ParseError
+from basicq.exprparse import BoundExpression, parse
 from basicq.l2q import (
     CSV_BLOCK_ROWS,
     _from_odd,
@@ -35,6 +38,7 @@ from basicq.l2q import (
     to_csv,
 )
 from basicq.qschrodinger import build_hamiltonian, evolve, stationary_states
+from test_fuzz_cli import _expr
 
 
 def gauss2(x):
@@ -241,6 +245,21 @@ class TestInnerProduct:
             sample(lambda x: math.nan if x > 0 else x, lat)
         assert str(exc.value) == f"non-finite sample at x = {x0!r}"
 
+    def test_the_first_refused_sample_wins_before_a_later_point_is_read(self):
+        lat = build_lattice(0.9, -2, 4, 1.0)
+        read = []
+
+        def f(x):
+            read.append(x)
+            if x > 0:
+                raise ZeroDivisionError("a later point")
+            return math.inf if x == lat.x[1] else x
+
+        with pytest.raises(ValueError) as exc:
+            sample(f, lat)
+        assert str(exc.value) == f"non-finite sample at x = {float(lat.x[1])!r}"
+        assert read == lat.x[:2].tolist()
+
     def test_samples_of_the_wrong_shape_rejected(self):
         lat = build_lattice(0.9, -2, 4, 1.0)
         with pytest.raises(ValueError) as exc:
@@ -253,6 +272,41 @@ class TestInnerProduct:
         g = sample(lambda x: x * x, lat)
         h = f + 2.0 * g - g
         assert np.allclose(h.values, f.values + g.values, rtol=1e-15)
+
+
+def _samples(f, lat):
+    return [sample(f, lat).values]
+
+
+def _bands(f, lat):
+    H = build_hamiltonian(f, 1.0, 1.0, lat)
+    return [H.lo, H.di, H.up, H.sym_e]
+
+
+def _read_outcome(read, f, lat):
+    """The bytes of each array ``read(f, lat)`` returns, or its error's class and text."""
+    try:
+        return [a.tobytes() for a in read(f, lat)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_an_expression_reads_as_its_point_function():
+    # a BoundExpression is called with every point at once, any other
+    # function point by point: both give the same bits or the same error
+    rng = random.Random(17)
+    lattices = {q: build_lattice(q, *default_window(q)) for q in (0.5, 0.9)}
+    checked = 0
+    while checked < 300:
+        text, q = _expr(rng), rng.choice((0.5, 0.9))
+        try:
+            f = BoundExpression(parse(text), q)
+        except ParseError:  # such as "--x"
+            continue
+        for read in (_samples, _bands):
+            assert (_read_outcome(read, f, lattices[q])
+                    == _read_outcome(read, lambda x: f(x), lattices[q])), text
+        checked += 1
 
 
 class TestBasisFunctions:

@@ -464,8 +464,8 @@ def test_nonfinite_values_past_every_stop_give_the_scalar_bits(monkeypatch):
     f = lambda x: np.where(x < 1e-13, np.nan, x * x)
     calls = []
     blocks = qcalculus._sum_blocks
-    monkeypatch.setattr(qcalculus, "_sum_blocks", lambda *args: blocks(
-        *args[:-1], lambda row: calls.append(row) or args[-1](row)))
+    monkeypatch.setattr(qcalculus, "_sum_blocks", lambda *args, **kw: blocks(
+        *args[:-1], lambda row: calls.append(row) or args[-1](row), **kw))
     got = q_integral_finite(f, UPPERS, 0.9)
     assert calls == list(range(UPPERS.size))
     for a, value in zip(UPPERS.tolist(), got):
@@ -528,6 +528,34 @@ def test_integrand_errors_hand_the_block_to_the_scalar_sum():
     _assert_array_is_the_loop(f, np.array([0.3, 1.0]), 0.9)
 
 
+def test_a_result_overflow_before_a_failing_sum_raises_first():
+    # the sum at 3.0 is finite and its result overflows; the one at 5.0
+    # meets an infinite first term, which a loop over the limits never reaches
+    f = BoundExpression(parse("x*1e308"), 0.5)
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(f, np.array([3.0, 5.0]), 0.5)
+    assert str(got.value) == "q_integral_finite: result overflows after a finite sum"
+    _assert_array_is_the_loop(f, np.array([3.0, 5.0]), 0.5)
+    _assert_array_is_the_loop(f, np.array([0.1, 5.0]), 0.5)
+    _assert_array_is_the_loop(f, np.array([0.1, 0.2]), 0.5)
+
+
+def test_a_result_overflow_before_the_term_cap_raises_first():
+    # near q 1 the prefactor a (1/q - q) is 2 at a = 1e6, whose few nonzero
+    # terms sum to about 1.5e308; at a = 1 every term is 1, and the block
+    # sum refuses that limit at MAX_TERMS, where a loop has already stopped
+    def f(x):
+        return np.where(x > 1e5, np.where(x > 999990.0, 3e307, 0.0), 1.0 / x)
+
+    q = 1.0 - 1e-6
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(lambda x: f(np.asarray(x)).item(), 1e6, q)
+    assert str(got.value) == "q_integral_finite: result overflows after a finite sum"
+    with pytest.raises(ConvergenceError) as got:
+        q_integral_finite(f, np.array([1e6, 1.0]), q)
+    assert str(got.value) == "q_integral_finite: result overflows after a finite sum"
+
+
 def test_seeded_expression_integrands_sum_as_the_loop():
     # integrands of the CLI fuzz's grammar; q 0.99 stays out, where a
     # divergent one runs tens of thousands of terms per limit
@@ -549,9 +577,9 @@ def test_verify_sums_no_element_alone(monkeypatch):
     sums, calls = [], []
     blocks = qcalculus._sum_blocks
 
-    def spy(*args):
+    def spy(*args, **kw):
         sums.append(args[-2])
-        return blocks(*args[:-1], lambda row: calls.append(row) or args[-1](row))
+        return blocks(*args[:-1], lambda row: calls.append(row) or args[-1](row), **kw)
 
     monkeypatch.setattr(qcalculus, "_sum_blocks", spy)
     monkeypatch.setattr(qfunctions, "_sum_blocks", spy)

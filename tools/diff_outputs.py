@@ -118,7 +118,10 @@ MISUSE = (
 # E_q and verify at tiny q, where sinh(x ln q) overflows before [x] does
 # and q^2 underflows to 0; last, qint on the scanner's edge characters: a
 # tab and a newline between tokens, a digit that is no decimal digit (a
-# malformed number) and a decimal digit of another script (a number).
+# malformed number) and a decimal digit of another script (a number); last,
+# an expression not finite at the first point that fails at a later one, as
+# a potential and as an initial state, and the initial-state twin of a
+# potential whose array evaluation fails.
 _CONSTANT_FAILURES = ("x + 1/0", "x*exp(1000)", "gauss(x) + Eq(1e300)", "x + pow(0, -1)",
                       "abs(1e999*0) - exp(1000) + x")
 EXPRESSIONS = (
@@ -158,6 +161,9 @@ EXPRESSIONS = (
     ["qint", "--expr", "x\t*\ngauss(x)", "--upper", "2"],
     ["qint", "--expr", "x ²", "--upper", "2"],
     ["qint", "--expr", "١+x", "--upper", "2"],
+    ["solve", "--potential", "x*1e307*100 + exp(100/x)"],
+    ["evolve", "--potential", "x^2", "--psi0", "x*1e307*100 + exp(100/x)"],
+    ["evolve", "--potential", "x^2", "--psi0", "sqrt(x) + 1/(x - 0.5)", "--q", "0.5"],
 )
 
 # solve and evolve commands where the file writing splits: every
