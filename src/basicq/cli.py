@@ -44,7 +44,7 @@ import re
 import sys
 
 from . import exprparse, l2q, qcalculus, qfunctions
-from .errors import BasicQError, ConvergenceError, EvaluationError, ParseError
+from .errors import BasicQError, ParseError
 from .qschrodinger import build_hamiltonian, evolve, stationary_states
 
 __all__ = ["main", "run"]
@@ -467,9 +467,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"basicq: parse error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, ConvergenceError) as exc:
-        print(f"basicq: error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"basicq: invalid configuration: {exc}", file=sys.stderr)
         return 2

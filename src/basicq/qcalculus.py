@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .qnum import as_qparam, basic_number
 __all__ = [
     "DEFAULT_TOL",
     "MAX_TERMS",
-    "PowerSeries",
     "jackson_derivative",
     "jackson_derivative_series",
     "q_leibniz_residual",
@@ -116,41 +114,26 @@ def jackson_derivative(f, x, q):
                            f"is not finite: {complex(d.flat[i])!r}")
 
 
-@dataclass
-class PowerSeries:
-    """Finite power series ``sum_k c_k x^k`` with complex coefficients."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        if self.coefficients.ndim != 1:
-            raise ValueError("PowerSeries coefficients must be one-dimensional")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        # Horner evaluation.
-        acc = 0.0 + 0.0j
-        for c in self.coefficients[::-1]:
-            acc = acc * x + c
-        return acc
-
-
-def jackson_derivative_series(series: PowerSeries, q) -> PowerSeries:
-    """Termwise Jackson derivative of a power series: ``c_k -> [k] c_k`` at ``k-1``.
+def jackson_derivative_series(coefficients, q) -> np.ndarray:
+    """Termwise Jackson derivative of the power series ``sum_k c_k x^k``
+    given by its 1-D coefficient array: ``c_k -> [k] c_k`` at ``k-1``, as a
+    complex array; a constant gives ``[0]``.
 
     Well-defined at the origin (constant term drops out), and consistent with
     :func:`jackson_derivative` wherever both apply.
+
+    Raises
+    ------
+    ValueError
+        If ``coefficients`` is not one-dimensional.
     """
     qp = as_qparam(q)
-    c = series.coefficients
+    c = np.asarray(coefficients, dtype=complex)
+    if c.ndim != 1:
+        raise ValueError("power-series coefficients must be one-dimensional")
     if len(c) <= 1:
-        return PowerSeries(np.zeros(1, dtype=complex))
-    out = np.array([basic_number(k, qp) * c[k] for k in range(1, len(c))], dtype=complex)
-    return PowerSeries(out)
+        return np.zeros(1, dtype=complex)
+    return np.array([basic_number(k, qp) * c[k] for k in range(1, len(c))], dtype=complex)
 
 
 def q_leibniz_residual(f, g, x, q, variant: int = 1) -> float:
@@ -248,8 +231,7 @@ class SplitComplex:
         return out if dtype is None else out.astype(dtype)
 
     def __abs__(self):
-        # np.hypot(re, 0) is |re| exactly; the plain |re| is far cheaper.
-        return np.hypot(self.re, self.im) if np.any(self.im) else np.abs(self.re)
+        return np.hypot(self.re, self.im)
 
     def __add__(self, other):
         br, bi = _parts(other)

@@ -178,7 +178,10 @@ def basic_factorial(n: int, q) -> float:
     """Basic factorial ``[n]! = [n][n-1]...[1]`` with ``[0]! = 1``.
 
     Accumulated left-to-right so that ``[n+1]! == [n+1] * [n]!`` holds
-    exactly as computed.  Values past float range overflow to ``inf``.
+    exactly as computed.  Values past float range are ``inf``: the product
+    overflows to it, or, at tiny ``q`` (below about 7.5e-155), a factor
+    ``[k]`` leaves float range first, and every ``[j] >= 1`` for ``j >= 1``
+    puts the product past it too.
 
     Parameters
     ----------
@@ -194,8 +197,11 @@ def basic_factorial(n: int, q) -> float:
     b = _bracket_table(qp, _TABLE_SIZE)
     out = 1.0
     for k in range(1, n + 1):
-        out *= b[k] if k < len(b) else basic_number(k, qp)
-        if out == math.inf:  # a later [k] may overflow on its own
+        try:
+            out *= b[k] if k < len(b) else basic_number(k, qp)
+        except OverflowError:  # [k] is past float range, so is the product
+            return math.inf
+        if out == math.inf:
             break
     return out
 

@@ -126,9 +126,10 @@ class SpectrumResult:
 
     ``blocks`` holds the eigenvectors as ``(parity, cols, U)`` triples: the
     columns of the real matrix ``U`` are the eigenfunctions numbered ``cols``
-    (ascending) in ``eigenvalues``.  A full solve has one block of parity
-    ``None``, whose ``U`` covers all odd points in coordinate-ascending
-    order.  A parity split has an even (+1) and an odd (-1) block, whose
+    (ascending) in ``eigenvalues``.  It holds exactly the blocks that own an
+    eigenpair, so none when ``k = 0``.  A full solve's block has parity
+    ``None``, and its ``U`` covers all odd points in coordinate-ascending
+    order.  A parity split gives an even (+1) and an odd (-1) block, whose
     ``U`` holds the right half (x > 0) of each eigenfunction; its left half
     is ``parity * U[::-1]``.
     """
@@ -339,7 +340,9 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     odd weights equal their own reversal bit for bit, the problem is solved
     as an even and an odd block of half the size (see the module
     docstring); each block gives its lowest ``min(k, n_odd/2)`` pairs, and
-    the lowest ``k`` of both are kept (ties to the even one).  The vectors
+    the lowest ``k`` of both are kept (ties to the even one); a block that
+    owns none of them is dropped, so ``blocks`` holds exactly the blocks
+    that own an eigenpair, and none for ``k = 0``.  The vectors
     are LAPACK's (``stevd`` for a full block, ``stein`` for a partial one),
     orthonormal to working precision within clusters of equal or nearly
     equal eigenvalues too, so none is re-orthogonalized.  Each
@@ -353,8 +356,7 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     if k > n:
         raise ValueError(f"k={k} exceeds odd-sublattice size {n}")
     if k == 0:
-        return SpectrumResult(np.empty(0), ((None, np.arange(0), np.empty((n, 0))),),
-                              H.lattice)
+        return SpectrumResult(np.empty(0), (), H.lattice)
     solved = []
     for problem in _problems(H, k):
         parity, ev, U = _solve_block(H, problem)
@@ -367,7 +369,8 @@ def stationary_states(H: Hamiltonian, k: int) -> SpectrumResult:
     blocks = []
     for b, (parity, _, U) in enumerate(solved):
         cols = np.flatnonzero(owner == b)
-        blocks.append((parity, cols, U[:, :len(cols)]))
+        if len(cols):
+            blocks.append((parity, cols, U[:, :len(cols)]))
     return SpectrumResult(np.asarray(evals[order], dtype=float), tuple(blocks), H.lattice)
 
 

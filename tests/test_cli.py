@@ -28,8 +28,9 @@ from basicq import (
     q_integral_halfline,
     stationary_states,
 )
-from basicq import exprparse, l2q, qschrodinger
+from basicq import cli, exprparse, l2q, qschrodinger
 from basicq.cli import main
+from basicq.errors import BasicQError, ConvergenceError, EvaluationError, ParseError
 from basicq.qnum import QParam
 
 
@@ -670,6 +671,21 @@ def test_refusal_is_one_line_and_writes_nothing(capsys, monkeypatch, tmp_path, a
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv, "--output", "out") == (code, "", err + "\n")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (ParseError("bad token", 3), 2, "basicq: parse error: bad token (at offset 3)"),
+    (EvaluationError("overflow", 3), 1, "basicq: error: overflow (at offset 3)"),
+    (ConvergenceError("no convergence"), 1, "basicq: error: no convergence"),
+    (BasicQError("refused"), 1, "basicq: error: refused"),
+    (ValueError("bad q"), 2, "basicq: invalid configuration: bad q"),
+    (OSError("disk full"), 1, "basicq: i/o error: disk full"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_refusal_class_prints_its_line_and_exit_code(capsys, monkeypatch, exc, code, line):
+    def refuse(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_eval", refuse)
+    assert run(capsys, "eval", "--fn", "Eq", "--points", "1") == (code, "", line + "\n")
 
 
 def test_evolve_bad_grid(capsys, tmp_path):

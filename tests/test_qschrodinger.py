@@ -554,6 +554,27 @@ class TestExpansion:
             with pytest.raises(IndexError):
                 spec.vector(n)
 
+    def test_blocks_hold_only_the_blocks_that_own_an_eigenpair(self):
+        # the lowest pair of x^2 is even: the odd half block owns nothing
+        spec = stationary_states(oscillator(), 1)
+        assert [(parity, list(cols)) for parity, cols, _ in spec.blocks] == [(1, [0])]
+
+    def test_no_eigenpairs_hold_no_blocks(self):
+        lat = default_lattice()
+        spec = stationary_states(oscillator(lat), 0)
+        assert spec.blocks == ()
+        assert spec.vectors.shape == (len(lat.odd_indices), 0)
+        assert expand(gaussian_packet(lat), spec).shape == (0,)
+        assert not np.any(synthesize([], spec).values)
+
+    def test_synthesize_on_two_odd_points(self):
+        # one pair on a lattice with two odd points: a one-row half block
+        lat = build_lattice(0.9, 0, 1)
+        spec = stationary_states(build_hamiltonian(lambda x: x * x, 1.0, 1.0, lat), 1)
+        assert len(spec.blocks) == 1
+        got = synthesize([1.0], spec)
+        assert np.array_equal(got.values, _from_odd(lat, spec.vector(0)).values)
+
     def test_expand_is_inner_product_and_ignores_even_samples(self):
         lat = default_lattice()
         spec = stationary_states(oscillator(lat), 8)
