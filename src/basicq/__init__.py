@@ -26,8 +26,8 @@ from .qnum import (
     basic_number,
     q_shifted_factorial,
 )
+from ._summation import DEFAULT_TOL
 from .qcalculus import (
-    DEFAULT_TOL,
     jackson_derivative,
     q_integral_finite,
     q_integral_fullline,

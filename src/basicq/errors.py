@@ -40,6 +40,6 @@ class EvaluationError(ExpressionError):
 def first_nonfinite(v):
     """Flat index of the first element of ``v`` that is not finite, or None:
     ``v`` is a number (element 0), an array, or the broadcasting parts
-    ``v.re`` and ``v.im`` of a :class:`~basicq.qcalculus.SplitComplex`."""
+    ``v.re`` and ``v.im`` of a :class:`~basicq._summation.SplitComplex`."""
     ok = np.isfinite(v.re) & np.isfinite(v.im) if hasattr(v, "re") else np.isfinite(v)
     return None if ok.all() else int(np.argmin(ok))

@@ -18,9 +18,8 @@ offset into the source text.
 
 Array evaluation.  Each compiled node is one function ``node(x, qp)`` of a
 point (a ``complex``) or of all the points at once (a
-:class:`~basicq.qcalculus.SplitComplex`, CPython's complex product and
-quotient on float64 parts), so each element is bit for bit the value at
-that point.  A subexpression that does not depend on ``x`` is evaluated once,
+:class:`~basicq._summation.SplitComplex`), so each element is bit for bit
+the value at that point.  A subexpression that does not depend on ``x`` is evaluated once,
 as at a point.  Unary minus is ``0.0 - v`` over the array too, an integral
 power ``|n| < 100`` is CPython's repeated squaring, and ``exp``/``gauss`` use
 complex128 ``np.exp``, which matches ``cmath.exp`` up to real parts of 700.
@@ -38,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._summation import SplitComplex
 from .errors import ConvergenceError, EvaluationError, ParseError, first_nonfinite
-from .qcalculus import SplitComplex
 from .qnum import as_qparam
 from .qfunctions import q_cos, q_exp, q_sin
 

@@ -183,7 +183,7 @@ def _freeze(arr):
 
 def _magnitudes(qc: float, a: float, m):
     """``a q^m`` and the weight ``a (1/q - q) q^m`` at the exponents ``m``."""
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return a * qc ** m.astype(float), a * (1.0 / qc - qc) * qc ** m.astype(float)
 
 

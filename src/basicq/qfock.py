@@ -125,7 +125,11 @@ def algebra_residuals(t: LadderTriple) -> dict:
     dim = t.dim
     k = dim - 1
 
-    raise_diag = np.diag([qc ** (-n) for n in range(dim)])
+    try:
+        raise_diag = np.diag([qc ** (-n) for n in range(dim)])
+    except OverflowError:
+        raise OverflowError(
+            f"algebra_residuals: q^-{k} at q = {qc!r} leaves float range") from None
     occ_diag = np.diag([basic_number(n, qc) for n in range(dim)])
     occ_up_diag = np.diag([basic_number(n + 1, qc) for n in range(dim)])
     lower_raise = a @ adag

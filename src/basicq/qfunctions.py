@@ -22,9 +22,9 @@ Each series is read from one table, ``_SERIES``: ``t_0 = z`` (S) or 1, and
 ``t_n = t_{n-1} r_n`` with ``r_n = w / d_n`` (physics; ``w = z`` for E and
 ``-z^2`` for S, C; ``d_n`` a product of basic numbers ``[k]``) or
 ``((w A) q^{p_n}) / D_n`` (shifted).  A scalar ``z`` is summed term by term.
-An ndarray ``z`` is summed by the block kernel of :mod:`basicq.qcalculus` in
-the physics representation, each element bit for bit the scalar call, and
-element by element through the scalar sum in the shifted one.
+An ndarray ``z`` is summed by the block kernel of :mod:`basicq._summation`
+in the physics representation, and element by element through the scalar
+sum in the shifted one.
 
 Deformed trig identities verified here as residual diagnostics, at a scalar
 or at every element of an ndarray ``x``:
@@ -42,8 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcalculus import DEFAULT_TOL, SplitComplex, jackson_derivative
-from .qcalculus import _accumulate, _sum_blocks, _sum_series
+from ._summation import DEFAULT_TOL, SplitComplex, _accumulate, _sum_blocks, _sum_series
+from .qcalculus import jackson_derivative
 from .qnum import _TABLE_SIZE, _bracket_table, as_qparam, basic_number
 
 __all__ = [
@@ -120,9 +120,8 @@ def _log_gains(qp, kind):
 
 
 def _series(kind, z, qp, tol, representation):
-    """The series ``kind`` ("exp", "sin", "cos") at a scalar ``z``, summed by
-    :func:`_sum_series`, or at an ndarray ``z``: by :func:`_sum_arrays` in
-    the physics representation, element by element in the shifted one."""
+    """The series ``kind`` ("exp", "sin", "cos") at ``z``, summed as the
+    module docstring says."""
     if representation not in ("physics", "shifted"):
         raise ValueError(f"q_{kind}: representation must be 'physics' or 'shifted', "
                          f"got {representation!r}")
@@ -162,10 +161,8 @@ def _sum_arrays(kind, z, qp, tol):
     Returns ``(value, terms_used)`` arrays of ``z``'s shape.  The ratios
     ``r_n`` and the running products ``t_n = t_{n-1} r_n`` are taken on
     float64 parts in CPython's order (:class:`SplitComplex`) and summed by
-    :func:`_sum_blocks`, so each element is bit for bit the scalar call,
-    ``-0.0`` included; a block the kernel cannot clear is summed again
-    element by element, so the error is the scalar call's at the first
-    failing element.
+    :func:`_sum_blocks`, under its rules, so each element is bit for bit
+    the scalar call, ``-0.0`` included.
     """
     series = _SERIES[kind]
     z = np.asarray(z, dtype=complex)
@@ -204,13 +201,13 @@ def _sum_arrays(kind, z, qp, tol):
         return out_re, out_im
 
     # First block: the terms until |w|^n |r_1 ... r_n / w^n| for the
-    # largest |w| falls below tol, plus the 3-term streak.
+    # largest |w| falls below tol (13 when none does).
     logs = _log_gains(qp, kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(np.hypot(wr, wi).max(initial=0.0))
     log_terms = np.arange(1, len(logs) + 1) * log_w + logs
     below = np.flatnonzero(log_terms < np.log(tol)) if 0.0 < tol < 1.0 else []
-    first = int(below[0]) + 4 if len(below) else 16
+    first = int(below[0]) + 1 if len(below) else 13
     def scalar(j):
         s = _series(kind, complex(zr[j], zi[j]), qp, tol, "physics")
         return s.value, s.terms_used
@@ -234,9 +231,7 @@ def q_exp(z, q, tol: float = DEFAULT_TOL, representation: str = "physics") -> QS
     ----------
     z : complex or ndarray
         Argument; an ndarray gives arrays of ``value`` and ``terms_used``,
-        each element bit for bit the scalar call: the block kernel sums
-        the physics series, and a shifted array is summed element by
-        element.
+        each element bit for bit the scalar call.
     q : float or QParam
         Deformation parameter.
     tol : float, optional

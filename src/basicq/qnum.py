@@ -153,7 +153,11 @@ def basic_number(x: float, q) -> float:
         # same quotient divided through by q^-1; q**(1 - |x|) raises where
         # [x] leaves float range.
         ax = abs(x)
-        return math.copysign(qc ** (1.0 - ax) * (1.0 - qc ** (2.0 * ax)) / (1.0 - qc * qc), x)
+        try:
+            return math.copysign(qc ** (1.0 - ax) * (1.0 - qc ** (2.0 * ax)) / (1.0 - qc * qc), x)
+        except OverflowError:
+            raise OverflowError(
+                f"basic_number: [{x!r}] at q = {qp.q!r} leaves float range") from None
 
 
 # Basic numbers read from the per-q table; past it, callers call

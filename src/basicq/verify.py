@@ -23,16 +23,15 @@ refuse a :func:`~basicq.l2q.default_window` of more than
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import l2q, qcalculus, qfock, qfunctions, qnum
+from ._summation import DEFAULT_TOL, SplitComplex
 from .errors import ConvergenceError
 from .l2q import DEFAULT_SWEEP
-from .qcalculus import DEFAULT_TOL, SplitComplex
 
 __all__ = ["IdentityResult", "VerifyReport", "run_verify", "DEFAULT_SWEEP"]
 
@@ -69,8 +68,13 @@ def _pypow(x, n):
     """``x**n`` per element by CPython's float power, as the scalar
     identities computed it (numpy's ``power`` rounds differently)."""
     x = np.asarray(x, dtype=float)
-    powers = map(pow, x.ravel().tolist(), itertools.repeat(n))
-    return np.fromiter(powers, float, x.size).reshape(x.shape)
+    out = np.empty(x.size)
+    for i, v in enumerate(x.ravel().tolist()):
+        try:
+            out[i] = pow(v, n)
+        except OverflowError:
+            raise OverflowError(f"x^{n} at x = {v!r} leaves float range") from None
+    return out.reshape(x.shape)
 
 
 def _gauss(x):

@@ -1,9 +1,13 @@
 """Seeded fuzz of the CLI's refusal contract.
 
-Every command ends with exit 0, 1 or 2, never in a traceback; a refused
-one (exit 1 or 2) prints exactly one line starting ``basicq`` on stderr and
-writes no file.  The argument lists come from the CLI's and the expression
-language's grammars, drawn by stdlib ``random`` at a fixed seed, with the
+Every command ends with exit 0, 1 or 2, never in a traceback.  A command
+that exits 0 prints nothing on stderr.  A refused one (exit 1 or 2) writes no
+file and prints exactly one line starting ``basicq`` on stderr, after
+argparse's usage block (exit 2 only) and before the indented
+``  <row>: <reason>`` lines of a failed ``verify``; no other line, such as a
+Python warning, and no reason that is a bare errno tuple ``(34, '...')``.
+The argument lists come from the CLI's and the expression language's
+grammars, drawn by stdlib ``random`` at a fixed seed, with the
 edge values of float input: signed zeros, subnormals, 1e+-308, inf and NaN,
 q from 1e-300 to 1e300 and q within 1e-10 of 1.  They all run through
 ``cli.main`` in one child process whose address space ``RLIMIT_AS`` caps,
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -33,8 +38,10 @@ _FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs", "gauss", "Eq", "Sq", "Cq")
 # writes, per list, the exit code (or the escaping exception), the standard
 # error and the names the directory then holds.
 _CHILD = r"""
-import contextlib, io, json, os, sys, tempfile
+import contextlib, io, json, os, sys, tempfile, warnings
 from basicq import cli
+
+warnings.simplefilter("always")  # each command shows its own warnings
 
 records = []
 for argv in json.load(sys.stdin):
@@ -169,16 +176,37 @@ def run_child(argvs, child_env) -> list:
     return json.loads(proc.stdout)
 
 
+_VERIFY_ROW = re.compile(r"  [\w-]+: \S")
+_ERRNO = re.compile(r"\(\d+, '")
+
+
+def _stray_lines(argv, code, err) -> list:
+    """The lines of a refusal's stderr that the contract does not allow."""
+    lines = err.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("basicq")]
+    if len(heads) != 1:
+        return [f"{len(heads)} basicq lines"]
+    before, after = lines[:heads[0]], lines[heads[0] + 1:]
+    if code == 2 and before and before[0].startswith("usage: "):
+        before = [line for line in before[1:] if not line.startswith(" ")]
+    rows = argv[0] == "verify"
+    stray = before + [line for line in after if not (rows and _VERIFY_ROW.match(line))]
+    return stray + [line for line in lines if _ERRNO.search(line)]
+
+
 def breaches(argvs, records) -> list:
     """``(argv, what is wrong)`` for each command off the refusal contract."""
     found = []
     for argv, (code, err, files) in zip(argvs, records):
         if code not in (0, 1, 2):
             found.append((argv, f"exit {code!r}"))
-        elif code:
-            heads = [line for line in err.splitlines() if line.startswith("basicq")]
-            if len(heads) != 1:
-                found.append((argv, f"{len(heads)} basicq lines: {err!r}"))
+        elif code == 0:
+            if err:
+                found.append((argv, f"exit 0 with stderr {err!r}"))
+        else:
+            stray = _stray_lines(argv, code, err)
+            if stray:
+                found.append((argv, f"stderr lines off the contract {stray!r}: {err!r}"))
             if files:
                 found.append((argv, f"wrote {files}"))
     return found

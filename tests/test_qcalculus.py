@@ -12,6 +12,7 @@ from numpy.polynomial.polynomial import polyval
 
 from basicq import (
     ConvergenceError,
+    _summation,
     basic_number,
     jackson_derivative,
     q_exp,
@@ -302,7 +303,7 @@ def test_overflowing_sum_of_finite_terms_raises():
 
 
 def test_max_terms_cap_raises(monkeypatch):
-    monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
+    monkeypatch.setattr(_summation, "MAX_TERMS", 50)
     with pytest.raises(ConvergenceError, match="no convergence after 50 terms"):
         # tol = 0 can never satisfy the negligible-term rule
         q_integral_finite(lambda x: x, 1.0, 0.9, tol=0.0)
@@ -379,7 +380,7 @@ def test_array_of_upper_limits_matches_scalar_bit_for_bit(q):
 
 def test_array_of_upper_limits_in_small_blocks_matches_scalar(monkeypatch):
     # blocks of a few lattice terms carry the sums and streaks between blocks
-    monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 13)
+    monkeypatch.setattr(_summation, "_BLOCK_VALUES", 13)
     for name, scalar, array in _integrands(0.9):
         got = q_integral_finite(array, UPPERS, 0.9)
         for a, value in zip(UPPERS, got):
@@ -401,7 +402,7 @@ def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
         q_integral_finite(lambda x: x, np.array([1.0, 0.0]), 0.9)
     with pytest.raises(ConvergenceError, match="non-finite term at index 0"):
         q_integral_finite(lambda x: x, np.array([1.0, np.nan]), 0.9)
-    monkeypatch.setattr(qcalculus, "MAX_TERMS", 50)
+    monkeypatch.setattr(_summation, "MAX_TERMS", 50)
     with pytest.raises(ConvergenceError, match="no convergence after 50 terms") as want:
         q_integral_finite(lambda x: x, 2.0, 0.9, tol=0.0)
     # at 1e-320 the terms underflow to 0 and converge: 2.0 is named
@@ -413,7 +414,7 @@ def test_array_of_upper_limits_raises_like_the_scalar_call(monkeypatch):
 def test_array_series_at_the_term_cap_raises_the_scalar_message(monkeypatch):
     # real arguments take the kernel's real branch, complex ones both parts;
     # E_q(0) converges in 4 terms, so z is named
-    monkeypatch.setattr(qcalculus, "MAX_TERMS", 5)
+    monkeypatch.setattr(_summation, "MAX_TERMS", 5)
     for z in (10.0, 10.0 + 1.0j):
         with pytest.raises(ConvergenceError, match="no convergence after 5 terms") as want:
             q_exp(z, 0.9)

@@ -17,6 +17,14 @@ DIMS = [4, 8, 16]
 QS = [0.5, 0.9, 1.0]
 
 
+def test_algebra_residuals_past_float_range_names_the_power():
+    # every [n] of the ladder fits, but q^-(dim - 1) of q^-N does not
+    t = build_ladder(8, 1e-46)
+    with pytest.raises(OverflowError) as err:
+        algebra_residuals(t)
+    assert str(err.value) == "algebra_residuals: q^-7 at q = 1e-46 leaves float range"
+
+
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("dim", DIMS)
 def test_shapes_and_structure(dim, q):

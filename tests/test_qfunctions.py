@@ -10,13 +10,13 @@ import pytest
 
 from basicq import (
     ConvergenceError,
+    _summation,
     QSpecialValue,
     basic_factorial,
     jackson_derivative,
     q_cos,
     q_exp,
     q_sin,
-    qcalculus,
     qfunctions,
 )
 from basicq.qnum import as_qparam
@@ -252,7 +252,7 @@ def test_shifted_array_matches_scalar_bit_for_bit(kind, fn, q):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_array_argument_in_small_blocks_matches_scalar(monkeypatch, kind, q):
     # blocks of one to a few terms carry the sums and streaks between blocks
-    monkeypatch.setattr(qcalculus, "_BLOCK_VALUES", 97)
+    monkeypatch.setattr(_summation, "_BLOCK_VALUES", 97)
     zs = ARRAY_Z[kind]
     for fn in (q_exp, q_sin, q_cos):
         got = fn(zs, q)

@@ -107,6 +107,15 @@ def test_basic_number_where_sinh_overflows_first(x, q):
         basic_number(x + 1, q)
 
 
+@pytest.mark.parametrize("x, q, shown", [(3, 1e-200, "1e-200"), (-3.0, 1e200, "1e+200"),
+                                         (310, 0.1, "0.1")])
+def test_basic_number_past_float_range_names_x_and_q(x, q, shown):
+    # an OverflowError still, so every caller that catches one keeps working
+    with pytest.raises(OverflowError) as err:
+        basic_number(x, q)
+    assert str(err.value) == f"basic_number: [{float(x)!r}] at q = {shown} leaves float range"
+
+
 def test_factorial_base_cases():
     assert basic_factorial(0, 0.9) == 1.0
     assert basic_factorial(1, 0.9) == 1.0

@@ -141,6 +141,13 @@ def test_verify_makes_no_public_series_calls(monkeypatch):
     assert calls == []
 
 
+def test_corpus_power_past_float_range_names_the_point():
+    assert verify._pypow(np.array([[2.0], [-3.0]]), 3).tolist() == [[8.0], [-27.0]]
+    with pytest.raises(OverflowError) as err:
+        verify._pypow(np.array([1.0, 3e199, 4e199]), 3)
+    assert str(err.value) == "x^3 at x = 3e+199 leaves float range"
+
+
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, ConvergenceError])
 def test_raising_row_fails_without_aborting_the_sweep(monkeypatch, capsys, error):
     def residuals(qp):
