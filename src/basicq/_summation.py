@@ -1,16 +1,17 @@
 """The truncation rule of every series in the package, and its two kernels.
 
 Every series, the q-integrals of :mod:`basicq.qcalculus` and the E/S/C
-series of :mod:`basicq.qfunctions`, stops once 3 consecutive terms fall
-below ``tol`` times the running partial sum (default ``tol = 1e-14``), with
-a hard cap of 10^6 terms.  A scalar argument is summed term by term by
-:func:`_sum_series`.  An array (of upper limits or of E/S/C arguments) is
-summed by the block kernel :func:`_sum_blocks` in :class:`SplitComplex`
-arithmetic, so that every element is bit for bit the scalar result.  The
-failure rules live in the scalar sum alone: a block the kernel cannot clear
-(a term not finite, or any numeric failure of the integrand) is summed
-element by element, so an array call raises what a loop over its elements
-raises, the first failing element's error in flat order.
+series of :mod:`basicq.qfunctions`, stops once ``_STREAK`` (3) consecutive
+terms fall below ``tol`` times the running partial sum (default ``tol =
+1e-14``), with a hard cap of 10^6 terms; both kernels read that streak.  A
+scalar argument is summed term by term by :func:`_sum_series`.  An array (of
+upper limits or of E/S/C arguments) is summed by the block kernel
+:func:`_sum_blocks` in :class:`SplitComplex` arithmetic, so that every
+element is bit for bit the scalar result.  The failure rules live in the
+scalar sum alone: a block the kernel cannot clear (a term not finite, or any
+numeric failure of the integrand) is summed element by element, so an array
+call raises what a loop over its elements raises, the first failing
+element's error in flat order.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _parts(v):
 
 
 def _sum_series(first, step, tol, what):
-    """Sum ``t_0 + t_1 + ...`` under the 3-consecutive-terms rule.
+    """Sum ``t_0 + t_1 + ...`` until ``_STREAK`` consecutive terms are negligible.
 
     ``first()`` returns ``t_0`` and ``step(n, t_n)`` returns ``t_{n+1}``, both
     as complex.  Returns ``(sum, terms_used)``, counting the trailing
@@ -200,8 +201,8 @@ def _sum_blocks(terms, rows, first, tol, what, scalar, *, settle=lambda re, im: 
     taken whole.  The imaginary part is None only from the E/S/C series at
     real arguments, where every imaginary part and sum is 0.0.
     ``scalar(row)`` returns :func:`_sum_series`'s ``(sum, terms_used)`` for
-    one row.  The first block asks for ``first`` terms plus the 3-term
-    streak, each later one for twice as many, and none for more than
+    one row.  The first block asks for ``first`` terms plus ``_STREAK``,
+    each later one for twice as many, and none for more than
     ``_BLOCK_VALUES`` values.  Returns ``(re, im, terms_used)`` arrays of
     length ``rows``, each row bit for bit :func:`_sum_series`'s: running
     sums are taken down the term axis in order, like ``total += t``, from
@@ -247,11 +248,11 @@ def _sum_blocks(terms, rows, first, tol, what, scalar, *, settle=lambda re, im: 
                 break
             sum_mag *= tol
             small = mag <= sum_mag
-            # Line j of `run`: terms j-2, j-1, j all negligible, the streak
-            # carried in from the previous block standing in for j < 2.
+            # Line j of `run`: the _STREAK terms up to j all negligible, the
+            # streak carried in standing in for terms before this block.
             carried = streak[None, idx]
-            ext = np.concatenate((carried >= 2, carried >= 1, small))
-            run = ext[:-2] & ext[1:-1] & ext[2:]
+            ext = np.concatenate([carried >= k for k in range(_STREAK - 1, 0, -1)] + [small])
+            run = np.logical_and.reduce([ext[k:len(small) + k] for k in range(_STREAK)])
             stops = run.any(axis=0)
             stop = run.argmax(axis=0)
             done, at = idx[stops], stop[stops]
@@ -267,7 +268,8 @@ def _sum_blocks(terms, rows, first, tol, what, scalar, *, settle=lambda re, im: 
                 raise _no_convergence(what, mag[-1, j], abs(complex(cr[-1, j], ci[-1, j])))
             idx = idx[going]
             sum_re[idx], sum_im[idx] = cr[-1, going], ci[-1, going]
-            streak[idx] = np.where(ext[-1, going], np.where(ext[-2, going], 2, 1), 0)
+            # The negligible terms that end the block, fewer than _STREAK.
+            streak[idx] = np.logical_and.accumulate(ext[:-_STREAK:-1, going]).sum(axis=0)
             n0 = n1
             size *= 2
     return sum_re, sum_im, used

@@ -190,20 +190,27 @@ def _lattice_points(qc, sgn, size):
 def _lattice_sum(f, qc, a, sgn, tol, what, settle=lambda re, im: None):
     """Sum ``p f(p a)`` over ``p = q^{sgn (2n+1)}``, n = 0, 1, ...; return the sum.
 
-    A scalar ``a`` sums point by point.  An ndarray ``a`` needs an ``f`` that
-    takes arrays: :func:`_sum_blocks` sums every element at once, and the
-    sums come back as a SplitComplex of ``a``'s shape.  Every block carries
-    both parts of ``p f(p a)``, as the scalar step's float-times-complex
-    product; it comes back short where ``f`` raises ArithmeticError,
-    ValueError or BasicQError, and a row summed alone calls ``f`` on one
-    point at a time as a 1 x 1 array.  ``settle`` goes to
+    A scalar ``a`` sums point by point; where ``f`` fails at a point ``p a``
+    that underflows to 0, a ConvergenceError names ``n``.  An ndarray ``a``
+    needs an ``f`` that takes arrays: :func:`_sum_blocks` sums every element
+    at once, and the sums come back as a SplitComplex of ``a``'s shape.
+    Every block carries both parts of ``p f(p a)``, as the scalar step's
+    float-times-complex product; it comes back short where ``f`` raises
+    ArithmeticError, ValueError or BasicQError, and a row summed alone calls
+    ``f`` on one point at a time as a 1 x 1 array.  ``settle`` goes to
     :func:`_sum_blocks`.  The first block spans the ``log(tol) / log(q^2)``
     terms after which ``p`` alone falls below ``tol``.
     """
     def series(a, f):
         def step(n, _):
             p = qc ** (sgn * (2 * n + 3))
-            return complex(p * f(p * a))
+            try:
+                return complex(p * f(p * a))
+            except (ArithmeticError, ValueError, BasicQError) as e:
+                if p * a:
+                    raise
+                raise ConvergenceError(f"{what}: lattice point {n + 1} underflows to 0, "
+                                       f"where the integrand fails: {e}") from None
 
         return _sum_series(lambda: step(-1, None), step, tol, what)
 

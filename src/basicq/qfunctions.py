@@ -21,10 +21,12 @@ only to cross-validate the physics series; it requires ``q != 1``.
 Each series is read from one table, ``_SERIES``: ``t_0 = z`` (S) or 1, and
 ``t_n = t_{n-1} r_n`` with ``r_n = w / d_n`` (physics; ``w = z`` for E and
 ``-z^2`` for S, C; ``d_n`` a product of basic numbers ``[k]``) or
-``((w A) q^{p_n}) / D_n`` (shifted).  A scalar ``z`` is summed term by term.
-An ndarray ``z`` is summed by the block kernel of :mod:`basicq._summation`
-in the physics representation, and element by element through the scalar
-sum in the shifted one.
+``((w A) q^{p_n}) / D_n`` (shifted).  A basic number past float range reads
+``inf`` there (``qnum._bracket``), so a term over it is 0, while
+:func:`~basicq.qnum.basic_number` itself raises.  A scalar ``z`` is summed
+term by term.  An ndarray ``z`` is summed by the block kernel of
+:mod:`basicq._summation` in the physics representation, and element by
+element through the scalar sum in the shifted one.
 
 Deformed trig identities verified here as residual diagnostics, at a scalar
 or at every element of an ndarray ``x``:
@@ -44,7 +46,7 @@ import numpy as np
 
 from ._summation import DEFAULT_TOL, SplitComplex, _accumulate, _sum_blocks, _sum_series
 from .qcalculus import jackson_derivative
-from .qnum import _TABLE_SIZE, _bracket_table, as_qparam, basic_number
+from .qnum import _TABLE_SIZE, _bracket, _bracket_table, as_qparam
 
 __all__ = [
     "QSpecialValue",
@@ -100,8 +102,8 @@ _SERIES = {
 @functools.lru_cache(maxsize=48)
 def _denominators(qp, kind, size):
     """``(None, d_1, d_2, ...)`` of the physics series ``kind`` for every ``n``
-    whose basic numbers lie in ``_bracket_table(qp, size)``, so cut short
-    where ``[k]`` overflows."""
+    whose basic numbers lie in ``_bracket_table(qp, size)``; ``d_n`` is
+    ``inf`` where one of them is past float range."""
     d, b = _SERIES[kind].d, _bracket_table(qp, size).__getitem__
     out = [None]
     try:
@@ -143,7 +145,7 @@ def _series(kind, z, qp, tol, representation):
     # t_{k+1} = t_k r_{k+1}; d_n from the table while it lasts.
     if representation == "physics":
         c = _denominators(qp, kind, _TABLE_SIZE)
-        top, b = len(c) - 1, lambda k: basic_number(k, qp)
+        top, b = len(c) - 1, lambda k: _bracket(k, qp)
         step = lambda k, t: t * (w / (c[k + 1] if k < top else series.d(b, k + 1)))
     else:
         qc = qp.canonical
@@ -182,7 +184,6 @@ def _sum_arrays(kind, z, qp, tol):
     def terms(n0, n1, idx):
         w = wr[None, idx] if real else SplitComplex(wr[None, idx], wi[None, idx])
         c = _denominators(qp, kind, max(_TABLE_SIZE, 1 << (2 * n1).bit_length()))
-        n1 = max(n0, min(n1, len(c)))  # [k] overflows: end before that term
         r = w / np.array(c[max(n0, 1):n1], dtype=float)[:, None]
         tr, ti = t_re[idx], t_im[idx]
         if real:  # terms: the running product of the ratios
@@ -205,7 +206,7 @@ def _sum_arrays(kind, z, qp, tol):
     logs = _log_gains(qp, kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(np.hypot(wr, wi).max(initial=0.0))
-    log_terms = np.arange(1, len(logs) + 1) * log_w + logs
+        log_terms = np.arange(1, len(logs) + 1) * log_w + logs
     below = np.flatnonzero(log_terms < np.log(tol)) if 0.0 < tol < 1.0 else []
     first = int(below[0]) + 1 if len(below) else 13
     def scalar(j):
@@ -356,7 +357,11 @@ def wave_equation_residual(u: str, a, x, q):
         scale = abs(d2) + a * a * abs(fx) + 1e-300
         return abs(d2 + a * a * fx) / scale
     qc = qp.canonical
-    c = (qc - 1.0 / qc) ** 2 * x * x
+    try:
+        c = (qc - 1.0 / qc) ** 2 * x * x
+    except OverflowError:
+        raise OverflowError(f"wave_equation_residual: stencil factor (q - 1/q)^2 "
+                            f"overflows at q = {qp.q!r}") from None
     t_in, t_mid, t_out = f(qc * qc * x) / qc, (qc + 1.0 / qc) * fx, qc * f(x / (qc * qc))
     d2 = (t_in - t_mid + t_out) / c
     scale = (abs(t_in) + abs(t_mid) + abs(t_out)) / abs(c) + a * a * abs(fx) + 1e-300

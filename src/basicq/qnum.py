@@ -160,22 +160,32 @@ def basic_number(x: float, q) -> float:
                 f"basic_number: [{x!r}] at q = {qp.q!r} leaves float range") from None
 
 
-# Basic numbers read from the per-q table; past it, callers call
-# basic_number, which raises where [k] overflows.
+# [k] for k below this is read from the per-q table, past it from basic_number.
 _TABLE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=16)
 def _bracket_table(qp, size):
-    """``([0], [1], ...)`` from :func:`basic_number` for ``k < size``, cut
-    short where ``[k]`` overflows; cached per QParam."""
+    """``([0], [1], ...)`` from :func:`basic_number` for ``k < size``, ``inf``
+    from the first ``[k]`` past float range on; cached per QParam."""
     out = []
     for k in range(size):
         try:
             out.append(basic_number(k, qp))
         except OverflowError:
+            out += [math.inf] * (size - k)
             break
     return tuple(out)
+
+
+def _bracket(k: int, qp: QParam) -> float:
+    """``[k]`` at an integer ``k >= 0`` as sums and factorials read it: inf past float range."""
+    if k < _TABLE_SIZE:
+        return _bracket_table(qp, _TABLE_SIZE)[k]
+    try:
+        return basic_number(k, qp)
+    except OverflowError:
+        return math.inf
 
 
 def basic_factorial(n: int, q) -> float:
@@ -184,8 +194,8 @@ def basic_factorial(n: int, q) -> float:
     Accumulated left-to-right so that ``[n+1]! == [n+1] * [n]!`` holds
     exactly as computed.  Values past float range are ``inf``: the product
     overflows to it, or, at tiny ``q`` (below about 7.5e-155), a factor
-    ``[k]`` leaves float range first, and every ``[j] >= 1`` for ``j >= 1``
-    puts the product past it too.
+    ``[k]`` past float range reads ``inf``, as in every series sum, while
+    :func:`basic_number` itself raises there.
 
     Parameters
     ----------
@@ -198,13 +208,9 @@ def basic_factorial(n: int, q) -> float:
     if n < 0:
         raise ValueError(f"basic_factorial requires n >= 0, got {n}")
     qp = as_qparam(q)
-    b = _bracket_table(qp, _TABLE_SIZE)
     out = 1.0
     for k in range(1, n + 1):
-        try:
-            out *= b[k] if k < len(b) else basic_number(k, qp)
-        except OverflowError:  # [k] is past float range, so is the product
-            return math.inf
+        out *= _bracket(k, qp)
         if out == math.inf:
             break
     return out

@@ -283,6 +283,15 @@ def test_qint_overflowing_sum_is_computation_failure(capsys):
     assert "overflows" in err
 
 
+def test_qint_where_a_lattice_point_underflows_to_a_pole_names_the_point(capsys):
+    # q^7 = 1e-420 underflows to 0, where x^-0.99 divides by zero; the terms
+    # from there on are not negligible, so the sum is refused, not cut
+    code, out, err = run(capsys, "qint", "--expr", "x^-0.99", "--q", "1e-60")
+    assert (code, out) == (1, "")
+    assert err == ("basicq: error: q_integral_finite: lattice point 3 underflows to 0, "
+                   "where the integrand fails: division by zero (at offset 1)\n")
+
+
 def test_qint_overflowing_result_is_computation_failure(capsys):
     # the sum is finite; the prefactor times it is not
     code, out, err = run(capsys, "qint", "--expr", "x", "--upper", "1e307")

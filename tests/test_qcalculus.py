@@ -475,8 +475,8 @@ def test_nonfinite_values_past_every_stop_give_the_scalar_bits(monkeypatch):
 
 @pytest.mark.parametrize("q", [1e-200, 1e200])
 def test_array_of_upper_limits_at_tiny_q_matches_scalar(q):
-    # q^2 underflows to 0, so the first block is sized from 2 log q; E_q
-    # refuses at this q, and the array the same way as the loop
+    # q^2 underflows to 0, so the first block is sized from 2 log q; where
+    # an integrand refuses at this q, the array refuses as the loop does
     for name, scalar, array in _integrands(q):
         try:
             want = [_bits(q_integral_finite(scalar, a, q)) for a in UPPERS]
@@ -486,6 +486,22 @@ def test_array_of_upper_limits_at_tiny_q_matches_scalar(q):
             assert str(got.value) == str(exc), name
         else:
             assert [_bits(v) for v in q_integral_finite(array, UPPERS, q)] == want, name
+
+
+def test_integrand_failing_at_a_point_that_underflows_to_0_names_its_index():
+    # at q 1e-60 the lattice point q^7 a underflows to 0, where D f is undefined;
+    # the array sum reaches the same refusal through the scalar sum
+    q = 1e-60
+    f = lambda x: jackson_derivative(lambda t: t * t, x, q)
+    want = ("q_integral_finite: lattice point 3 underflows to 0, "
+            "where the integrand fails: jackson_derivative is undefined at x = 0")
+    for a in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(ConvergenceError) as exc:
+            q_integral_finite(f, a, q)
+        assert str(exc.value) == want
+    # a regular integrand's terms are 0 there and end the sum
+    assert q_integral_finite(lambda x: x * x, 1.0, q) == pytest.approx(
+        1.0 / basic_number(3, q), rel=1e-15)
 
 
 def _assert_array_is_the_loop(f, uppers, q):

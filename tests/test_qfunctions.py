@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -166,6 +167,15 @@ def test_wave_equation_rejects_origin(x):
     with pytest.raises(ValueError) as exc:
         wave_equation_residual("sin", 1.0, x, 0.9)
     assert str(exc.value) == "wave_equation_residual requires x != 0"
+
+
+@pytest.mark.parametrize("q", [1e-200, 1e200])
+def test_wave_equation_names_q_where_the_stencil_factor_overflows(q):
+    # (q - 1/q)^2 leaves float range below q about 1e-154
+    with pytest.raises(OverflowError) as exc:
+        wave_equation_residual("sin", 1.0, 0.5, q)
+    assert str(exc.value) == ("wave_equation_residual: stencil factor (q - 1/q)^2 "
+                              f"overflows at q = {q!r}")
 
 
 def test_exp_eigenrelation_under_derivative():
@@ -347,3 +357,41 @@ def test_values_sums_each_distinct_array_once(monkeypatch):
     f(x.astype(np.float32))  # another dtype is another argument array
     f(x[:2])
     assert calls == ["exp"] * 3
+
+
+# -- tiny q: a basic number past float range reads inf -------------------------
+
+TINY_Q_Z = [0.0, 0.7, -3.5, 5.0, 2j, -5j, 3 + 4j, -3 - 4j, 1 - 1j]
+
+
+def _mp_series(kind, z, q):
+    """The physics series ``kind`` at ``z`` summed in 50 digits."""
+    with mpmath.workdps(50):
+        qm, zm = mpmath.mpf(q), mpmath.mpc(z)
+        bracket = lambda k: (qm ** k - qm ** -k) / (qm - 1 / qm)
+        total, fact = mpmath.mpc(0), mpmath.mpf(1)
+        for k in range(40):
+            if k:
+                fact *= bracket(k)
+            if kind == "exp":
+                total += zm ** k / fact
+            elif k % 2 == (kind == "sin"):
+                total += (-1) ** (k // 2) * zm ** k / fact
+        return complex(total)
+
+
+def test_exp_at_zero_where_the_third_basic_number_overflows():
+    # [3] ~ q^-2 leaves float range: the terms over it are 0, not a refusal
+    got = q_exp(0.0, 1e-160)
+    assert (got.value, got.terms_used) == (1 + 0j, 4)
+
+
+@pytest.mark.parametrize("q", [1e-60, 1e-100, 1e-160])
+@pytest.mark.parametrize("fn,kind", [(q_exp, "exp"), (q_sin, "sin"), (q_cos, "cos")])
+def test_series_at_tiny_q_match_the_50_digit_sum(fn, kind, q):
+    got = fn(np.array(TINY_Q_Z), q)
+    for z, value, terms in zip(TINY_Q_Z, got.value, got.terms_used):
+        want = fn(z, q)
+        assert (_bits(value), terms) == (_bits(want.value), want.terms_used), z
+        ref = _mp_series(kind, z, q)
+        assert abs(want.value - ref) <= 1e-14 * abs(ref), (z, want.value, ref)

@@ -116,7 +116,8 @@ MISUSE = (
 # q-norm 0, verify near q 1 on both sides, where the momentum rows'
 # window is past its cap and the q-integrals reach their 10^6 terms, and
 # E_q and verify at tiny q, where sinh(x ln q) overflows before [x] does
-# and q^2 underflows to 0; last, qint on the scanner's edge characters: a
+# and q^2 underflows to 0, and where [3] leaves float range and a lattice
+# point underflows to 0; last, qint on the scanner's edge characters: a
 # tab and a newline between tokens, a digit that is no decimal digit (a
 # malformed number) and a decimal digit of another script (a number); last,
 # an expression not finite at the first point that fails at a later one, as
@@ -158,6 +159,10 @@ EXPRESSIONS = (
     ["eval", "--fn", "Eq", "--q", "1e-100", "--points", "1"],
     ["verify", "--q", "1e-100"],
     ["verify", "--q", "1e-200"],
+    ["eval", "--fn", "Eq", "--q", "1e-160", "--points", "0", "1"],
+    ["eval", "--fn", "Sq", "--q", "1e-60", "--range=0:5:2.5"],
+    ["verify", "--q", "1e-60"],
+    ["qint", "--expr", "x^-0.99", "--q", "1e-60"],
     ["qint", "--expr", "x\t*\ngauss(x)", "--upper", "2"],
     ["qint", "--expr", "x ²", "--upper", "2"],
     ["qint", "--expr", "١+x", "--upper", "2"],
