@@ -20,13 +20,13 @@ only to cross-validate the physics series; it requires ``q != 1``.
 
 Each series is read from one table, ``_SERIES``: ``t_0 = z`` (S) or 1, and
 ``t_n = t_{n-1} r_n`` with ``r_n = w / d_n`` (physics; ``w = z`` for E and
-``-z^2`` for S, C; ``d_n`` a product of basic numbers ``[k]``) or
-``((w A) q^{p_n}) / D_n`` (shifted).  A basic number past float range reads
-``inf`` there (``qnum._bracket``), so a term over it is 0, while
-:func:`~basicq.qnum.basic_number` itself raises.  A scalar ``z`` is summed
-term by term.  An ndarray ``z`` is summed by the block kernel of
-:mod:`basicq._summation` in the physics representation, and element by
-element through the scalar sum in the shifted one.
+``-z^2`` for S, C; ``d_n`` a product of basic numbers ``[k]``, which read
+``inf`` past float range) or ``((w A) q^{p_n}) / D_n`` (shifted).  A term
+over an infinite ``d_n`` is 0, and the sum refuses unless that term's bound
+``|t_{n-1} w| / DBL_MAX`` is negligible.  A scalar ``z`` is summed term by
+term, an ndarray ``z`` by the block kernel of :mod:`basicq._summation` (in
+the physics representation, before the first infinite ``d_n``) or else
+element by element through the scalar sum.
 
 Deformed trig identities verified here as residual diagnostics, at a scalar
 or at every element of an ndarray ``x``:
@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._summation import DEFAULT_TOL, SplitComplex, _accumulate, _sum_blocks, _sum_series
+from .errors import ConvergenceError
 from .qcalculus import jackson_derivative
 from .qnum import _TABLE_SIZE, _bracket, _bracket_table, as_qparam
 
@@ -102,15 +103,13 @@ _SERIES = {
 @functools.lru_cache(maxsize=48)
 def _denominators(qp, kind, size):
     """``(None, d_1, d_2, ...)`` of the physics series ``kind`` for every ``n``
-    whose basic numbers lie in ``_bracket_table(qp, size)``; ``d_n`` is
-    ``inf`` where one of them is past float range."""
-    d, b = _SERIES[kind].d, _bracket_table(qp, size).__getitem__
+    whose basic numbers lie in ``_bracket_table(qp, size)``, cut short
+    before the first ``d_n`` past float range."""
+    d, b = _SERIES[kind].d, (_bracket_table(qp, size) + (np.inf,) * 2).__getitem__
     out = [None]
-    try:
-        while True:
-            out.append(d(b, len(out)))
-    except IndexError:
-        return tuple(out)
+    while (dn := d(b, len(out))) < np.inf:  # the two infs end every kind
+        out.append(dn)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=48)
@@ -142,11 +141,18 @@ def _series(kind, z, qp, tol, representation):
     if series.odd and z == 0:
         return QSpecialValue(0.0 + 0.0j, 1)
     w = -(z * z) if series.squared else z
-    # t_{k+1} = t_k r_{k+1}; d_n from the table while it lasts.
+    # t_{k+1} = t_k r_{k+1}; d_n from the table while it lasts.  Over an
+    # infinite d_n the term is 0, its true size below |t_k w| / DBL_MAX.
+    past = []
     if representation == "physics":
         c = _denominators(qp, kind, _TABLE_SIZE)
         top, b = len(c) - 1, lambda k: _bracket(k, qp)
-        step = lambda k, t: t * (w / (c[k + 1] if k < top else series.d(b, k + 1)))
+        def step(k, t):
+            if k < top:
+                return t * (w / c[k + 1])
+            if (d := series.d(b, k + 1)) == np.inf and not past:
+                past.append((k + 1, abs(t) * (abs(w) / np.finfo(float).max)))
+            return t * (w / d)
     else:
         qc = qp.canonical
         q2 = qc * qc
@@ -154,6 +160,9 @@ def _series(kind, z, qp, tol, representation):
         ratio = lambda s, d: (w_a * s) / d
         step = lambda k, t: t * ratio(*series.shifted(qc, q2, k + 1))
     value, n = _sum_series(lambda: z if series.odd else 1.0 + 0j, step, tol, "q_" + kind)
+    if past and not past[0][1] <= tol * abs(value):
+        raise ConvergenceError(f"q_{kind}: term {past[0][0]} is over a basic number past "
+                               f"float range and may not be negligible")
     return QSpecialValue(value, n)
 
 
@@ -184,6 +193,7 @@ def _sum_arrays(kind, z, qp, tol):
     def terms(n0, n1, idx):
         w = wr[None, idx] if real else SplitComplex(wr[None, idx], wi[None, idx])
         c = _denominators(qp, kind, max(_TABLE_SIZE, 1 << (2 * n1).bit_length()))
+        n1 = max(n0, min(n1, len(c)))  # end before a d_n past float range
         r = w / np.array(c[max(n0, 1):n1], dtype=float)[:, None]
         tr, ti = t_re[idx], t_im[idx]
         if real:  # terms: the running product of the ratios

@@ -208,9 +208,10 @@ def basic_factorial(n: int, q) -> float:
     if n < 0:
         raise ValueError(f"basic_factorial requires n >= 0, got {n}")
     qp = as_qparam(q)
+    b = _bracket_table(qp, _TABLE_SIZE)
     out = 1.0
     for k in range(1, n + 1):
-        out *= _bracket(k, qp)
+        out *= b[k] if k < _TABLE_SIZE else _bracket(k, qp)
         if out == math.inf:
             break
     return out

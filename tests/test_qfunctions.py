@@ -395,3 +395,29 @@ def test_series_at_tiny_q_match_the_50_digit_sum(fn, kind, q):
         assert (_bits(value), terms) == (_bits(want.value), want.terms_used), z
         ref = _mp_series(kind, z, q)
         assert abs(want.value - ref) <= 1e-14 * abs(ref), (z, want.value, ref)
+
+
+@pytest.mark.parametrize("fn,z,q,term", [
+    (q_sin, 1.3e154, 1e-103, 1),  # d_1 = [2][3] = 1e309 overflows, [2] and [3] do not
+    (q_sin, 1e150, 1e-103, 1),
+    (q_exp, 1.7e308, 5e-309, 2),  # [2] = 1/q + q overflows at a subnormal q
+])
+def test_series_refuse_a_term_over_an_infinite_denominator_that_may_matter(fn, z, q, term):
+    # the term reads 0, but its bound |t_(n-1) w| / DBL_MAX is not below tol |sum|
+    want = (f"{fn.__name__}: term {term} is over a basic number past float range "
+            "and may not be negligible")
+    for arg in (z, np.array([1.0, z])):
+        with pytest.raises(ConvergenceError) as exc:
+            fn(arg, q)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("fn,kind,z", [(q_sin, "sin", 1e140), (q_sin, "sin", -3e130j),
+                                       (q_cos, "cos", 1e100), (q_exp, "exp", 1e100)])
+def test_series_drop_a_term_over_an_infinite_denominator_where_it_is_negligible(fn, kind, z):
+    q = 1e-103
+    got, arr = fn(z, q), fn(np.array([z]), q)
+    assert (_bits(arr.value[0]), arr.terms_used[0]) == (_bits(got.value), got.terms_used)
+    # [k] = sinh(k ln q) / sinh(ln q) is good to about |k ln q| ulps, 5e-14 at [2]
+    ref = _mp_series(kind, z, q)
+    assert abs(got.value - ref) <= 1e-13 * abs(ref), (got.value, ref)
